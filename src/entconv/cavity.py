@@ -35,6 +35,8 @@ class CavityParams:
     omega_p: float = 0.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.g, self.kappa, self.gamma, self.omega_c, self.omega_0, self.omega_p]).all():
+            raise ValueError("resonator parameters must be finite")
         if self.kappa <= 0 or self.gamma <= 0:
             raise ValueError("kappa and gamma must be strictly positive")
         if self.g < 0:

@@ -14,12 +14,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .cavity import CavityParams
-from .cnot import point_fidelity
+from .cnot import fidelity_grid
 from .config import ConfigError, RunConfig, config_from_dict, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
 from .protocols import (
@@ -32,7 +32,7 @@ from .protocols import (
     run_protocol,
     success_series,
 )
-from .qstate import Pol, Spin
+from .qstate import Pol
 
 CURVE_TAGS = (1, 3, 5)
 CURVE_SAMPLES = 1000
@@ -53,7 +53,10 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_bytes(text.encode())
+        try:
+            Path(path).write_bytes(text.encode())
+        except OSError as err:
+            raise ValueError(f"cannot write output: {err}") from err
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -129,7 +132,7 @@ def cmd_run(args) -> int:
     run = run_protocol(spec, rng=rng)
     fidelity = None
     if spec.gate_mode == "realistic" and run.misclassification_events == 0:
-        fidelity = realistic_vs_ideal(spec, forced_tags=run.true_tags).protocol_fidelity
+        fidelity = realistic_vs_ideal(spec, run.true_tags, run.spin_outcomes).protocol_fidelity
     cls = classify_state(run.final_state)
     report = {
         "command": "run",
@@ -187,16 +190,6 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def _sweep_row(work) -> list:
-    gk, gg_values, input_mode = work
-    rows = []
-    for gg in gg_values:
-        params = CavityParams.from_ratios(gk, gg)
-        for outcome, label in ((Spin.PLUS, "plus"), (Spin.MINUS, "minus")):
-            rows.append([gk, gg, label, point_fidelity(params, outcome, input_mode)])
-    return rows
-
-
 def cmd_sweep_fidelity(args) -> int:
     config = args._config
     if config.sweep is None:
@@ -204,15 +197,14 @@ def cmd_sweep_fidelity(args) -> int:
     grid = config.sweep
     gks = [float(x) for x in np.linspace(*grid.g_over_kappa, grid.steps)]
     ggs = [float(x) for x in np.linspace(*grid.g_over_gamma, grid.steps)]
-    input_mode = args.input.replace("-", "_")
+    grid_row = partial(fidelity_grid, gg_values=ggs, input_mode=args.input.replace("-", "_"))
     jobs = _jobs(args)
-    work = [(gk, ggs, input_mode) for gk in gks]
-    if jobs > 1 and len(work) > 1:
+    if jobs > 1 and len(gks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sweep_row, work))
+            chunks = list(pool.map(grid_row, [[gk] for gk in gks]))
     else:
-        chunks = [_sweep_row(w) for w in work]
-    rows = [row for chunk in chunks for row in chunk]
+        chunks = [grid_row([gk]) for gk in gks]
+    rows = [[p.g_over_kappa, p.g_over_gamma, p.outcome.name.lower(), p.fidelity] for chunk in chunks for p in chunk]
     _emit_table(args, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
     return 0
 
@@ -242,13 +234,13 @@ def cmd_success_table(args) -> int:
     config = args._config
     n = args.n if args.n is not None else (config.protocol.n_photons if config.protocol else None)
     rounds = args.rounds if args.rounds is not None else (config.protocol.max_iterations if config.protocol else 4)
-    if n not in (3, 4, 5):
-        raise ConfigError(f"n must be 3, 4 or 5, got {n}")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
+    try:
+        table = success_series(n, rounds)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     header = ["n_photons", "outcome_class", "round", "per_round_probability", "cumulative_probability"]
     rows = []
-    for series in success_series(n, rounds):
+    for series in table:
         acc = 0.0
         for m, p in enumerate(series.per_round, start=1):
             acc += p

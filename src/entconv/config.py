@@ -8,6 +8,7 @@ config fields.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,8 +29,8 @@ class SweepGrid:
     def __post_init__(self) -> None:
         for name in ("g_over_kappa", "g_over_gamma"):
             lo, hi = getattr(self, name)
-            if lo <= 0 or hi <= 0:
-                raise ConfigError(f"sweep range {name} must be positive")
+            if not (0 < lo < math.inf and 0 < hi < math.inf):
+                raise ConfigError(f"sweep range {name} must be positive and finite")
             if hi < lo:
                 raise ConfigError(f"sweep range {name} must be ordered low, high")
         if self.steps < 2:
@@ -65,6 +66,15 @@ def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
 
 
+def _integer(name: str, value) -> int:
+    """An integer field; like JSON Schema, a float with no fractional part counts."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer")
+    return value
+
+
 def _protocol_from_dict(data: dict) -> ProtocolSpec:
     _check_keys(
         "protocol",
@@ -74,6 +84,9 @@ def _protocol_from_dict(data: dict) -> ProtocolSpec:
     if "n_photons" not in data:
         raise ConfigError("protocol.n_photons is required")
     kwargs = dict(data)
+    for name in ("n_photons", "max_iterations"):
+        if name in kwargs:
+            kwargs[name] = _integer(f"protocol.{name}", kwargs[name])
     params = kwargs.pop("params", None)
     try:
         if params is not None:
@@ -97,15 +110,14 @@ def config_from_dict(data: dict) -> RunConfig:
             sweep = SweepGrid(
                 tuple(float(x) for x in sweep_data["g_over_kappa"]),
                 tuple(float(x) for x in sweep_data["g_over_gamma"]),
-                int(sweep_data["steps"]),
+                _integer("sweep.steps", sweep_data["steps"]),
             )
         except (KeyError, TypeError) as err:
             raise ConfigError(f"invalid sweep section: {err}") from err
     output = OutputSpec(**data["output"]) if data.get("output") is not None else OutputSpec()
-    seed = data.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ConfigError("seed must be an integer")
-    return RunConfig(protocol=protocol, sweep=sweep, trials=int(data.get("trials", 1)), seed=seed, output=output)
+    seed = None if data.get("seed") is None else _integer("seed", data["seed"])
+    trials = _integer("trials", data.get("trials", 1))
+    return RunConfig(protocol=protocol, sweep=sweep, trials=trials, seed=seed, output=output)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -41,6 +41,8 @@ _SUCCESS_TAGS = {3: {1: "W"}, 4: {1: "W", 3: "W"}, 5: {1: "W", 3: "Dicke"}}
 
 _MC_CHUNK = 1024
 
+_RECOVERY_PREFIX = (("hwp", 2), ("qwp", 2), ("cnot", 2, 1))
+
 
 def _default_params() -> CavityParams:
     return CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=BENCHMARK_GAMMA_TOTAL)
@@ -60,14 +62,15 @@ class ProtocolSpec:
     standardize_flipped: bool = False  # flip the four-photon single-R branch to single-L form
 
     def __post_init__(self) -> None:
-        if self.n_photons not in (3, 4, 5):
-            raise ValueError(f"unsupported photon number: {self.n_photons}")
+        _check_photons(self.n_photons)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.gate_mode not in ("ideal", "realistic"):
             raise ValueError(f"unknown gate mode {self.gate_mode!r}")
         if self.homodyne_mode not in ("ideal", "gaussian"):
             raise ValueError(f"unknown homodyne mode {self.homodyne_mode!r}")
+        if not (0 < self.theta < math.inf and 0 <= self.alpha < math.inf):
+            raise ValueError("theta must be finite and > 0, alpha finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,7 @@ class ProtocolRun:
     true_tags: tuple[int, ...]
     misclassification_events: int
     accumulated_norm: float           # survival probability of all gate bounces (1 in ideal mode)
+    spin_outcomes: tuple[Spin, ...]   # spin readout of each realistic gate, in order (empty in ideal mode)
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,15 @@ class StateClass:
     r_excitations: int | None = None
 
 
+def _check_photons(n_photons: int) -> None:
+    if n_photons not in _INPUT_TERMS:
+        raise ValueError(f"unsupported photon number: {n_photons}")
+
+
 def conversion_input(n_photons: int) -> QuantumState:
     """The GHZ-class input state the n-photon circuit is wired for."""
-    try:
-        a, b = _INPUT_TERMS[n_photons]
-    except KeyError:
-        raise ValueError(f"unsupported photon number: {n_photons}") from None
+    _check_photons(n_photons)
+    a, b = _INPUT_TERMS[n_photons]
     return superpose([(ket(a), 1.0), (ket(b), 1.0)])
 
 
@@ -124,8 +131,7 @@ def circuit_wiring(n_photons: int) -> tuple[tuple, ...]:
     The fold-stage control/target assignment is the unique one in this family
     that reproduces the hand-expanded pre-tag states (pinned by tests).
     """
-    if n_photons not in (3, 4, 5):
-        raise ValueError(f"unsupported photon number: {n_photons}")
+    _check_photons(n_photons)
     n = n_photons
     spread = tuple(("cnot", 2, t) for t in range(3, n + 1))
     plates = tuple(("hwp", t) for t in range(3, n + 1)) + tuple(("qwp", t) for t in range(3, n + 1))
@@ -138,28 +144,25 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
     if n_photons not in (3, 5):
         raise ValueError("no recovery path")
     wiring = circuit_wiring(n_photons)
-    reentry = wiring[wiring.index(("hwp", 3)):]
-    return (("hwp", 2), ("qwp", 2), ("cnot", 2, 1)) + reentry
+    return _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
 
 
-def _run_gates(state, elements, spec, rng, spin_iter):
+def _ideal_cnot(state, control, target):
+    return cnot_ideal(state, control, target), 1.0
+
+
+def _run_gates(state, elements, cnot):
     """Apply the gate prefix of an element list, stopping at the probe tag.
 
-    Returns the evolved state and the product of pre-readout squared norms of
-    the realistic gates (1.0 in ideal mode).
+    ``cnot(state, control, target)`` returns the output state and the squared
+    norm the gate kept; the product of the kept norms is returned too.
     """
     norm_factor = 1.0
     for el in elements:
         kind = el[0]
         if kind == "cnot":
-            _, control, target = el
-            if spec.gate_mode == "ideal":
-                state = cnot_ideal(state, control, target)
-            else:
-                forced = next(spin_iter) if spin_iter is not None else None
-                out = cnot_full(state, control, target, spec.params, ideal=False, rng=rng, forced_spin=forced)
-                state = out.post_state
-                norm_factor *= out.pre_measurement_norm
+            state, kept = cnot(state, el[1], el[2])
+            norm_factor *= kept
         elif kind == "hwp":
             state = hwp(state, el[1])
         elif kind == "qwp":
@@ -184,11 +187,25 @@ def run_protocol(
     otherwise outcomes are sampled from ``rng``.  Control flow follows the
     classified tag, so a gaussian-mode misclassification steers the protocol
     down the wrong arm while the state keeps the true branch; such events are
-    counted on the run record.
+    counted on the run record, and the spin outcome of every realistic gate is
+    recorded in ``spin_outcomes``.
     """
+    spins: list[Spin] = []
+    spin_iter = iter(forced_spins) if forced_spins is not None else itertools.repeat(None)
+
+    def realistic_cnot(state, control, target):
+        out = cnot_full(state, control, target, spec.params, ideal=False, rng=rng, forced_spin=next(spin_iter))
+        spins.append(out.spin_result)
+        return out.post_state, out.pre_measurement_norm
+
+    cnot = _ideal_cnot if spec.gate_mode == "ideal" else realistic_cnot
+    return _run_rounds(spec, cnot, rng, forced_tags, spins)
+
+
+def _run_rounds(spec: ProtocolSpec, cnot, rng, forced_tags, spins: list) -> ProtocolRun:
+    """Rounds of circuit, tag and readout until success; ``cnot`` appends its spin outcomes to ``spins``."""
     state = conversion_input(spec.n_photons)
-    tag_iter = iter(forced_tags) if forced_tags is not None else None
-    spin_iter = iter(forced_spins) if forced_spins is not None else None
+    tag_iter = iter(forced_tags) if forced_tags is not None else itertools.repeat(None)
     tags: list[int] = []
     true_tags: list[int] = []
     misses = 0
@@ -197,12 +214,11 @@ def run_protocol(
     success = _SUCCESS_TAGS[spec.n_photons]
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(spec.n_photons) if iteration == 1 else recovery_sequence(spec.n_photons)
-        state, norm_factor = _run_gates(state, elements, spec, rng, spin_iter)
+        state, norm_factor = _run_gates(state, elements, cnot)
         survival *= norm_factor
         partition = apply_cross_kerr(state, spec.theta, spec.alpha)
         model = HomodyneModel.for_tags(spec.alpha, spec.theta, partition.tags())
-        forced_tag = next(tag_iter) if tag_iter is not None else None
-        outcome = homodyne_measure(partition, model, spec.homodyne_mode, rng=rng, forced_tag=forced_tag)
+        outcome = homodyne_measure(partition, model, spec.homodyne_mode, rng=rng, forced_tag=next(tag_iter))
         tags.append(outcome.tag)
         true_tags.append(outcome.true_tag)
         misses += int(outcome.misclassified)
@@ -214,7 +230,7 @@ def run_protocol(
                 for photon in range(1, 5):
                     state = hwp(state, photon)
             break
-    return ProtocolRun(len(tags), outcome_class, state, tuple(tags), tuple(true_tags), misses, survival)
+    return ProtocolRun(len(tags), outcome_class, state, tuple(tags), tuple(true_tags), misses, survival, tuple(spins))
 
 
 def classify_state(state: QuantumState, tol: float = 1e-9) -> StateClass:
@@ -246,19 +262,18 @@ def classify_state(state: QuantumState, tol: float = 1e-9) -> StateClass:
 
 def success_series(n_photons: int, rounds: int) -> list[SuccessSeries]:
     """Closed-form conversion probabilities per round, with cumulative sums and limits."""
+    _check_photons(n_photons)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if n_photons == 3:
         raw = [("W", [Fraction(3, 4) * Fraction(1, 4) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1))]
     elif n_photons == 4:
         raw = [("W", [Fraction(1)] + [Fraction(0)] * (rounds - 1), Fraction(1))]
-    elif n_photons == 5:
+    else:
         raw = [
             ("W", [Fraction(5, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1, 3)),
             ("Dicke", [Fraction(10, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(2, 3)),
         ]
-    else:
-        raise ValueError(f"unsupported photon number: {n_photons}")
     return [
         SuccessSeries(n_photons, label, tuple(float(p) for p in per), float(sum(per)), float(lim))
         for label, per, lim in raw
@@ -284,46 +299,40 @@ class MonteCarloResult:
 
 def _ideal_round_weights(spec: ProtocolSpec):
     """Tag weights of round one, checked to be the fixed point of recovery."""
-    state, _ = _run_gates(conversion_input(spec.n_photons), circuit_wiring(spec.n_photons), spec, None, None)
+    state, _ = _run_gates(conversion_input(spec.n_photons), circuit_wiring(spec.n_photons), _ideal_cnot)
     first = apply_cross_kerr(state, spec.theta, spec.alpha)
     weights = first.weights()
     if spec.n_photons != 4:
         retry_tag = max(first.tags())
         retry_state = first.branches[retry_tag].normalized()
-        state2, _ = _run_gates(retry_state, recovery_sequence(spec.n_photons), spec, None, None)
+        state2, _ = _run_gates(retry_state, recovery_sequence(spec.n_photons), _ideal_cnot)
         second = apply_cross_kerr(state2, spec.theta, spec.alpha).weights()
         if set(second) != set(weights) or any(abs(second[k] - weights[k]) > 1e-12 for k in weights):
             raise ValueError("recovery does not reproduce the first-round branch weights")
     return weights
 
 
+def _ideal_cell_probabilities(spec: ProtocolSpec) -> dict[tuple[str, int], float]:
+    """Exact probability of each (outcome class, rounds used) of a fully ideal run.
+
+    Every round repeats the first round's tag weights, so a class has
+    probability p_class * retry**(m - 1) on round m.
+    """
+    shares: Counter = Counter()
+    for tag, weight in _ideal_round_weights(spec).items():
+        shares[_SUCCESS_TAGS[spec.n_photons].get(tag)] += weight
+    retry = shares.pop(None, 0.0)
+    rounds = spec.max_iterations
+    cells = {(cls, m): p * retry ** (m - 1) for cls, p in shares.items() for m in range(1, rounds + 1)}
+    cells[("failed_max_iter", rounds)] = retry**rounds
+    return cells
+
+
 def _monte_carlo_chain(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
-    """Vectorized ideal-mode ensemble over the per-round tag weights."""
-    weights = _ideal_round_weights(spec)
-    tags = sorted(weights)
-    probs = np.array([weights[k] for k in tags])
-    probs = probs / probs.sum()
-    cutoffs = np.cumsum(probs)
-    # outcome code per tag: 0 recover, 1 W, 2 Dicke
-    code_of = {"W": 1, "Dicke": 2}
-    tag_codes = np.array([code_of.get(_SUCCESS_TAGS[spec.n_photons].get(k), 0) for k in tags])
-    outcome = np.zeros(trials, dtype=np.int8)
-    iterations = np.full(trials, spec.max_iterations, dtype=np.int64)
-    alive = np.arange(trials)
-    for round_idx in range(1, spec.max_iterations + 1):
-        if alive.size == 0:
-            break
-        draws = rng.random(alive.size)
-        codes = tag_codes[np.searchsorted(cutoffs, draws, side="right")]
-        done = codes != 0
-        outcome[alive[done]] = codes[done]
-        iterations[alive[done]] = round_idx
-        alive = alive[~done]
-    labels = {0: "failed_max_iter", 1: "W", 2: "Dicke"}
-    counts: Counter = Counter()
-    for code, iters in zip(outcome, iterations):
-        counts[(labels[int(code)], int(iters))] += 1
-    return MonteCarloResult(trials, dict(counts))
+    """Ideal-mode ensemble: one multinomial draw over the exact (class, round) probabilities."""
+    cells = _ideal_cell_probabilities(spec)
+    counts = rng.multinomial(trials, list(cells.values()))
+    return MonteCarloResult(trials, {cell: int(c) for cell, c in zip(cells, counts) if c})
 
 
 def _mc_chunk(args) -> dict:
@@ -361,9 +370,10 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Empirical outcome frequencies over seeded trials.
 
-    Fully ideal ensembles sample the per-round tag weights extracted from one
-    symbolic circuit execution (the recovery fixed point is verified first),
-    which keeps million-trial ensembles cheap.  Realistic gates or gaussian
+    Fully ideal ensembles draw all trials at once from a multinomial over the
+    exact (class, round) probabilities, built from the tag weights of one
+    circuit execution (the recovery fixed point is verified first), which
+    keeps million-trial ensembles cheap.  Realistic gates or gaussian
     readout force a full per-trial simulation; those trials run on independent
     child streams chunk by chunk, so results do not depend on ``jobs``.
     """
@@ -387,51 +397,32 @@ class RealisticTrace:
 def realistic_vs_ideal(spec: ProtocolSpec, forced_tags, forced_spins=None) -> RealisticTrace:
     """Run realistic and ideal circuits on the same forced branch schedule.
 
-    Per-gate fidelities compare each realistic gate against the ideal gate on
-    the ideal trajectory's input at that point (renormalized overlap, same
-    forced spin outcome); the protocol fidelity is the squared overlap of the
-    two final states.
+    The realistic run takes its spin outcomes from ``forced_spins`` (all plus
+    when omitted).  Per-gate fidelities compare each realistic gate against the
+    ideal gate on the ideal trajectory's input at that point (renormalized
+    overlap, the realistic run's spin outcome for that gate); the protocol
+    fidelity is the squared overlap of the two final states.
     """
     forced_tags = tuple(forced_tags)
-    spin_feed = iter(forced_spins) if forced_spins is not None else itertools.repeat(Spin.PLUS)
-    spin_trace: list = []
-
-    def recorded_spins():
-        for s in spin_feed:
-            spin_trace.append(s)
-            yield s
-
+    forced_spins = itertools.repeat(Spin.PLUS) if forced_spins is None else forced_spins
     real_spec = replace(spec, gate_mode="realistic", homodyne_mode="ideal")
-    run = run_protocol(real_spec, forced_tags=forced_tags, forced_spins=recorded_spins())
-    ideal_spec = replace(spec, gate_mode="ideal", homodyne_mode="ideal")
-    ideal_run = run_protocol(ideal_spec, forced_tags=forced_tags)
-
-    # walk the ideal trajectory, scoring each realistic gate on its input
+    run = run_protocol(real_spec, forced_tags=forced_tags, forced_spins=forced_spins)
+    spin_replay = iter(run.spin_outcomes)
     gate_fidelities: list[float] = []
-    spin_replay = iter(spin_trace)
-    state = conversion_input(spec.n_photons)
-    for iteration in range(1, run.iterations_used + 1):
-        elements = circuit_wiring(spec.n_photons) if iteration == 1 else recovery_sequence(spec.n_photons)
-        for el in elements:
-            kind = el[0]
-            if kind == "cnot":
-                _, control, target = el
-                ideal_out = cnot_ideal(state, control, target)
-                real_out = cnot_full(
-                    state, control, target, spec.params, ideal=False, forced_spin=next(spin_replay)
-                ).post_state
-                gate_fidelities.append(abs(inner(real_out, ideal_out)) ** 2)
-                state = ideal_out
-            elif kind == "hwp":
-                state = hwp(state, el[1])
-            elif kind == "qwp":
-                state = qwp(state, el[1])
-            elif kind == "kerr":
-                partition = apply_cross_kerr(state, spec.theta, spec.alpha)
-                state = partition.branches[forced_tags[iteration - 1]].normalized()
-                break
+
+    def scored_cnot(state, control, target):
+        ideal_out = cnot_ideal(state, control, target)
+        real_out = cnot_full(state, control, target, spec.params, ideal=False, forced_spin=next(spin_replay))
+        gate_fidelities.append(abs(inner(real_out.post_state, ideal_out)) ** 2)
+        return ideal_out, 1.0
+
+    ideal_run = _run_rounds(spec, scored_cnot, None, forced_tags, [])
     fidelity = abs(inner(run.final_state, ideal_run.final_state)) ** 2
     return RealisticTrace(run, ideal_run, tuple(gate_fidelities), fidelity)
+
+
+def _cnot_count(elements) -> int:
+    return sum(el[0] == "cnot" for el in elements)
 
 
 def composite_fidelity_report(gate_fidelity: float = 0.996) -> list[dict]:
@@ -444,17 +435,17 @@ def composite_fidelity_report(gate_fidelity: float = 0.996) -> list[dict]:
     composite product is quoted for each; the reference fidelities follow the
     full-re-entry count.
     """
-    cases = [
-        {"label": "three_photon_round1", "suffix_gates": 2, "full_gates": 2, "reference": 0.992},
-        {"label": "four_photon", "suffix_gates": 4, "full_gates": 4, "reference": 0.984},
-        {"label": "three_photon_rounds4", "suffix_gates": 2 + 3 * 2, "full_gates": 2 + 3 * 3, "reference": 0.957},
-        {"label": "five_photon_rounds4", "suffix_gates": 6 + 3 * 4, "full_gates": 6 + 3 * 7, "reference": 0.897},
-    ]
-    return [
-        {
-            **case,
-            "product_suffix": gate_fidelity ** case["suffix_gates"],
-            "product_full": gate_fidelity ** case["full_gates"],
-        }
-        for case in cases
-    ]
+    rows = []
+    for label, n, rounds, reference in (
+        ("three_photon_round1", 3, 1, 0.992),
+        ("four_photon", 4, 1, 0.984),
+        ("three_photon_rounds4", 3, 4, 0.957),
+        ("five_photon_rounds4", 5, 4, 0.897),
+    ):
+        first = _cnot_count(circuit_wiring(n))
+        retry = _cnot_count(recovery_sequence(n)) if rounds > 1 else 0
+        suffix = first + (rounds - 1) * retry
+        full = first + (rounds - 1) * (_cnot_count(_RECOVERY_PREFIX) + first)
+        rows.append({"label": label, "suffix_gates": suffix, "full_gates": full, "reference": reference,
+                     "product_suffix": gate_fidelity ** suffix, "product_full": gate_fidelity ** full})
+    return rows

@@ -36,6 +36,7 @@ from entconv.protocols import (
     monte_carlo,
     run_protocol,
     success_series,
+    _ideal_cnot,
     _run_gates,
 )
 from entconv.qstate import Spin, ket, superpose
@@ -76,8 +77,7 @@ def _verdict(number: int, text: str) -> None:
 def test_criterion_1_state_evolution_oracles():
     t0 = time.perf_counter()
     for n in (3, 4, 5):
-        spec = ProtocolSpec(n_photons=n)
-        state, _ = _run_gates(conversion_input(n), circuit_wiring(n), spec, None, None)
+        state, _ = _run_gates(conversion_input(n), circuit_wiring(n), _ideal_cnot)
         np.testing.assert_allclose(state.amplitudes, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
         part = apply_cross_kerr(state, THETA_REF, ALPHA_REF)
         assert part.tags() == tuple(sorted(BRANCH_WEIGHTS[n]))

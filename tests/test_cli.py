@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+from dataclasses import replace
+
 import jsonschema
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from entconv.config import (
     load_config,
     schema_path,
 )
+from entconv.protocols import run_protocol
+from entconv.qstate import Spin, inner
 
 
 def make_config(tmp_path, data, name="config.json"):
@@ -64,6 +68,44 @@ def test_config_examples_validate_against_schema():
         jsonschema.validate({"protocol": {"n_photons": 7}}, schema)
 
 
+# JSON numbers have no NaN or infinity (Python's json module reads them only as
+# an extension), so the schema is checked with a number type that excludes them
+_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
+JsonValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=_TYPES.redefine("number", lambda checker, x: _TYPES.is_type(x, "number") and math.isfinite(x)),
+)
+REAL_PARAMS = {"g": 0.3, "kappa": 26.0, "gamma": 0.0004}
+GRID = {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0], "steps": 2}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"trials": 1.5},
+        {"sweep": {**GRID, "steps": 2.5}},
+        {"sweep": {**GRID, "g_over_gamma": [0.5, math.inf]}},
+        {"protocol": {"n_photons": 3, "max_iterations": 2.5}},
+        {"protocol": {"n_photons": 3, "theta": 0}},
+        {"protocol": {"n_photons": 3, "theta": -0.1}},
+        {"protocol": {"n_photons": 3, "theta": math.nan}},
+        {"protocol": {"n_photons": 3, "theta": math.inf}},
+        {"protocol": {"n_photons": 3, "alpha": math.nan}},
+        {"protocol": {"n_photons": 3, "alpha": -math.inf}},
+        {"protocol": {"n_photons": 3, "params": {**REAL_PARAMS, "g": math.nan}}},
+        {"protocol": {"n_photons": 3, "params": {**REAL_PARAMS, "kappa": math.inf}}},
+        {"protocol": {"n_photons": 3, "params": {**REAL_PARAMS, "omega_p": math.nan}}},
+    ],
+    ids=repr,
+)
+def test_config_rejects_what_schema_rejects(tmp_path, doc):
+    # every other field is valid, so the one under test decides
+    doc = {"protocol": {"n_photons": 3}, "seed": 1, "trials": 10, **doc}
+    with pytest.raises(jsonschema.ValidationError):
+        JsonValidator(json.loads(schema_path().read_text())).validate(doc)
+    assert main(["montecarlo", "--config", make_config(tmp_path, doc), "--jobs", "1"]) == 2
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         config_from_dict({"protocol": {"n_photons": 3, "typo": 1}})
@@ -109,6 +151,20 @@ def test_run_realistic_reports_norm_and_fidelity(tmp_path):
     assert 0 < report["accumulated_norm"] < 1
     assert report["fidelity_vs_ideal"] is not None
     assert report["fidelity_vs_ideal"] > 0.99
+
+
+def test_run_realistic_fidelity_follows_the_runs_own_spins(tmp_path):
+    protocol = {"n_photons": 5, "max_iterations": 8, "gate_mode": "realistic", "params": REAL_PARAMS}
+    out = tmp_path / "real.json"
+    assert main(["run", "--config", make_config(tmp_path, {"protocol": protocol, "seed": 0}), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    spec = config_from_dict({"protocol": protocol}).protocol
+    run = run_protocol(spec, rng=np.random.default_rng(np.random.SeedSequence(0)))
+    assert Spin.MINUS in run.spin_outcomes
+    # the run's own final state against the ideal trajectory on its tags
+    ideal = run_protocol(replace(spec, gate_mode="ideal"), forced_tags=run.true_tags)
+    own = abs(inner(run.final_state, ideal.final_state)) ** 2
+    assert report["fidelity_vs_ideal"] == pytest.approx(own, rel=1e-12)
 
 
 def test_run_without_seed_is_config_error(tmp_path):
@@ -232,6 +288,13 @@ def test_success_table_four_photons(tmp_path):
 
 def test_success_table_bad_n():
     assert main(["success-table", "--n", "6", "--rounds", "2"]) == 2
+
+
+def test_unwritable_out_is_runtime_error(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "table.csv"
+    assert main(["success-table", "--n", "3", "--rounds", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: cannot write output") and err.count("\n") == 1
 
 
 def test_unknown_command_exits_two(capsys):

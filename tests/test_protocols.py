@@ -18,6 +18,8 @@ from entconv.protocols import (
     recovery_sequence,
     run_protocol,
     success_series,
+    _ideal_cell_probabilities,
+    _ideal_cnot,
     _run_gates,
 )
 from entconv.qstate import Spin, ket, superpose
@@ -39,8 +41,7 @@ DICKE5_TERMS = "LLRRL LLRLR RLRLL LLLRR RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL".spl
 
 
 def pre_tag_state(n):
-    spec = ProtocolSpec(n_photons=n)
-    state, _ = _run_gates(conversion_input(n), circuit_wiring(n), spec, None, None)
+    state, _ = _run_gates(conversion_input(n), circuit_wiring(n), _ideal_cnot)
     return state
 
 
@@ -98,23 +99,20 @@ def test_partition_branches_hold_expected_terms():
 
 
 def test_recovery_three_elements_on_all_l():
-    spec = ProtocolSpec(n_photons=3)
-    state, _ = _run_gates(ket("LLL"), recovery_sequence(3)[:3], spec, None, None)
+    state, _ = _run_gates(ket("LLL"), recovery_sequence(3)[:3], _ideal_cnot)
     np.testing.assert_allclose(state.amplitudes, uniform_vector(3, ["RLL", "LRL"]), atol=1e-12)
 
 
 def test_recovery_five_photons_on_all_l():
-    spec = ProtocolSpec(n_photons=5)
-    state, _ = _run_gates(ket("LLLLL"), recovery_sequence(5)[:3], spec, None, None)
+    state, _ = _run_gates(ket("LLLLL"), recovery_sequence(5)[:3], _ideal_cnot)
     np.testing.assert_allclose(state.amplitudes, uniform_vector(5, ["RLLLL", "LRLLL"]), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_recovery_fixed_point(n):
-    spec = ProtocolSpec(n_photons=n)
     part1 = apply_cross_kerr(pre_tag_state(n), 0.1, 10.0)
     retry = part1.branches[max(part1.tags())].normalized()
-    state2, _ = _run_gates(retry, recovery_sequence(n), spec, None, None)
+    state2, _ = _run_gates(retry, recovery_sequence(n), _ideal_cnot)
     part2 = apply_cross_kerr(state2, 0.1, 10.0)
     assert part1.tags() == part2.tags()
     for tag in part1.tags():
@@ -232,6 +230,17 @@ def _three_sigma(p, n):
     return 3 * math.sqrt(p * (1 - p) / n)
 
 
+@pytest.mark.parametrize("rounds", [1, 4, 8])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ideal_ensemble_cells_match_closed_form(n, rounds):
+    cells = _ideal_cell_probabilities(ProtocolSpec(n_photons=n, max_iterations=rounds))
+    expected = {(s.outcome_class, m): p for s in success_series(n, rounds) for m, p in enumerate(s.per_round, start=1)}
+    expected[("failed_max_iter", rounds)] = 1.0 - sum(expected.values())
+    assert set(cells) == set(expected)
+    for cell, p in expected.items():
+        assert abs(cells[cell] - p) <= 1e-12, cell
+
+
 def test_monte_carlo_three_photons_one_round():
     rng = np.random.default_rng(np.random.SeedSequence(101))
     res = monte_carlo(ProtocolSpec(n_photons=3, max_iterations=1), 100000, rng)
@@ -317,6 +326,12 @@ def test_composite_fidelity_products():
     # the executed suffix re-entry uses fewer gates, so its product is higher
     for row in rows.values():
         assert row["product_suffix"] >= row["product_full"]
+
+
+def test_composite_gate_counts_follow_the_wiring():
+    rows = composite_fidelity_report()
+    assert [r["suffix_gates"] for r in rows] == [2, 4, 8, 18]
+    assert [r["full_gates"] for r in rows] == [2, 4, 11, 27]
 
 
 def test_spec_validation():
