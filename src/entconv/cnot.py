@@ -10,23 +10,14 @@ flip of the target wherever the control photon is L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
-from .optics import HWP, hwp, qwp, spin_hadamard
-from .qstate import (
-    QuantumState,
-    Spin,
-    apply_controlled,
-    attach_spin,
-    discard_spin,
-    inner,
-    ket,
-    measure_spin,
-    superpose,
-)
+from .optics import HWP, QWP, SPIN_HADAMARD
+from .qstate import QuantumState, Spin, apply_controlled, choose_branch, inner, ket, superpose
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -74,35 +65,33 @@ def cnot_full(
     rng: np.random.Generator | None = None,
     forced_spin: Spin | int | None = None,
 ) -> CnotOutcome:
-    """Run the bounce-measure-correct sequence for one CNOT.
+    """Run the bounce-measure-correct sequence for one CNOT on a photons-only register.
 
-    The register may arrive photons-only (a fresh spin ancilla in
-    (|+> + |->)/sqrt2 is attached) or with the spin already prepared.  The
-    element order below is frozen: it is the unique arrangement of this
-    family whose two readout branches match the direct controlled-flip gate
-    after feed-forward (pinned by the regression tests).
+    The spin starts in (|+> + |->)/sqrt2.  For a fixed readout ``s`` the
+    whole sequence, feed-forward included, is one linear map ``K_s`` on the
+    (control, target) pair; it is built from the element factors and applied,
+    with ``s`` drawn from ``|K_s psi|^2`` as ``measure_site`` draws it.  The
+    element order is frozen: it is the unique arrangement of this family whose
+    two readout branches match the direct controlled-flip gate after
+    feed-forward (pinned by the regression tests).
     """
     if control == target:
         raise ValueError("control and target must differ")
-    work = state if state.has_spin else attach_spin(state, SPIN_READY)
-    bounce = spin_photon_map(params, ideal)
-    work = qwp(work, target)
-    work = bounce.apply(work, target)
-    work = qwp(work, target)
-    work = spin_hadamard(work)
-    work = bounce.apply(work, control)
-    work = spin_hadamard(work)
-    pre_norm = work.norm2()
-    record, collapsed = measure_spin(work, rng=rng, forced=forced_spin)
-    photons = discard_spin(collapsed)
-    if record.outcome == "minus":
-        photons = hwp(photons, target)
-        correction = "x_target"
-        spin_result = Spin.MINUS
-    else:
-        correction = "identity"
-        spin_result = Spin.PLUS
-    return CnotOutcome(spin_result, correction, photons, record.probability, pre_norm)
+    if state.has_spin:
+        raise ValueError("cnot_full takes a photons-only register")
+    n = state.n_photons
+    axes = "abcdefgh"[:n]
+    cl, tl = (axes[n - 1 - state.site_bit(site)] for site in (control, target))
+    f = spin_photon_map(params, ideal).factors.reshape(2, 2)  # [photon bit, spin bit]
+    # kraus[s, c, a, t]: readout s takes target t to a where the control is c
+    kraus = np.einsum("su,cu,uv,v,ab,bv,bt->scat", SPIN_HADAMARD, f, SPIN_HADAMARD, SPIN_READY, QWP, f, QWP)
+    kraus[1] = HWP @ kraus[1]
+    psi = state.amplitudes.reshape((2,) * n)
+    branches = np.einsum(f"s{cl}z{tl},{axes}->s{axes.replace(tl, 'z')}", kraus, psi).reshape(2, -1)
+    probs = [float(np.vdot(b, b).real) for b in branches]
+    k = choose_branch(probs, rng, forced_spin)
+    photons = QuantumState(n, False, branches[k] / math.sqrt(probs[k]))
+    return CnotOutcome(Spin(k), ("identity", "x_target")[k], photons, probs[k], probs[0] + probs[1])
 
 
 def cnot_fidelity(params: CavityParams, input_state: QuantumState, outcome: Spin) -> float:

@@ -75,6 +75,13 @@ def _integer(name: str, value) -> int:
     return value
 
 
+def _number(name: str, value):
+    """A number field; a JSON boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    return value
+
+
 def _protocol_from_dict(data: dict) -> ProtocolSpec:
     _check_keys(
         "protocol",
@@ -84,14 +91,16 @@ def _protocol_from_dict(data: dict) -> ProtocolSpec:
     if "n_photons" not in data:
         raise ConfigError("protocol.n_photons is required")
     kwargs = dict(data)
-    for name in ("n_photons", "max_iterations"):
+    for name, check in (("n_photons", _integer), ("max_iterations", _integer), ("theta", _number), ("alpha", _number)):
         if name in kwargs:
-            kwargs[name] = _integer(f"protocol.{name}", kwargs[name])
+            kwargs[name] = check(f"protocol.{name}", kwargs[name])
+    if not isinstance(kwargs.get("standardize_flipped", False), bool):
+        raise ConfigError("protocol.standardize_flipped must be a boolean")
     params = kwargs.pop("params", None)
     try:
         if params is not None:
             _check_keys("params", params, {"g", "kappa", "gamma", "omega_c", "omega_0", "omega_p"})
-            kwargs["params"] = CavityParams(**params)
+            kwargs["params"] = CavityParams(**{name: _number(f"params.{name}", v) for name, v in params.items()})
         return ProtocolSpec(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid protocol section: {err}") from err
@@ -108,11 +117,11 @@ def config_from_dict(data: dict) -> RunConfig:
         _check_keys("sweep", sweep_data, {"g_over_kappa", "g_over_gamma", "steps"})
         try:
             sweep = SweepGrid(
-                tuple(float(x) for x in sweep_data["g_over_kappa"]),
-                tuple(float(x) for x in sweep_data["g_over_gamma"]),
+                tuple(float(_number("sweep.g_over_kappa", x)) for x in sweep_data["g_over_kappa"]),
+                tuple(float(_number("sweep.g_over_gamma", x)) for x in sweep_data["g_over_gamma"]),
                 _integer("sweep.steps", sweep_data["steps"]),
             )
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"invalid sweep section: {err}") from err
     output = OutputSpec(**data["output"]) if data.get("output") is not None else OutputSpec()
     seed = None if data.get("seed") is None else _integer("seed", data["seed"])

@@ -366,7 +366,6 @@ def monte_carlo(
     trials: int,
     rng: np.random.Generator,
     jobs: int = 1,
-    force_full_simulation: bool = False,
 ) -> MonteCarloResult:
     """Empirical outcome frequencies over seeded trials.
 
@@ -379,7 +378,7 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not force_full_simulation and spec.gate_mode == "ideal" and spec.homodyne_mode == "ideal":
+    if spec.gate_mode == "ideal" and spec.homodyne_mode == "ideal":
         return _monte_carlo_chain(spec, trials, rng)
     return _monte_carlo_full(spec, trials, rng, jobs)
 

@@ -172,12 +172,21 @@ def inner(a: QuantumState, b: QuantumState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _branch_index(forced) -> int:
+def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) -> int:
+    """Readout branch index from the two unnormalized branch weights: ``forced``, or one ``rng`` draw."""
     if isinstance(forced, (Pol, Spin)):
-        return forced.value
-    if forced in (0, 1):
-        return int(forced)
-    raise ValueError(f"cannot interpret forced outcome {forced!r}")
+        k = forced.value
+    elif forced in (0, 1):
+        k = int(forced)
+    elif forced is not None:
+        raise ValueError(f"cannot interpret forced outcome {forced!r}")
+    elif rng is None:
+        raise ValueError("rng required when no outcome is forced")
+    else:
+        k = 0 if rng.random() * (probs[0] + probs[1]) < probs[0] else 1
+    if probs[k] <= NORM_TOL**2:
+        raise ValueError("impossible outcome")
+    return k
 
 
 def measure_site(
@@ -206,14 +215,7 @@ def measure_site(
     bit = state.site_bit(site)
     site_vals = (np.arange(state.dim) >> bit) & 1
     probs = [float(np.sum(np.abs(rotated.amplitudes[site_vals == k]) ** 2)) for k in (0, 1)]
-    if forced is not None:
-        k = _branch_index(forced)
-        if probs[k] <= NORM_TOL**2:
-            raise ValueError("impossible outcome")
-    else:
-        if rng is None:
-            raise ValueError("rng required when no outcome is forced")
-        k = 0 if rng.random() * (probs[0] + probs[1]) < probs[0] else 1
+    k = choose_branch(probs, rng, forced)
     amps = rotated.amplitudes.copy()
     amps[site_vals != k] = 0.0
     collapsed = QuantumState(state.n_photons, state.has_spin, amps).normalized()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,9 @@ from entconv.cnot import (
     cnot_ideal,
     uniform_input,
 )
-from entconv.optics import qwp, spin_hadamard
+from entconv.optics import hwp, qwp, spin_hadamard
 from entconv.qstate import (
+    QuantumState,
     Spin,
     attach_spin,
     discard_spin,
@@ -123,6 +125,59 @@ def test_frozen_element_order_readout_branches(rng):
     minus = discard_spin(minus_state)
     want_minus = expected_vector(2, {"LR": a, "RL": b, "RR": g, "LL": d})
     np.testing.assert_allclose(minus.amplitudes, want_minus / np.linalg.norm(want_minus), atol=1e-12)
+
+
+def replay_cnot(state, control, target, params, ideal, rng=None, forced=None):
+    """Element-by-element oracle of the gate on a spin register.
+
+    Returns the spin readout record, the corrected photons and the squared
+    norm before readout.
+    """
+    bounce = spin_photon_map(params, ideal)
+    work = attach_spin(state, SPIN_READY)
+    work = qwp(work, target)
+    work = bounce.apply(work, target)
+    work = qwp(work, target)
+    work = spin_hadamard(work)
+    work = bounce.apply(work, control)
+    work = spin_hadamard(work)
+    record, collapsed = measure_spin(work, rng=rng, forced=forced)
+    photons = discard_spin(collapsed)
+    if record.outcome == "minus":
+        photons = hwp(photons, target)
+    return record, photons, work.norm2()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "params, ideal",
+    [
+        (CavityParams(g=0.3, kappa=26.0, gamma=0.0004), True),
+        (CavityParams(g=0.3, kappa=26.0, gamma=0.0004), False),
+        (CavityParams.from_ratios(0.3, 0.4), False),  # g^2 = 0.12 kappa gamma
+    ],
+)
+def test_compiled_gate_matches_element_replay(n, params, ideal):
+    rng = np.random.default_rng(n)
+    for control, target in itertools.permutations(range(1, n + 1), 2):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = QuantumState(n, False, amps / np.linalg.norm(amps))
+        for forced in (Spin.PLUS, Spin.MINUS):
+            record, photons, norm = replay_cnot(state, control, target, params, ideal, forced=forced)
+            out = cnot_full(state, control, target, params, ideal, forced_spin=forced)
+            assert out.spin_result == forced
+            np.testing.assert_allclose(out.post_state.amplitudes, photons.amplitudes, rtol=0, atol=1e-12)
+            assert out.success_probability == pytest.approx(record.probability, abs=1e-12)
+            assert out.pre_measurement_norm == pytest.approx(norm, abs=1e-12)
+        seed = int(rng.integers(2**32))
+        record, _, _ = replay_cnot(state, control, target, params, ideal, rng=np.random.default_rng(seed))
+        out = cnot_full(state, control, target, params, ideal, rng=np.random.default_rng(seed))
+        assert out.spin_result.name.lower() == record.outcome
+
+
+def test_spin_register_rejected():
+    with pytest.raises(ValueError, match="photons-only"):
+        cnot_full(attach_spin(ket("RR"), SPIN_READY), 2, 1, RESONANT)
 
 
 def test_realistic_gate_loses_norm_but_stays_faithful(rng):

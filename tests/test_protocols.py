@@ -20,6 +20,7 @@ from entconv.protocols import (
     success_series,
     _ideal_cell_probabilities,
     _ideal_cnot,
+    _monte_carlo_full,
     _run_gates,
 )
 from entconv.qstate import Spin, ket, superpose
@@ -263,7 +264,7 @@ def test_monte_carlo_five_photons_limits():
 
 def test_monte_carlo_full_simulation_agrees_with_chain():
     spec = ProtocolSpec(n_photons=3, max_iterations=4)
-    full = monte_carlo(spec, 4000, np.random.default_rng(np.random.SeedSequence(7)), force_full_simulation=True)
+    full = _monte_carlo_full(spec, 4000, np.random.default_rng(np.random.SeedSequence(7)), jobs=1)
     assert abs(full.class_frequency("W") - 255 / 256) <= _three_sigma(255 / 256, 4000)
     # iteration histogram follows the geometric series
     ones = full.counts.get(("W", 1), 0)
