@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +102,10 @@ def _require_seed(args) -> int:
     return int(seed)
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        return args.jobs
-    return os.cpu_count() or 1
+def _check_jobs(args) -> None:
+    """``--jobs`` is accepted for compatibility and changes nothing, but must be >= 1."""
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError("jobs must be >= 1")
 
 
 def _state_terms(state) -> list[dict]:
@@ -179,8 +174,9 @@ def cmd_montecarlo(args) -> int:
     trials = args.trials if args.trials is not None else config.trials
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    _check_jobs(args)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    result = monte_carlo(spec, trials, rng, jobs=_jobs(args))
+    result = monte_carlo(spec, trials, rng)
     header = ["outcome_class", "iterations", "count", "frequency"]
     rows = [
         [cls, iters, count, count / trials]
@@ -197,14 +193,9 @@ def cmd_sweep_fidelity(args) -> int:
     grid = config.sweep
     gks = [float(x) for x in np.linspace(*grid.g_over_kappa, grid.steps)]
     ggs = [float(x) for x in np.linspace(*grid.g_over_gamma, grid.steps)]
-    grid_row = partial(fidelity_grid, gg_values=ggs, input_mode=args.input.replace("-", "_"))
-    jobs = _jobs(args)
-    if jobs > 1 and len(gks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(grid_row, [[gk] for gk in gks]))
-    else:
-        chunks = [grid_row([gk]) for gk in gks]
-    rows = [[p.g_over_kappa, p.g_over_gamma, p.outcome.name.lower(), p.fidelity] for chunk in chunks for p in chunk]
+    _check_jobs(args)
+    points = fidelity_grid(gks, ggs, args.input.replace("-", "_"))
+    rows = [[p.g_over_kappa, p.g_over_gamma, p.outcome.name.lower(), p.fidelity] for p in points]
     _emit_table(args, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
     return 0
 
@@ -254,7 +245,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON run configuration (see config_schema.json)")
     sub.add_argument("--seed", type=int, help="seed for stochastic runs (overrides config)")
     sub.add_argument("--trials", type=int, help="trial count for ensembles (overrides config)")
-    sub.add_argument("--jobs", type=int, help="worker pool size (default: machine parallelism)")
+    sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect (must be >= 1)")
     sub.add_argument("--out", metavar="PATH", help="output file (default: stdout or config output.path)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format (overrides config)")
 

@@ -10,14 +10,14 @@ flip of the target wherever the control photon is L.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
 from .optics import HWP, QWP, SPIN_HADAMARD
-from .qstate import QuantumState, Spin, apply_controlled, choose_branch, inner, ket, superpose
+from .qstate import NORM_TOL, QuantumState, Spin, apply_controlled, apply_controlled_rows, choose_branch, ket
+from .qstate import row_inner, row_norms2, row_photons, superpose
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -56,6 +56,47 @@ def cnot_ideal(state: QuantumState, control: int, target: int) -> QuantumState:
     return apply_controlled(state, control, target, HWP)
 
 
+def _kraus(params: CavityParams, ideal: bool) -> np.ndarray:
+    """``K[s, c, a, t]``: readout s takes target t to a where the control is c.
+
+    The spin starts in (|+> + |->)/sqrt2.  For a fixed readout ``s`` the
+    whole bounce-measure-correct sequence, feed-forward included, is one
+    linear map on the (control, target) pair, built here from the element
+    factors.  The element order is frozen: it is the unique arrangement of
+    this family whose two readout branches match the direct controlled-flip
+    gate after feed-forward (pinned by the regression tests).
+    """
+    f = spin_photon_map(params, ideal).factors.reshape(2, 2)  # [photon bit, spin bit]
+    kraus = np.einsum("su,cu,uv,v,ab,bv,bt->scat", SPIN_HADAMARD, f, SPIN_HADAMARD, SPIN_READY, QWP, f, QWP)
+    kraus[1] = HWP @ kraus[1]
+    return kraus
+
+
+def _kraus_branches(kraus: np.ndarray, rows: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Both readout branches ``K_s psi`` of every photons-only row (shape (T, 2**n)): shape (2, T, 2**n)."""
+    n = row_photons(rows)
+    axes = "abcdefgh"[:n]
+    cl, tl = axes[control - 1], axes[target - 1]
+    psi = rows.reshape((-1,) + (2,) * n)
+    return np.einsum(f"s{cl}z{tl},y{axes}->sy{axes.replace(tl, 'z')}", kraus, psi).reshape(2, *rows.shape)
+
+
+def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rng=None, forced_spin=None):
+    """Apply a compiled CNOT to every row of a batch of photons-only amplitude rows.
+
+    Each row draws its own readout ``s`` from its ``|K_s psi|^2`` with
+    ``choose_branch`` and is renormalized.  Returns the output rows, the
+    readouts, the weight of each chosen branch and each row's squared norm
+    before readout.
+    """
+    branches = _kraus_branches(kraus, rows, control, target)
+    probs = row_norms2(branches)
+    k = choose_branch(probs, rng, forced_spin)
+    each = np.arange(len(rows))
+    chosen = probs[k, each]
+    return branches[k, each] / np.sqrt(chosen)[:, None], k, chosen, probs[0] + probs[1]
+
+
 def cnot_full(
     state: QuantumState,
     control: int,
@@ -67,31 +108,33 @@ def cnot_full(
 ) -> CnotOutcome:
     """Run the bounce-measure-correct sequence for one CNOT on a photons-only register.
 
-    The spin starts in (|+> + |->)/sqrt2.  For a fixed readout ``s`` the
-    whole sequence, feed-forward included, is one linear map ``K_s`` on the
-    (control, target) pair; it is built from the element factors and applied,
-    with ``s`` drawn from ``|K_s psi|^2`` as ``measure_site`` draws it.  The
-    element order is frozen: it is the unique arrangement of this family whose
-    two readout branches match the direct controlled-flip gate after
-    feed-forward (pinned by the regression tests).
+    This is ``cnot_rows`` with the gate's Kraus pair on a batch of one: the
+    readout ``s`` is drawn from ``|K_s psi|^2`` as ``measure_site`` draws it.
     """
     if control == target:
         raise ValueError("control and target must differ")
     if state.has_spin:
         raise ValueError("cnot_full takes a photons-only register")
-    n = state.n_photons
-    axes = "abcdefgh"[:n]
-    cl, tl = (axes[n - 1 - state.site_bit(site)] for site in (control, target))
-    f = spin_photon_map(params, ideal).factors.reshape(2, 2)  # [photon bit, spin bit]
-    # kraus[s, c, a, t]: readout s takes target t to a where the control is c
-    kraus = np.einsum("su,cu,uv,v,ab,bv,bt->scat", SPIN_HADAMARD, f, SPIN_HADAMARD, SPIN_READY, QWP, f, QWP)
-    kraus[1] = HWP @ kraus[1]
-    psi = state.amplitudes.reshape((2,) * n)
-    branches = np.einsum(f"s{cl}z{tl},{axes}->s{axes.replace(tl, 'z')}", kraus, psi).reshape(2, -1)
-    probs = [float(np.vdot(b, b).real) for b in branches]
-    k = choose_branch(probs, rng, forced_spin)
-    photons = QuantumState(n, False, branches[k] / math.sqrt(probs[k]))
-    return CnotOutcome(Spin(k), ("identity", "x_target")[k], photons, probs[k], probs[0] + probs[1])
+    for site in (control, target):
+        state.site_bit(site)   # raises on a site out of range
+    rows, k, chosen, kept = cnot_rows(state.amplitudes[None], control, target, _kraus(params, ideal), rng, forced_spin)
+    s = int(k[0])
+    photons = QuantumState(state.n_photons, False, rows[0])
+    return CnotOutcome(Spin(s), ("identity", "x_target")[s], photons, float(chosen[0]), float(kept[0]))
+
+
+def _fidelities(params: CavityParams, inputs: np.ndarray, spins=(0, 1)) -> np.ndarray:
+    """Fidelity of the readout branches ``spins`` (axis 0) for each two-photon input row (axis 1).
+
+    Control is photon 2 and target photon 1, the layout the gate benchmark
+    is defined for.  A branch with no weight left raises.
+    """
+    branches = _kraus_branches(_kraus(params, False), inputs, control=2, target=1)[list(spins)]
+    probs = row_norms2(branches)
+    if np.any(probs <= NORM_TOL**2):
+        raise ValueError("branch extinguished")
+    post = branches / np.sqrt(probs)[..., None]
+    return np.abs(row_inner(post, apply_controlled_rows(inputs, 0, 1, HWP))) ** 2
 
 
 def cnot_fidelity(params: CavityParams, input_state: QuantumState, outcome: Spin) -> float:
@@ -103,14 +146,7 @@ def cnot_fidelity(params: CavityParams, input_state: QuantumState, outcome: Spin
     """
     if input_state.has_spin or input_state.n_photons != 2:
         raise ValueError("fidelity benchmark expects a two-photon, photons-only input")
-    try:
-        real = cnot_full(input_state, control=2, target=1, params=params, ideal=False, forced_spin=outcome)
-    except ValueError as err:
-        if "impossible outcome" in str(err):
-            raise ValueError("branch extinguished") from err
-        raise
-    ideal_out = cnot_ideal(input_state, control=2, target=1)
-    return abs(inner(real.post_state, ideal_out)) ** 2
+    return float(_fidelities(params, input_state.amplitudes[None], [Spin(outcome).value])[0, 0])
 
 
 def uniform_input() -> QuantumState:
@@ -122,29 +158,32 @@ def basis_inputs() -> tuple[QuantumState, ...]:
     return tuple(ket(s) for s in ("RR", "RL", "LR", "LL"))
 
 
+def _input_rows(input_mode: str) -> np.ndarray:
+    if input_mode == "uniform":
+        return uniform_input().amplitudes[None]
+    if input_mode == "basis_average":
+        return np.stack([s.amplitudes for s in basis_inputs()])
+    raise ValueError(f"unknown input mode {input_mode!r}")
+
+
 def basis_average_fidelity(params: CavityParams, outcome: Spin) -> float:
     """Gate fidelity averaged over the four two-photon basis inputs."""
-    return float(np.mean([cnot_fidelity(params, s, outcome) for s in basis_inputs()]))
+    return point_fidelity(params, outcome, "basis_average")
 
 
 def point_fidelity(params: CavityParams, outcome: Spin, input_mode: str) -> float:
-    if input_mode == "uniform":
-        return cnot_fidelity(params, uniform_input(), outcome)
-    if input_mode == "basis_average":
-        return basis_average_fidelity(params, outcome)
-    raise ValueError(f"unknown input mode {input_mode!r}")
+    return float(_fidelities(params, _input_rows(input_mode), [Spin(outcome).value])[0].mean())
 
 
 def fidelity_grid(gk_values, gg_values, input_mode: str = "uniform") -> list[GateFidelityPoint]:
     """Gate fidelity over a resonant coupling-ratio grid, one row per spin outcome."""
+    inputs = _input_rows(input_mode)
     points = []
     for gk in gk_values:
         for gg in gg_values:
-            params = CavityParams.from_ratios(float(gk), float(gg))
+            fidelities = _fidelities(CavityParams.from_ratios(float(gk), float(gg)), inputs).mean(axis=1)
             for outcome in (Spin.PLUS, Spin.MINUS):
-                points.append(
-                    GateFidelityPoint(float(gk), float(gg), outcome, point_fidelity(params, outcome, input_mode))
-                )
+                points.append(GateFidelityPoint(float(gk), float(gg), outcome, float(fidelities[outcome.value])))
     return points
 
 

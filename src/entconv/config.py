@@ -43,6 +43,8 @@ class OutputSpec:
     format: str | None = None   # None: command default (json for run, csv for tables)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.path, (str, type(None))):
+            raise ConfigError("output.path must be a string")
         if self.format not in (None, "csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
 
@@ -110,6 +112,9 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
     _check_keys("config", data, {"protocol", "sweep", "trials", "seed", "output"})
+    for section in ("protocol", "sweep", "output"):
+        if not isinstance(data.get(section, {}), (dict, type(None))):
+            raise ConfigError(f"{section} section must be an object")
     protocol = _protocol_from_dict(data["protocol"]) if data.get("protocol") is not None else None
     sweep = None
     if data.get("sweep") is not None:
@@ -123,6 +128,8 @@ def config_from_dict(data: dict) -> RunConfig:
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"invalid sweep section: {err}") from err
+    if data.get("output") is not None:
+        _check_keys("output", data["output"], {"path", "format"})
     output = OutputSpec(**data["output"]) if data.get("output") is not None else OutputSpec()
     seed = None if data.get("seed") is None else _integer("seed", data["seed"])
     trials = _integer("trials", data.get("trials", 1))

@@ -17,18 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import QuantumState
+from .qstate import QuantumState, row_norms2, row_photons
 
 MIN_MEAN_GAP = 1e-9
 _ZERO_WEIGHT = 1e-24
 
 
-def _l_counts(n_photons: int) -> np.ndarray:
-    idx = np.arange(1 << n_photons)
-    counts = np.zeros_like(idx)
-    for b in range(n_photons):
-        counts += (idx >> b) & 1
-    return counts
+def _tag_branches(rows: np.ndarray):
+    """Every tag 0..n, and each row split into one branch per tag (axis -2) with the tags it holds."""
+    n = row_photons(rows)
+    idx = np.arange(1 << n)
+    counts = sum((idx >> b) & 1 for b in range(n))   # L photons of each basis state
+    tags = np.arange(n + 1)
+    branches = np.where(counts == tags[:, None], rows[..., None, :], 0.0)
+    return tags, branches, (branches != 0).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,9 @@ def apply_cross_kerr(state: QuantumState, theta: float, alpha: float) -> KerrPar
         raise ValueError("theta must be positive")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    counts = _l_counts(state.n_photons)
-    branches = {}
-    for k in np.unique(counts):
-        amps = np.where(counts == k, state.amplitudes, 0.0)
-        if np.any(amps != 0):
-            branches[int(k)] = QuantumState(state.n_photons, False, amps)
-    return KerrPartition(branches, theta, alpha)
+    tags, branches, present = _tag_branches(state.amplitudes)
+    held = {int(k): QuantumState(state.n_photons, False, branches[k]) for k in tags[present]}
+    return KerrPartition(held, theta, alpha)
 
 
 @dataclass(frozen=True)
@@ -145,36 +143,67 @@ def homodyne_measure(
     always the renormalized true branch.  ``forced_tag`` pins both the true
     and reported tag (used for branch-by-branch analysis).
     """
-    if mode not in ("ideal", "gaussian"):
-        raise ValueError(f"unknown homodyne mode {mode!r}")
     weights = part.weights()
     missing = [k for k in weights if k not in model.tags]
     if missing:
         raise ValueError(f"partition tags {missing} missing from homodyne model")
+    tags = np.array(part.tags())
+    row = np.array([[weights[k] for k in tags]])
+    classified, true, x = _read_tags(row, tags, [model], np.zeros(1, int), mode, rng, forced_tag)
+    true = int(tags[true[0]])
+    x = None if x is None else float(x[0])
+    return HomodyneOutcome(int(classified[0]), true, part.branches[true].normalized(), weights[true], x)
+
+
+def _read_tags(weights, tags, models, group, mode, rng, forced_tag):
+    """The one readout rule: classified tag and true-tag column of each row of branch weights.
+
+    Column ``j`` of ``weights`` holds the weight of tag ``tags[j]`` (ascending)
+    and ``models[group[i]]`` classifies row ``i``.  One uniform draw per row
+    picks the true tag by weight, then gaussian mode draws one quadrature per
+    row from the true tag's Gaussian and classifies it; the quadratures are
+    returned too (None when none were drawn).  ``forced_tag`` pins both tags.
+    """
+    if mode not in ("ideal", "gaussian"):
+        raise ValueError(f"unknown homodyne mode {mode!r}")
     if forced_tag is not None:
-        if forced_tag not in weights or weights[forced_tag] <= _ZERO_WEIGHT:
+        hit = tags == forced_tag
+        if not hit.any() or np.any(weights[:, hit] <= _ZERO_WEIGHT):
             raise ValueError("forced tag absent")
-        true = classified = int(forced_tag)
-        x = None
-    else:
-        if rng is None:
-            raise ValueError("rng required when no tag is forced")
-        total = part.total_weight()
-        draw = rng.random() * total
-        acc = 0.0
-        true = part.tags()[-1]
-        for k in part.tags():
-            acc += weights[k]
-            if draw < acc:
-                true = k
-                break
-        if mode == "ideal":
-            classified = true
-            x = None
-        else:
-            x = float(rng.normal(model.mean_of(true), 1.0))
-            classified = int(model.classify(x))
-    return HomodyneOutcome(classified, true, part.branches[true].normalized(), weights[true], x)
+        true = np.full(len(weights), np.argmax(hit))
+        return tags[true], true, None
+    if rng is None:
+        raise ValueError("rng required when no tag is forced")
+    acc = np.cumsum(weights, axis=1)
+    draw = rng.random(len(weights))[:, None] * acc[:, -1:]
+    last = weights.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0, axis=1)   # for a draw rounded up to the total
+    true = np.minimum(np.sum(acc <= draw, axis=1), last)
+    if mode == "ideal":
+        return tags[true], true, None
+    x = rng.normal([models[g].mean_of(tags[j]) for g, j in zip(group, true)], 1.0)
+    classified = np.empty_like(true)
+    for g, model in enumerate(models):
+        classified[group == g] = model.classify(x[group == g])
+    return classified, true, x
+
+
+def read_rows(rows: np.ndarray, theta: float, alpha: float, mode: str = "ideal", rng=None, forced_tag=None):
+    """Tag and read out every row of a batch of photons-only amplitude rows.
+
+    Row by row this is ``apply_cross_kerr`` then ``homodyne_measure`` with the
+    model for the row's present tags, one ``HomodyneModel`` per distinct tag
+    set.  Returns the classified tags, the true tags and the rows collapsed
+    onto their renormalized true branch.
+    """
+    tags, branches, present = _tag_branches(rows)   # branches: [row, tag, basis]
+    weights = row_norms2(branches)
+    keys = present @ (1 << tags)   # one bit per present tag
+    tag_sets = sorted(set(keys.tolist()))
+    group = np.searchsorted(tag_sets, keys)
+    models = [HomodyneModel.for_tags(alpha, theta, tags[(bits >> tags) & 1 == 1]) for bits in tag_sets]
+    classified, true, _ = _read_tags(weights, tags, models, group, mode, rng, forced_tag)
+    each = np.arange(len(rows))
+    return classified, true, branches[each, true] / np.sqrt(weights[each, true])[:, None]
 
 
 def error_probability(x_d: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -24,12 +23,15 @@ from .cnot import (
     BENCHMARK_G,
     BENCHMARK_GAMMA_TOTAL,
     BENCHMARK_KAPPA,
+    _kraus,
     cnot_full,
     cnot_ideal,
+    cnot_rows,
 )
-from .kerr import HomodyneModel, apply_cross_kerr, homodyne_measure
-from .optics import hwp, qwp
-from .qstate import QuantumState, Spin, inner, ket, superpose
+from .kerr import apply_cross_kerr, read_rows
+from .optics import HWP, QWP
+from .qstate import QuantumState, Spin, apply_controlled_rows, apply_single_qubit_rows, inner, ket, row_photons
+from .qstate import superpose
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -147,31 +149,45 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
     return _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
 
 
-def _ideal_cnot(state, control, target):
-    return cnot_ideal(state, control, target), 1.0
+def _ideal_cnot(rows, control, target):
+    n = row_photons(rows)
+    return apply_controlled_rows(rows, n - control, n - target, HWP), 1.0
 
 
-def _run_gates(state, elements, cnot):
-    """Apply the gate prefix of an element list, stopping at the probe tag.
+def _realistic_cnot(params: CavityParams, rng, forced_spins, spins: list):
+    """The compiled realistic CNOT on a batch; ``spins`` collects each gate's readouts."""
+    kraus = _kraus(params, ideal=False)
+    spin_iter = iter(forced_spins) if forced_spins is not None else itertools.repeat(None)
 
-    ``cnot(state, control, target)`` returns the output state and the squared
-    norm the gate kept; the product of the kept norms is returned too.
+    def cnot(rows, control, target):
+        rows, readouts, _, kept = cnot_rows(rows, control, target, kraus, rng, next(spin_iter))
+        spins.append(readouts)
+        return rows, kept
+
+    return cnot
+
+
+def _run_gates(rows, elements, cnot):
+    """Apply the gate prefix of an element list to a batch of amplitude rows, stopping at the probe tag.
+
+    ``rows`` has shape (trials, 2**n); ``cnot(rows, control, target)``
+    returns the output rows and the squared norm each row kept, and the
+    product of the kept norms is returned too.
     """
+    n = row_photons(rows)
     norm_factor = 1.0
     for el in elements:
         kind = el[0]
         if kind == "cnot":
-            state, kept = cnot(state, el[1], el[2])
-            norm_factor *= kept
-        elif kind == "hwp":
-            state = hwp(state, el[1])
-        elif kind == "qwp":
-            state = qwp(state, el[1])
+            rows, kept = cnot(rows, el[1], el[2])
+            norm_factor = norm_factor * kept
+        elif kind in ("hwp", "qwp"):
+            rows = apply_single_qubit_rows(rows, n - el[1], HWP if kind == "hwp" else QWP)
         elif kind == "kerr":
             break
         else:
             raise ValueError(f"unknown circuit element {el!r}")
-    return state, norm_factor
+    return rows, norm_factor
 
 
 def run_protocol(
@@ -190,47 +206,62 @@ def run_protocol(
     counted on the run record, and the spin outcome of every realistic gate is
     recorded in ``spin_outcomes``.
     """
-    spins: list[Spin] = []
-    spin_iter = iter(forced_spins) if forced_spins is not None else itertools.repeat(None)
-
-    def realistic_cnot(state, control, target):
-        out = cnot_full(state, control, target, spec.params, ideal=False, rng=rng, forced_spin=next(spin_iter))
-        spins.append(out.spin_result)
-        return out.post_state, out.pre_measurement_norm
-
-    cnot = _ideal_cnot if spec.gate_mode == "ideal" else realistic_cnot
-    return _run_rounds(spec, cnot, rng, forced_tags, spins)
+    spins: list[np.ndarray] = []
+    cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, forced_spins, spins)
+    return _single_run(spec, cnot, rng, forced_tags, spins)
 
 
-def _run_rounds(spec: ProtocolSpec, cnot, rng, forced_tags, spins: list) -> ProtocolRun:
-    """Rounds of circuit, tag and readout until success; ``cnot`` appends its spin outcomes to ``spins``."""
-    state = conversion_input(spec.n_photons)
+def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags, spins: list) -> ProtocolRun:
+    """A batch of one as a run record; ``cnot`` appends its readouts to ``spins``."""
+    outcome, rounds, final, survival, history = _run_rounds(spec, 1, cnot, rng, forced_tags)
+    tags = tuple(int(tags[0]) for _, tags, _ in history)
+    true_tags = tuple(int(true[0]) for _, _, true in history)
+    misses = sum(t != k for t, k in zip(tags, true_tags))
+    final_state = QuantumState(spec.n_photons, False, final[0])
+    spin_outcomes = tuple(Spin(int(s[0])) for s in spins)
+    return ProtocolRun(
+        int(rounds[0]), outcome[0], final_state, tags, true_tags, misses, float(survival[0]), spin_outcomes
+    )
+
+
+def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
+    """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
+
+    A trial leaves the batch when its classified tag declares an outcome;
+    the rest run the recovery sequence.  Draws go trial by trial within each
+    gate and each readout, so a batch of one draws as a single run does.
+    Returns, per trial, the outcome class, rounds used, final amplitude row
+    and product of kept gate norms, and per round the trials still in the
+    batch with their classified and true tags.
+    """
+    n = spec.n_photons
+    rows = np.repeat(conversion_input(n).amplitudes[None], trials, axis=0)
+    live = np.arange(trials)
+    outcome = np.full(trials, "failed_max_iter", dtype=object)
+    rounds = np.full(trials, spec.max_iterations)
+    final = np.empty_like(rows)
+    survival = np.ones(trials)
+    history = []
     tag_iter = iter(forced_tags) if forced_tags is not None else itertools.repeat(None)
-    tags: list[int] = []
-    true_tags: list[int] = []
-    misses = 0
-    survival = 1.0
-    outcome_class = "failed_max_iter"
-    success = _SUCCESS_TAGS[spec.n_photons]
+    success = _SUCCESS_TAGS[n]
+    declares = np.array([k in success for k in range(n + 1)])   # by classified tag
     for iteration in range(1, spec.max_iterations + 1):
-        elements = circuit_wiring(spec.n_photons) if iteration == 1 else recovery_sequence(spec.n_photons)
-        state, norm_factor = _run_gates(state, elements, cnot)
-        survival *= norm_factor
-        partition = apply_cross_kerr(state, spec.theta, spec.alpha)
-        model = HomodyneModel.for_tags(spec.alpha, spec.theta, partition.tags())
-        outcome = homodyne_measure(partition, model, spec.homodyne_mode, rng=rng, forced_tag=next(tag_iter))
-        tags.append(outcome.tag)
-        true_tags.append(outcome.true_tag)
-        misses += int(outcome.misclassified)
-        state = outcome.state
-        declared = success.get(outcome.tag)
-        if declared is not None:
-            outcome_class = declared
-            if spec.n_photons == 4 and outcome.tag == 3 and spec.standardize_flipped:
-                for photon in range(1, 5):
-                    state = hwp(state, photon)
+        elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
+        rows, norm_factor = _run_gates(rows, elements, cnot)
+        survival[live] *= norm_factor
+        tags, true, rows = read_rows(rows, spec.theta, spec.alpha, spec.homodyne_mode, rng, next(tag_iter))
+        history.append((live, tags, true))
+        done = declares[tags]
+        if n == 4 and spec.standardize_flipped:
+            for photon in range(1, 5):
+                rows[tags == 3] = apply_single_qubit_rows(rows[tags == 3], n - photon, HWP)
+        final[live] = rows
+        outcome[live[done]] = [success[int(k)] for k in tags[done]]
+        rounds[live[done]] = iteration
+        live, rows = live[~done], rows[~done]
+        if not live.size:
             break
-    return ProtocolRun(len(tags), outcome_class, state, tuple(tags), tuple(true_tags), misses, survival, tuple(spins))
+    return outcome, rounds, final, survival, history
 
 
 def classify_state(state: QuantumState, tol: float = 1e-9) -> StateClass:
@@ -299,14 +330,15 @@ class MonteCarloResult:
 
 def _ideal_round_weights(spec: ProtocolSpec):
     """Tag weights of round one, checked to be the fixed point of recovery."""
-    state, _ = _run_gates(conversion_input(spec.n_photons), circuit_wiring(spec.n_photons), _ideal_cnot)
-    first = apply_cross_kerr(state, spec.theta, spec.alpha)
+    n = spec.n_photons
+    rows, _ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
+    first = apply_cross_kerr(QuantumState(n, False, rows[0]), spec.theta, spec.alpha)
     weights = first.weights()
-    if spec.n_photons != 4:
+    if n != 4:
         retry_tag = max(first.tags())
         retry_state = first.branches[retry_tag].normalized()
-        state2, _ = _run_gates(retry_state, recovery_sequence(spec.n_photons), _ideal_cnot)
-        second = apply_cross_kerr(state2, spec.theta, spec.alpha).weights()
+        rows2, _ = _run_gates(retry_state.amplitudes[None], recovery_sequence(n), _ideal_cnot)
+        second = apply_cross_kerr(QuantumState(n, False, rows2[0]), spec.theta, spec.alpha).weights()
         if set(second) != set(weights) or any(abs(second[k] - weights[k]) > 1e-12 for k in weights):
             raise ValueError("recovery does not reproduce the first-round branch weights")
     return weights
@@ -335,52 +367,32 @@ def _monte_carlo_chain(spec: ProtocolSpec, trials: int, rng: np.random.Generator
     return MonteCarloResult(trials, {cell: int(c) for cell, c in zip(cells, counts) if c})
 
 
-def _mc_chunk(args) -> dict:
-    spec, n, rng = args
+def _monte_carlo_full(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
+    """Sampled ensemble: consecutive batches of up to ``_MC_CHUNK`` trials, all drawing from ``rng``."""
     counts: Counter = Counter()
-    for _ in range(n):
-        run = run_protocol(spec, rng=rng)
-        counts[(run.outcome_class, run.iterations_used)] += 1
-    return dict(counts)
+    for start in range(0, trials, _MC_CHUNK):
+        # a readout list per batch, so memory stays bounded by the chunk
+        cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, None, [])
+        outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), cnot, rng, None)
+        counts.update(zip(outcome.tolist(), rounds.tolist()))
+    return MonteCarloResult(trials, dict(counts))
 
 
-def _monte_carlo_full(spec: ProtocolSpec, trials: int, rng: np.random.Generator, jobs: int) -> MonteCarloResult:
-    sizes = [_MC_CHUNK] * (trials // _MC_CHUNK)
-    if trials % _MC_CHUNK:
-        sizes.append(trials % _MC_CHUNK)
-    streams = rng.spawn(len(sizes))
-    work = [(spec, n, stream) for n, stream in zip(sizes, streams)]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_mc_chunk, work))
-    else:
-        partials = [_mc_chunk(w) for w in work]
-    total: Counter = Counter()
-    for p in partials:
-        total.update(p)
-    return MonteCarloResult(trials, dict(total))
-
-
-def monte_carlo(
-    spec: ProtocolSpec,
-    trials: int,
-    rng: np.random.Generator,
-    jobs: int = 1,
-) -> MonteCarloResult:
+def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
     """Empirical outcome frequencies over seeded trials.
 
     Fully ideal ensembles draw all trials at once from a multinomial over the
     exact (class, round) probabilities, built from the tag weights of one
     circuit execution (the recovery fixed point is verified first), which
     keeps million-trial ensembles cheap.  Realistic gates or gaussian
-    readout force a full per-trial simulation; those trials run on independent
-    child streams chunk by chunk, so results do not depend on ``jobs``.
+    readout are sampled trial by trial: each trial is one quantum trajectory,
+    and the trials run together as batches of amplitude rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if spec.gate_mode == "ideal" and spec.homodyne_mode == "ideal":
         return _monte_carlo_chain(spec, trials, rng)
-    return _monte_carlo_full(spec, trials, rng, jobs)
+    return _monte_carlo_full(spec, trials, rng)
 
 
 @dataclass(frozen=True)
@@ -409,13 +421,14 @@ def realistic_vs_ideal(spec: ProtocolSpec, forced_tags, forced_spins=None) -> Re
     spin_replay = iter(run.spin_outcomes)
     gate_fidelities: list[float] = []
 
-    def scored_cnot(state, control, target):
+    def scored_cnot(rows, control, target):
+        state = QuantumState(spec.n_photons, False, rows[0])
         ideal_out = cnot_ideal(state, control, target)
         real_out = cnot_full(state, control, target, spec.params, ideal=False, forced_spin=next(spin_replay))
         gate_fidelities.append(abs(inner(real_out.post_state, ideal_out)) ** 2)
-        return ideal_out, 1.0
+        return ideal_out.amplitudes[None], 1.0
 
-    ideal_run = _run_rounds(spec, scored_cnot, None, forced_tags, [])
+    ideal_run = _single_run(spec, scored_cnot, None, forced_tags, [])
     fidelity = abs(inner(run.final_state, ideal_run.final_state)) ** 2
     return RealisticTrace(run, ideal_run, tuple(gate_fidelities), fidelity)
 

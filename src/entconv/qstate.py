@@ -77,7 +77,7 @@ class QuantumState:
         return self.n_photons - site + (1 if self.has_spin else 0)
 
     def norm2(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return float(row_norms2(self.amplitudes))
 
     def normalized(self) -> "QuantumState":
         n2 = self.norm2()
@@ -137,12 +137,8 @@ def apply_single_qubit(state: QuantumState, site: Site, matrix: np.ndarray) -> Q
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError("single-qubit map must be 2x2")
-    b = state.site_bit(site)
-    post = 1 << b
-    pre = state.dim >> (b + 1)
-    t = state.amplitudes.reshape(pre, 2, post)
-    out = np.einsum("ab,ibj->iaj", m, t).reshape(state.dim)
-    return QuantumState(state.n_photons, state.has_spin, out)
+    amps = apply_single_qubit_rows(state.amplitudes, state.site_bit(site), m)
+    return QuantumState(state.n_photons, state.has_spin, amps)
 
 
 def apply_controlled(state: QuantumState, control: Site, target: Site, matrix: np.ndarray) -> QuantumState:
@@ -152,39 +148,68 @@ def apply_controlled(state: QuantumState, control: Site, target: Site, matrix: n
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError("controlled map must be 2x2")
-    cb = state.site_bit(control)
-    tb = state.site_bit(target)
-    idx = np.arange(state.dim)
-    lo = idx[(((idx >> cb) & 1) == 1) & (((idx >> tb) & 1) == 0)]
-    hi = lo | (1 << tb)
-    amps = state.amplitudes.copy()
-    a0 = state.amplitudes[lo]
-    a1 = state.amplitudes[hi]
-    amps[lo] = m[0, 0] * a0 + m[0, 1] * a1
-    amps[hi] = m[1, 0] * a0 + m[1, 1] * a1
+    amps = apply_controlled_rows(state.amplitudes, state.site_bit(control), state.site_bit(target), m)
     return QuantumState(state.n_photons, state.has_spin, amps)
+
+
+# Row forms: ``amps`` holds one amplitude vector per row, shape (..., dim), so
+# a batch of trials runs as one array; a single state takes the same arithmetic.
+
+
+def row_photons(amps: np.ndarray) -> int:
+    """Qubits in each row of an amplitude array: the photons of a photons-only row."""
+    return amps.shape[-1].bit_length() - 1
+
+
+def apply_single_qubit_rows(amps: np.ndarray, bit: int, m: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 map on basis bit ``bit`` of every row."""
+    return np.einsum("ab,ibj->iaj", m, amps.reshape(-1, 2, 1 << bit)).reshape(amps.shape)
+
+
+def apply_controlled_rows(amps: np.ndarray, control_bit: int, target_bit: int, m: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 map on bit ``target_bit`` of every row where bit ``control_bit`` is 1."""
+    bits = row_photons(amps)
+    out = amps.reshape((-1,) + (2,) * bits).copy()   # axis bits - b holds bit b
+    on = (slice(None),) * (bits - control_bit) + (1,)
+    out[on] = apply_single_qubit_rows(out[on], target_bit - (target_bit > control_bit), m)
+    return out.reshape(amps.shape)
+
+
+def row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i|b_i> of every row pair; the same BLAS dot product that ``np.vdot`` takes."""
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norms2(amps: np.ndarray) -> np.ndarray:
+    """Squared norm of every row."""
+    return row_inner(amps, amps).real
 
 
 def inner(a: QuantumState, b: QuantumState) -> complex:
     """Inner product <a|b>; conjugate-linear in the first argument."""
     if not a.same_shape(b):
         raise ValueError("mismatched register shapes")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return complex(row_inner(a.amplitudes, b.amplitudes))
 
 
-def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) -> int:
-    """Readout branch index from the two unnormalized branch weights: ``forced``, or one ``rng`` draw."""
+def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) -> np.ndarray:
+    """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (2, ...).
+
+    ``forced`` picks the branch of every row; otherwise each row takes one
+    ``rng`` draw, in row order.
+    """
+    probs = np.asarray(probs, dtype=float)
     if isinstance(forced, (Pol, Spin)):
-        k = forced.value
-    elif forced in (0, 1):
-        k = int(forced)
+        forced = forced.value
+    if forced in (0, 1):
+        k = np.full(probs.shape[1:], int(forced))
     elif forced is not None:
         raise ValueError(f"cannot interpret forced outcome {forced!r}")
     elif rng is None:
         raise ValueError("rng required when no outcome is forced")
     else:
-        k = 0 if rng.random() * (probs[0] + probs[1]) < probs[0] else 1
-    if probs[k] <= NORM_TOL**2:
+        k = np.where(rng.random(probs.shape[1:]) * (probs[0] + probs[1]) < probs[0], 0, 1)
+    if (np.where(k == 0, probs[0], probs[1]) <= NORM_TOL**2).any():
         raise ValueError("impossible outcome")
     return k
 
@@ -215,7 +240,7 @@ def measure_site(
     bit = state.site_bit(site)
     site_vals = (np.arange(state.dim) >> bit) & 1
     probs = [float(np.sum(np.abs(rotated.amplitudes[site_vals == k]) ** 2)) for k in (0, 1)]
-    k = choose_branch(probs, rng, forced)
+    k = int(choose_branch(probs, rng, forced))
     amps = rotated.amplitudes.copy()
     amps[site_vals != k] = 0.0
     collapsed = QuantumState(state.n_photons, state.has_spin, amps).normalized()

@@ -99,6 +99,11 @@ GRID = {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0], "steps": 2}
         {"protocol": {"n_photons": 3, "theta": True}},
         {"protocol": {"n_photons": 3, "params": {**REAL_PARAMS, "g": True}}},
         {"protocol": {"n_photons": 3, "standardize_flipped": "no"}},
+        {"protocol": 5},
+        {"sweep": 5},
+        {"output": 5},
+        {"output": {"path": 5}},
+        {"output": {"colour": "red"}},
     ],
     ids=repr,
 )

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from entconv.cavity import CavityParams, spin_photon_map
 from entconv.cnot import (
     SPIN_READY,
+    _kraus,
     basis_average_fidelity,
     benchmark_report,
     cnot_fidelity,
     cnot_full,
+    basis_inputs,
     cnot_ideal,
+    cnot_rows,
+    fidelity_grid,
     uniform_input,
 )
 from entconv.optics import hwp, qwp, spin_hadamard
@@ -175,6 +179,22 @@ def test_compiled_gate_matches_element_replay(n, params, ideal):
         assert out.spin_result.name.lower() == record.outcome
 
 
+def test_compiled_gate_on_a_batch_matches_each_row():
+    # every row of a batch gets the gate a batch of one gets
+    gen = np.random.default_rng(9)
+    params = CavityParams.from_ratios(0.3, 0.4)
+    rows = gen.normal(size=(30, 32)) + 1j * gen.normal(size=(30, 32))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    for spin in (Spin.PLUS, Spin.MINUS):
+        out, readouts, chosen, kept = cnot_rows(rows, 4, 2, _kraus(params, False), forced_spin=spin)
+        assert set(readouts) == {spin.value}
+        for i, row in enumerate(rows):
+            one = cnot_full(QuantumState(5, False, row), 4, 2, params, ideal=False, forced_spin=spin)
+            np.testing.assert_allclose(out[i], one.post_state.amplitudes, atol=1e-14)
+            assert chosen[i] == pytest.approx(one.success_probability, abs=1e-14)
+            assert kept[i] == pytest.approx(one.pre_measurement_norm, abs=1e-14)
+
+
 def test_spin_register_rejected():
     with pytest.raises(ValueError, match="photons-only"):
         cnot_full(attach_spin(ket("RR"), SPIN_READY), 2, 1, RESONANT)
@@ -242,6 +262,22 @@ def test_fidelity_bounded(gk, gg, which, outcome):
     state = (ket("RR"), ket("RL"), ket("LR"), ket("LL"))[which]
     f = cnot_fidelity(params, state, outcome)
     assert -1e-12 <= f <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("input_mode", ["uniform", "basis_average"])
+def test_fidelity_grid_matches_gate_outputs(input_mode):
+    # the grid reads fidelities off the Kraus pair; the gate's own forced-spin
+    # output must give the same numbers, weak coupling included
+    inputs = (uniform_input(),) if input_mode == "uniform" else basis_inputs()
+    points = fidelity_grid((0.3, 2.0), (0.4, 7.0), input_mode)
+    assert len(points) == 8
+    for point in points:
+        params = CavityParams.from_ratios(point.g_over_kappa, point.g_over_gamma)
+        route = []
+        for state in inputs:
+            real = cnot_full(state, 2, 1, params, ideal=False, forced_spin=point.outcome)
+            route.append(abs(inner(real.post_state, cnot_ideal(state, 2, 1))) ** 2)
+        assert abs(point.fidelity - float(np.mean(route))) <= 1e-12, point
 
 
 def test_benchmark_report_convention_outcomes():

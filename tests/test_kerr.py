@@ -14,6 +14,7 @@ from entconv.kerr import (
     homodyne_measure,
     homodyne_pdf,
     peak_distances,
+    read_rows,
 )
 from entconv.qstate import QuantumState, attach_spin, ket, superpose
 
@@ -169,6 +170,44 @@ def test_gaussian_mode_collapses_to_true_branch(rng):
         want = part.branches[out.true_tag].normalized()
         np.testing.assert_allclose(out.state.amplitudes, want.amplitudes, atol=1e-12)
     assert misses > 0
+
+
+def _rows_with_tag_gaps(gen, n, count, kept_tag=None):
+    """Random normalized rows, each with a random subset of its tags (never ``kept_tag``) emptied."""
+    tag_of = np.array([bin(i).count("1") for i in range(1 << n)])
+    keep = gen.random((count, n + 1)) < 0.6
+    keep[np.arange(count), gen.integers(0, n + 1, count) if kept_tag is None else kept_tag] = True
+    rows = gen.normal(size=(count, 1 << n)) + 1j * gen.normal(size=(count, 1 << n))
+    rows = np.where(keep[:, tag_of], rows, 0.0)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("mode,theta,alpha", [("ideal", THETA_REF, ALPHA_REF), ("gaussian", 0.02, 1.0)])
+def test_batched_readout_matches_per_state_oracle(mode, theta, alpha):
+    # a batch of one reads out as apply_cross_kerr + homodyne_measure, draw for draw
+    gen = np.random.default_rng(5)
+    misses = 0
+    for n in (3, 4, 5):
+        for i, row in enumerate(_rows_with_tag_gaps(gen, n, 60)):
+            tags, true, collapsed = read_rows(row[None], theta, alpha, mode, np.random.default_rng(i))
+            part = apply_cross_kerr(QuantumState(n, False, row), theta, alpha)
+            model = HomodyneModel.for_tags(alpha, theta, part.tags())
+            out = homodyne_measure(part, model, mode, rng=np.random.default_rng(i))
+            assert (tags[0], true[0]) == (out.tag, out.true_tag)
+            np.testing.assert_array_equal(collapsed[0], out.state.amplitudes)
+            misses += out.misclassified
+    assert (misses > 0) == (mode == "gaussian")
+
+
+def test_batched_forced_readout_keeps_rows_apart():
+    # rows with different tag sets in one batch each collapse onto their own branch
+    gen = np.random.default_rng(6)
+    rows = _rows_with_tag_gaps(gen, 4, 50, kept_tag=2)
+    tags, true, collapsed = read_rows(rows, THETA_REF, ALPHA_REF, "gaussian", forced_tag=2)
+    assert set(tags) == set(true) == {2}
+    for row, got in zip(rows, collapsed):
+        part = apply_cross_kerr(QuantumState(4, False, row), THETA_REF, ALPHA_REF)
+        np.testing.assert_array_equal(got, part.branches[2].normalized().amplitudes)
 
 
 def test_error_probability_at_zero_distance():

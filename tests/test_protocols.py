@@ -21,9 +21,11 @@ from entconv.protocols import (
     _ideal_cell_probabilities,
     _ideal_cnot,
     _monte_carlo_full,
+    _realistic_cnot,
     _run_gates,
+    _run_rounds,
 )
-from entconv.qstate import Spin, ket, superpose
+from entconv.qstate import QuantumState, Spin, ket, superpose
 
 from conftest import uniform_vector
 
@@ -42,8 +44,8 @@ DICKE5_TERMS = "LLRRL LLRLR RLRLL LLLRR RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL".spl
 
 
 def pre_tag_state(n):
-    state, _ = _run_gates(conversion_input(n), circuit_wiring(n), _ideal_cnot)
-    return state
+    rows, _ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
+    return QuantumState(n, False, rows[0])
 
 
 def test_wiring_element_lists_frozen():
@@ -100,12 +102,14 @@ def test_partition_branches_hold_expected_terms():
 
 
 def test_recovery_three_elements_on_all_l():
-    state, _ = _run_gates(ket("LLL"), recovery_sequence(3)[:3], _ideal_cnot)
+    rows, _ = _run_gates(ket("LLL").amplitudes[None], recovery_sequence(3)[:3], _ideal_cnot)
+    state = QuantumState(3, False, rows[0])
     np.testing.assert_allclose(state.amplitudes, uniform_vector(3, ["RLL", "LRL"]), atol=1e-12)
 
 
 def test_recovery_five_photons_on_all_l():
-    state, _ = _run_gates(ket("LLLLL"), recovery_sequence(5)[:3], _ideal_cnot)
+    rows, _ = _run_gates(ket("LLLLL").amplitudes[None], recovery_sequence(5)[:3], _ideal_cnot)
+    state = QuantumState(5, False, rows[0])
     np.testing.assert_allclose(state.amplitudes, uniform_vector(5, ["RLLLL", "LRLLL"]), atol=1e-12)
 
 
@@ -113,7 +117,8 @@ def test_recovery_five_photons_on_all_l():
 def test_recovery_fixed_point(n):
     part1 = apply_cross_kerr(pre_tag_state(n), 0.1, 10.0)
     retry = part1.branches[max(part1.tags())].normalized()
-    state2, _ = _run_gates(retry, recovery_sequence(n), _ideal_cnot)
+    rows2, _ = _run_gates(retry.amplitudes[None], recovery_sequence(n), _ideal_cnot)
+    state2 = QuantumState(n, False, rows2[0])
     part2 = apply_cross_kerr(state2, 0.1, 10.0)
     assert part1.tags() == part2.tags()
     for tag in part1.tags():
@@ -264,11 +269,79 @@ def test_monte_carlo_five_photons_limits():
 
 def test_monte_carlo_full_simulation_agrees_with_chain():
     spec = ProtocolSpec(n_photons=3, max_iterations=4)
-    full = _monte_carlo_full(spec, 4000, np.random.default_rng(np.random.SeedSequence(7)), jobs=1)
+    full = _monte_carlo_full(spec, 4000, np.random.default_rng(np.random.SeedSequence(7)))
     assert abs(full.class_frequency("W") - 255 / 256) <= _three_sigma(255 / 256, 4000)
     # iteration histogram follows the geometric series
     ones = full.counts.get(("W", 1), 0)
     assert abs(ones / 4000 - 0.75) <= _three_sigma(0.75, 4000)
+
+
+# per-cell false-alarm probability of the two-sample ensemble comparison
+_FALSE_ALARM = 1e-9
+_WEAK = CavityParams.from_ratios(0.3, 0.4)
+
+
+def _two_sample_bound(trials: int, share: float) -> float:
+    """Count difference that two independent ensembles of ``trials`` trials with the
+    same cell probability ``share`` exceed with probability at most _FALSE_ALARM.
+
+    Bernstein's inequality for the sum of the per-trial differences, each in
+    [-1, 1] with variance 2 share (1 - share)."""
+    log_term = math.log(2.0 / _FALSE_ALARM)
+    variance = 2.0 * trials * share * (1.0 - share)
+    return log_term / 3.0 + math.sqrt(log_term**2 / 9.0 + 2.0 * log_term * variance)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # weak coupling: leaked tags send many trials into recovery
+        ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK),
+        # barely separated quadratures: most readouts are misclassified
+        ProtocolSpec(n_photons=3, max_iterations=4, homodyne_mode="gaussian", theta=0.02, alpha=1.0),
+    ],
+    ids=["realistic_weak", "gaussian_blurred"],
+)
+def test_batched_ensemble_matches_single_runs(spec):
+    trials = 3000
+    batched = monte_carlo(spec, trials, np.random.default_rng(np.random.SeedSequence(21))).counts
+    rng = np.random.default_rng(np.random.SeedSequence(22))
+    single: dict = {}
+    for _ in range(trials):
+        run = run_protocol(spec, rng=rng)
+        key = (run.outcome_class, run.iterations_used)
+        single[key] = single.get(key, 0) + 1
+    for key in set(batched) | set(single):
+        a, b = batched.get(key, 0), single.get(key, 0)
+        assert abs(a - b) <= _two_sample_bound(trials, (a + b) / (2 * trials)), (key, a, b)
+
+
+def test_batch_rows_replay_as_single_runs():
+    # every trial of a batch, replayed alone with its own readouts forced,
+    # ends in the same class and round with the same state and kept norm
+    spec = ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK)
+    rng = np.random.default_rng(np.random.SeedSequence(23))
+    spins: list = []
+    trials = 200
+    outcome, rounds, final, survival, history = _run_rounds(
+        spec, trials, _realistic_cnot(spec.params, rng, None, spins), rng, None
+    )
+    trial_tags = [[] for _ in range(trials)]
+    trial_spins = [[] for _ in range(trials)]
+    gates = iter(spins)
+    for round_index, (live, _, true) in enumerate(history):
+        elements = circuit_wiring(3) if round_index == 0 else recovery_sequence(3)
+        for _ in range(sum(el[0] == "cnot" for el in elements)):
+            for trial, spin in zip(live, next(gates)):
+                trial_spins[trial].append(int(spin))
+        for trial, tag in zip(live, true):
+            trial_tags[trial].append(int(tag))
+    assert next(gates, None) is None
+    for i in range(trials):
+        run = run_protocol(spec, forced_tags=trial_tags[i], forced_spins=trial_spins[i])
+        assert (run.outcome_class, run.iterations_used) == (outcome[i], rounds[i])
+        np.testing.assert_allclose(final[i], run.final_state.amplitudes, atol=1e-12)
+        assert survival[i] == pytest.approx(run.accumulated_norm, rel=1e-12)
 
 
 def test_monte_carlo_gaussian_mode_runs():
