@@ -24,6 +24,7 @@ from .protocols import (
     PROBE_THETA,
     ProtocolSpec,
     classify_state,
+    ideal_tags,
     monte_carlo,
     realistic_vs_ideal,
     run_protocol,
@@ -126,7 +127,8 @@ def cmd_run(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     run = run_protocol(spec, rng=rng)
     fidelity = None
-    if spec.gate_mode == "realistic" and run.misclassification_events == 0:
+    # the ideal circuit has no branch for a misread or leaked tag to replay
+    if spec.gate_mode == "realistic" and run.misclassification_events == 0 and set(run.true_tags) <= ideal_tags(spec):
         fidelity = realistic_vs_ideal(spec, run.true_tags, run.spin_outcomes).protocol_fidelity
     cls = classify_state(run.final_state)
     report = {
@@ -243,9 +245,6 @@ def cmd_success_table(args) -> int:
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON run configuration (see config_schema.json)")
-    sub.add_argument("--seed", type=int, help="seed for stochastic runs (overrides config)")
-    sub.add_argument("--trials", type=int, help="trial count for ensembles (overrides config)")
-    sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect (must be >= 1)")
     sub.add_argument("--out", metavar="PATH", help="output file (default: stdout or config output.path)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format (overrides config)")
 
@@ -258,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(handler=cmd_run)
 
     mc_p = commands.add_parser("montecarlo", help="outcome frequencies over seeded trials")
+    mc_p.add_argument("--trials", type=int, help="trial count for ensembles (overrides config)")
     mc_p.set_defaults(handler=cmd_montecarlo)
 
     sweep_p = commands.add_parser("sweep-fidelity", help="gate fidelity over a coupling-ratio grid")
@@ -273,6 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
     table_p.add_argument("--rounds", type=int, help="number of recovery rounds to tabulate")
     table_p.set_defaults(handler=cmd_success_table)
 
+    # each command takes only the flags it reads
+    for sub in (run_p, mc_p):
+        sub.add_argument("--seed", type=int, help="seed for stochastic runs (overrides config)")
+    for sub in (mc_p, sweep_p):
+        sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect (must be >= 1)")
     for sub in (run_p, mc_p, sweep_p, curves_p, table_p):
         _add_common_flags(sub)
     return parser

@@ -31,8 +31,6 @@ class SweepGrid:
             lo, hi = getattr(self, name)
             if not (0 < lo < math.inf and 0 < hi < math.inf):
                 raise ConfigError(f"sweep range {name} must be positive and finite")
-            if hi < lo:
-                raise ConfigError(f"sweep range {name} must be ordered low, high")
         if self.steps < 2:
             raise ConfigError("sweep steps must be >= 2")
 
@@ -98,9 +96,11 @@ def _protocol_from_dict(data: dict) -> ProtocolSpec:
             kwargs[name] = check(f"protocol.{name}", kwargs[name])
     if not isinstance(kwargs.get("standardize_flipped", False), bool):
         raise ConfigError("protocol.standardize_flipped must be a boolean")
-    params = kwargs.pop("params", None)
     try:
-        if params is not None:
+        if "params" in kwargs:
+            params = kwargs["params"]
+            if not isinstance(params, dict):
+                raise ConfigError("protocol.params must be an object")
             _check_keys("params", params, {"g", "kappa", "gamma", "omega_c", "omega_0", "omega_p"})
             kwargs["params"] = CavityParams(**{name: _number(f"params.{name}", v) for name, v in params.items()})
         return ProtocolSpec(**kwargs)
@@ -128,40 +128,21 @@ def config_from_dict(data: dict) -> RunConfig:
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"invalid sweep section: {err}") from err
-    if data.get("output") is not None:
-        _check_keys("output", data["output"], {"path", "format"})
-    output = OutputSpec(**data["output"]) if data.get("output") is not None else OutputSpec()
+    output_data = data.get("output") or {}
+    _check_keys("output", output_data, {"path", "format"})
+    if output_data.get("format", "csv") is None:   # only an absent format means the command's default
+        raise ConfigError("output.format must be csv or json")
+    output = OutputSpec(**output_data)
     seed = None if data.get("seed") is None else _integer("seed", data["seed"])
     trials = _integer("trials", data.get("trials", 1))
     return RunConfig(protocol=protocol, sweep=sweep, trials=trials, seed=seed, output=output)
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    out: dict = {
-        "protocol": None,
-        "sweep": None,
-        "trials": config.trials,
-        "seed": config.seed,
-        "output": {"path": config.output.path, "format": config.output.format},
-    }
-    if config.protocol is not None:
-        p = config.protocol
-        out["protocol"] = {
-            "n_photons": p.n_photons,
-            "max_iterations": p.max_iterations,
-            "gate_mode": p.gate_mode,
-            "homodyne_mode": p.homodyne_mode,
-            "params": asdict(p.params),
-            "theta": p.theta,
-            "alpha": p.alpha,
-            "standardize_flipped": p.standardize_flipped,
-        }
-    if config.sweep is not None:
-        out["sweep"] = {
-            "g_over_kappa": list(config.sweep.g_over_kappa),
-            "g_over_gamma": list(config.sweep.g_over_gamma),
-            "steps": config.sweep.steps,
-        }
+    """The config as a document that ``config_from_dict`` reads back; an unset output format is left out."""
+    out = json.loads(json.dumps(asdict(config)))   # tuples become lists, as in a JSON document
+    if config.output.format is None:
+        del out["output"]["format"]
     return out
 
 

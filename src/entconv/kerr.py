@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import QuantumState, row_norms2, row_photons
+from .qstate import NORM_TOL, QuantumState, choose_branch, row_norms2, row_photons
 
 MIN_MEAN_GAP = 1e-9
-_ZERO_WEIGHT = 1e-24
 
 
 def _tag_branches(rows: np.ndarray):
@@ -159,26 +158,19 @@ def _read_tags(weights, tags, models, group, mode, rng, forced_tag):
     """The one readout rule: classified tag and true-tag column of each row of branch weights.
 
     Column ``j`` of ``weights`` holds the weight of tag ``tags[j]`` (ascending)
-    and ``models[group[i]]`` classifies row ``i``.  One uniform draw per row
-    picks the true tag by weight, then gaussian mode draws one quadrature per
-    row from the true tag's Gaussian and classifies it; the quadratures are
-    returned too (None when none were drawn).  ``forced_tag`` pins both tags.
+    and ``models[group[i]]`` classifies row ``i``.  ``choose_branch`` draws
+    the true tag of each row by weight, then gaussian mode draws one
+    quadrature per row from the true tag's Gaussian and classifies it; the
+    quadratures are returned too (None when none were drawn).
+    ``forced_tag`` pins both tags.
     """
     if mode not in ("ideal", "gaussian"):
         raise ValueError(f"unknown homodyne mode {mode!r}")
-    if forced_tag is not None:
-        hit = tags == forced_tag
-        if not hit.any() or np.any(weights[:, hit] <= _ZERO_WEIGHT):
-            raise ValueError("forced tag absent")
-        true = np.full(len(weights), np.argmax(hit))
-        return tags[true], true, None
-    if rng is None:
-        raise ValueError("rng required when no tag is forced")
-    acc = np.cumsum(weights, axis=1)
-    draw = rng.random(len(weights))[:, None] * acc[:, -1:]
-    last = weights.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0, axis=1)   # for a draw rounded up to the total
-    true = np.minimum(np.sum(acc <= draw, axis=1), last)
-    if mode == "ideal":
+    hit = tags == forced_tag
+    if forced_tag is not None and not (hit.any() and np.all(weights[:, hit] > NORM_TOL**2)):
+        raise ValueError("forced tag absent")
+    true = choose_branch(weights.T, rng, None if forced_tag is None else np.argmax(hit))
+    if forced_tag is not None or mode == "ideal":
         return tags[true], true, None
     x = rng.normal([models[g].mean_of(tags[j]) for g, j in zip(group, true)], 1.0)
     classified = np.empty_like(true)

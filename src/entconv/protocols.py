@@ -24,14 +24,12 @@ from .cnot import (
     BENCHMARK_GAMMA_TOTAL,
     BENCHMARK_KAPPA,
     _kraus,
-    cnot_full,
-    cnot_ideal,
     cnot_rows,
 )
-from .kerr import apply_cross_kerr, read_rows
+from .kerr import _tag_branches, read_rows
 from .optics import HWP, QWP
-from .qstate import QuantumState, Spin, apply_controlled_rows, apply_single_qubit_rows, inner, ket, row_photons
-from .qstate import superpose
+from .qstate import QuantumState, Spin, apply_controlled_rows, apply_single_qubit_rows, ket, row_inner, row_norms2
+from .qstate import row_photons, superpose
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -80,7 +78,7 @@ class ProtocolRun:
     """Record of one conversion attempt."""
 
     iterations_used: int
-    outcome_class: str                # "W" | "Dicke" | "failed_max_iter"
+    outcome_class: str                # "W" | "Dicke" | "failed_max_iter" | "failed_no_recovery"
     final_state: QuantumState
     homodyne_tags: tuple[int, ...]    # classified tags, one per iteration
     true_tags: tuple[int, ...]
@@ -151,18 +149,17 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
 
 def _ideal_cnot(rows, control, target):
     n = row_photons(rows)
-    return apply_controlled_rows(rows, n - control, n - target, HWP), 1.0
+    return apply_controlled_rows(rows, n - control, n - target, HWP), 1.0, None
 
 
-def _realistic_cnot(params: CavityParams, rng, forced_spins, spins: list):
-    """The compiled realistic CNOT on a batch; ``spins`` collects each gate's readouts."""
+def _realistic_cnot(params: CavityParams, rng, forced_spins):
+    """The compiled realistic CNOT on a batch, taking its readouts from ``forced_spins`` in turn if given."""
     kraus = _kraus(params, ideal=False)
     spin_iter = iter(forced_spins) if forced_spins is not None else itertools.repeat(None)
 
     def cnot(rows, control, target):
         rows, readouts, _, kept = cnot_rows(rows, control, target, kraus, rng, next(spin_iter))
-        spins.append(readouts)
-        return rows, kept
+        return rows, kept, readouts
 
     return cnot
 
@@ -171,23 +168,27 @@ def _run_gates(rows, elements, cnot):
     """Apply the gate prefix of an element list to a batch of amplitude rows, stopping at the probe tag.
 
     ``rows`` has shape (trials, 2**n); ``cnot(rows, control, target)``
-    returns the output rows and the squared norm each row kept, and the
-    product of the kept norms is returned too.
+    returns the output rows, the squared norm each row kept and each row's
+    readout (None for an ideal gate).  Returns the rows, the product of the
+    kept norms and the list of readouts.
     """
     n = row_photons(rows)
     norm_factor = 1.0
+    readouts = []
     for el in elements:
         kind = el[0]
         if kind == "cnot":
-            rows, kept = cnot(rows, el[1], el[2])
+            rows, kept, readout = cnot(rows, el[1], el[2])
             norm_factor = norm_factor * kept
+            if readout is not None:
+                readouts.append(readout)
         elif kind in ("hwp", "qwp"):
             rows = apply_single_qubit_rows(rows, n - el[1], HWP if kind == "hwp" else QWP)
         elif kind == "kerr":
             break
         else:
             raise ValueError(f"unknown circuit element {el!r}")
-    return rows, norm_factor
+    return rows, norm_factor, readouts
 
 
 def run_protocol(
@@ -206,19 +207,18 @@ def run_protocol(
     counted on the run record, and the spin outcome of every realistic gate is
     recorded in ``spin_outcomes``.
     """
-    spins: list[np.ndarray] = []
-    cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, forced_spins, spins)
-    return _single_run(spec, cnot, rng, forced_tags, spins)
+    cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, forced_spins)
+    return _single_run(spec, cnot, rng, forced_tags)
 
 
-def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags, spins: list) -> ProtocolRun:
-    """A batch of one as a run record; ``cnot`` appends its readouts to ``spins``."""
+def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags) -> ProtocolRun:
+    """A batch of one as a run record."""
     outcome, rounds, final, survival, history = _run_rounds(spec, 1, cnot, rng, forced_tags)
-    tags = tuple(int(tags[0]) for _, tags, _ in history)
-    true_tags = tuple(int(true[0]) for _, _, true in history)
+    tags = tuple(int(tags[0]) for _, tags, _, _ in history)
+    true_tags = tuple(int(true[0]) for _, _, true, _ in history)
     misses = sum(t != k for t, k in zip(tags, true_tags))
     final_state = QuantumState(spec.n_photons, False, final[0])
-    spin_outcomes = tuple(Spin(int(s[0])) for s in spins)
+    spin_outcomes = tuple(Spin(int(s[0])) for *_, readouts in history for s in readouts)
     return ProtocolRun(
         int(rounds[0]), outcome[0], final_state, tags, true_tags, misses, float(survival[0]), spin_outcomes
     )
@@ -228,11 +228,13 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
 
     A trial leaves the batch when its classified tag declares an outcome;
-    the rest run the recovery sequence.  Draws go trial by trial within each
-    gate and each readout, so a batch of one draws as a single run does.
-    Returns, per trial, the outcome class, rounds used, final amplitude row
-    and product of kept gate norms, and per round the trials still in the
-    batch with their classified and true tags.
+    the rest run the recovery sequence, or, having none at four photons, end
+    as ``failed_no_recovery`` unless the round was their last.  Draws go
+    trial by trial within each gate and each readout, so a batch of one
+    draws as a single run does.  Returns, per trial, the outcome class,
+    rounds used, final amplitude row and product of kept gate norms, and per
+    round the trials still in the batch, their classified and true tags and
+    their gate readouts.
     """
     n = spec.n_photons
     rows = np.repeat(conversion_input(n).amplitudes[None], trials, axis=0)
@@ -247,10 +249,10 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     declares = np.array([k in success for k in range(n + 1)])   # by classified tag
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
-        rows, norm_factor = _run_gates(rows, elements, cnot)
+        rows, norm_factor, readouts = _run_gates(rows, elements, cnot)
         survival[live] *= norm_factor
         tags, true, rows = read_rows(rows, spec.theta, spec.alpha, spec.homodyne_mode, rng, next(tag_iter))
-        history.append((live, tags, true))
+        history.append((live, tags, true, readouts))
         done = declares[tags]
         if n == 4 and spec.standardize_flipped:
             for photon in range(1, 5):
@@ -259,7 +261,11 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
         outcome[live[done]] = [success[int(k)] for k in tags[done]]
         rounds[live[done]] = iteration
         live, rows = live[~done], rows[~done]
-        if not live.size:
+        if not live.size or iteration == spec.max_iterations:
+            break
+        if n == 4:
+            outcome[live] = "failed_no_recovery"
+            rounds[live] = iteration
             break
     return outcome, rounds, final, survival, history
 
@@ -331,17 +337,21 @@ class MonteCarloResult:
 def _ideal_round_weights(spec: ProtocolSpec):
     """Tag weights of round one, checked to be the fixed point of recovery."""
     n = spec.n_photons
-    rows, _ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
-    first = apply_cross_kerr(QuantumState(n, False, rows[0]), spec.theta, spec.alpha)
-    weights = first.weights()
+    rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
+    tags, branches, present = _tag_branches(rows[0])
+    weights = row_norms2(branches)
     if n != 4:
-        retry_tag = max(first.tags())
-        retry_state = first.branches[retry_tag].normalized()
-        rows2, _ = _run_gates(retry_state.amplitudes[None], recovery_sequence(n), _ideal_cnot)
-        second = apply_cross_kerr(QuantumState(n, False, rows2[0]), spec.theta, spec.alpha).weights()
-        if set(second) != set(weights) or any(abs(second[k] - weights[k]) > 1e-12 for k in weights):
+        retry = branches[tags[present][-1]] / math.sqrt(weights[present][-1])
+        rows2, *_ = _run_gates(retry[None], recovery_sequence(n), _ideal_cnot)
+        _, branches2, present2 = _tag_branches(rows2[0])
+        if (present2 != present).any() or np.abs(row_norms2(branches2) - weights).max() > 1e-12:
             raise ValueError("recovery does not reproduce the first-round branch weights")
-    return weights
+    return dict(zip(tags[present].tolist(), weights[present].tolist()))
+
+
+def ideal_tags(spec: ProtocolSpec) -> frozenset[int]:
+    """Probe tags the ideal circuit reads out in any round; every other tag is leaked by realistic gates."""
+    return frozenset(_ideal_round_weights(spec))
 
 
 def _ideal_cell_probabilities(spec: ProtocolSpec) -> dict[tuple[str, int], float]:
@@ -370,9 +380,8 @@ def _monte_carlo_chain(spec: ProtocolSpec, trials: int, rng: np.random.Generator
 def _monte_carlo_full(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
     """Sampled ensemble: consecutive batches of up to ``_MC_CHUNK`` trials, all drawing from ``rng``."""
     counts: Counter = Counter()
+    cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, None)
     for start in range(0, trials, _MC_CHUNK):
-        # a readout list per batch, so memory stays bounded by the chunk
-        cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, None, [])
         outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), cnot, rng, None)
         counts.update(zip(outcome.tolist(), rounds.tolist()))
     return MonteCarloResult(trials, dict(counts))
@@ -418,18 +427,18 @@ def realistic_vs_ideal(spec: ProtocolSpec, forced_tags, forced_spins=None) -> Re
     forced_spins = itertools.repeat(Spin.PLUS) if forced_spins is None else forced_spins
     real_spec = replace(spec, gate_mode="realistic", homodyne_mode="ideal")
     run = run_protocol(real_spec, forced_tags=forced_tags, forced_spins=forced_spins)
+    kraus = _kraus(spec.params, ideal=False)
     spin_replay = iter(run.spin_outcomes)
     gate_fidelities: list[float] = []
 
     def scored_cnot(rows, control, target):
-        state = QuantumState(spec.n_photons, False, rows[0])
-        ideal_out = cnot_ideal(state, control, target)
-        real_out = cnot_full(state, control, target, spec.params, ideal=False, forced_spin=next(spin_replay))
-        gate_fidelities.append(abs(inner(real_out.post_state, ideal_out)) ** 2)
-        return ideal_out.amplitudes[None], 1.0
+        ideal_rows, *_ = _ideal_cnot(rows, control, target)
+        real_rows, *_ = cnot_rows(rows, control, target, kraus, forced_spin=next(spin_replay))
+        gate_fidelities.append(abs(complex(row_inner(real_rows[0], ideal_rows[0]))) ** 2)
+        return ideal_rows, 1.0, None
 
-    ideal_run = _single_run(spec, scored_cnot, None, forced_tags, [])
-    fidelity = abs(inner(run.final_state, ideal_run.final_state)) ** 2
+    ideal_run = _single_run(spec, scored_cnot, None, forced_tags)
+    fidelity = abs(complex(row_inner(run.final_state.amplitudes, ideal_run.final_state.amplitudes))) ** 2
     return RealisticTrace(run, ideal_run, tuple(gate_fidelities), fidelity)
 
 

@@ -13,6 +13,7 @@ loss.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -193,24 +194,33 @@ def inner(a: QuantumState, b: QuantumState) -> complex:
 
 
 def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) -> np.ndarray:
-    """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (2, ...).
+    """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (m, ...).
 
-    ``forced`` picks the branch of every row; otherwise each row takes one
-    ``rng`` draw, in row order.
+    ``forced`` picks the branch of every row.  Otherwise each row takes one
+    ``rng`` draw, in row order, scales it by the row's total weight and picks
+    the first branch whose cumulative weight exceeds it; a draw that rounds
+    up to the total takes the last weighted branch.  A branch of weight at
+    most ``NORM_TOL**2`` is an impossible outcome.
     """
     probs = np.asarray(probs, dtype=float)
     if isinstance(forced, (Pol, Spin)):
         forced = forced.value
-    if forced in (0, 1):
+    if forced is not None:
+        if forced not in range(len(probs)):
+            raise ValueError(f"cannot interpret forced outcome {forced!r}")
         k = np.full(probs.shape[1:], int(forced))
-    elif forced is not None:
-        raise ValueError(f"cannot interpret forced outcome {forced!r}")
     elif rng is None:
         raise ValueError("rng required when no outcome is forced")
     else:
-        k = np.where(rng.random(probs.shape[1:]) * (probs[0] + probs[1]) < probs[0], 0, 1)
-    if (np.where(k == 0, probs[0], probs[1]) <= NORM_TOL**2).any():
-        raise ValueError("impossible outcome")
+        acc = list(itertools.accumulate(probs))   # the sequential partial sums np.cumsum takes
+        draw = rng.random(probs.shape[1:]) * acc[-1]
+        k = sum((a <= draw for a in acc[:-1]), np.zeros(probs.shape[1:], int))
+    empty = probs <= NORM_TOL**2
+    if empty.any():   # with every branch weighted, no row can sit on an empty one
+        if forced is None:
+            k = np.minimum(k, len(probs) - 1 - np.argmax(probs[::-1] > 0, axis=0))
+        if np.take_along_axis(empty, k[None], 0).any():
+            raise ValueError("impossible outcome")
     return k
 
 

@@ -77,7 +77,7 @@ def _verdict(number: int, text: str) -> None:
 def test_criterion_1_state_evolution_oracles():
     t0 = time.perf_counter()
     for n in (3, 4, 5):
-        rows, _ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
+        rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
         state = QuantumState(n, False, rows[0])
         np.testing.assert_allclose(state.amplitudes, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
         part = apply_cross_kerr(state, THETA_REF, ALPHA_REF)

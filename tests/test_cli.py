@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 from dataclasses import replace
@@ -7,6 +10,8 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entconv.cli import main
 from entconv.config import (
@@ -336,3 +341,115 @@ def test_montecarlo_output_independent_of_jobs(tmp_path):
     assert main(["montecarlo", "--config", config, "--out", str(a), "--jobs", "1"]) == 0
     assert main(["montecarlo", "--config", config, "--out", str(b), "--jobs", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+WEAK_PARAMS = {"g": 1.0, "kappa": 3.3333333333333335, "gamma": 2.5}   # CavityParams.from_ratios(0.3, 0.4)
+# what these seeds reported before a leaked true tag was told apart
+UNLEAKED_FIDELITY = {0: 0.6418177709542928, 5: 0.16348344432407896, 6: 0.7345711669423323,
+                     8: 0.8305718441525544, 9: 0.6418177709542928}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_run_with_a_leaked_tag_reports_no_fidelity(tmp_path, seed):
+    protocol = {"n_photons": 3, "max_iterations": 4, "gate_mode": "realistic", "params": WEAK_PARAMS}
+    out = tmp_path / "run.json"
+    assert main(["run", "--config", make_config(tmp_path, {"protocol": protocol, "seed": seed}), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    leaked = not set(report["true_tags"]) <= {1, 3}
+    assert leaked == (seed not in UNLEAKED_FIDELITY)
+    if leaked:
+        assert report["fidelity_vs_ideal"] is None
+    else:
+        assert report["fidelity_vs_ideal"] == pytest.approx(UNLEAKED_FIDELITY[seed], rel=1e-12)
+
+
+def test_four_photon_realistic_ensemble_counts_failed_no_recovery(tmp_path):
+    config = make_config(tmp_path, {"protocol": {"n_photons": 4, "gate_mode": "realistic"}, "trials": 20000})
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--config", config, "--seed", "1", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert {row[0] for row in rows} == {"W", "failed_no_recovery"}
+    assert sum(int(row[2]) for row in rows) == 20000
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("run", "--trials"), ("run", "--jobs"), ("sweep-fidelity", "--seed"), ("sweep-fidelity", "--trials"),
+     ("homodyne-curves", "--seed"), ("homodyne-curves", "--trials"), ("homodyne-curves", "--jobs"),
+     ("success-table", "--seed"), ("success-table", "--trials"), ("success-table", "--jobs")],
+)
+def test_flag_a_command_would_ignore_is_rejected(tmp_path, capsys, command, flag):
+    argv = [command, "--config", make_config(tmp_path, full_config()), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [flag, "1"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+# config documents built from the schema's field names: each field or section
+# is a valid value most of the time and anything else otherwise
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10), st.floats(), st.sampled_from([1.5, 2.0]),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _maybe(valid):
+    return st.integers(0, 9).flatmap(lambda i: _JUNK if i == 0 else valid)
+
+
+def _section(required, optional):
+    fields = st.fixed_dictionaries(
+        {name: _maybe(v) for name, v in required.items()},
+        optional={**{name: _maybe(v) for name, v in optional.items()}, "unknown": _JUNK},
+    )
+    return _maybe(fields)
+
+
+_POSITIVE = st.floats(1e-3, 30.0)
+_OFFSET = st.floats(-5.0, 5.0)
+_PARAMS = _section({"g": st.floats(0.0, 10.0), "kappa": _POSITIVE, "gamma": _POSITIVE},
+                   {"omega_c": _OFFSET, "omega_0": _OFFSET, "omega_p": _OFFSET})
+_PROTOCOL = _section({"n_photons": st.sampled_from([3, 4, 5])}, {
+    "max_iterations": st.integers(1, 8),
+    "gate_mode": st.sampled_from(["ideal", "realistic"]),
+    "homodyne_mode": st.sampled_from(["ideal", "gaussian"]),
+    "theta": st.floats(1e-3, 3.0),
+    "alpha": st.floats(0.0, 200.0),
+    "standardize_flipped": st.booleans(),
+    "params": _PARAMS,
+})
+_RANGE = st.lists(_maybe(_POSITIVE), min_size=2, max_size=2)
+_SWEEP = _section({"g_over_kappa": _RANGE, "g_over_gamma": _RANGE, "steps": st.integers(2, 5)}, {})
+_OUTPUT = _section({}, {"path": st.one_of(st.none(), st.text(max_size=5)), "format": st.sampled_from(["csv", "json"])})
+_DOCUMENTS = _section({}, {
+    "protocol": st.one_of(st.none(), _PROTOCOL),
+    "sweep": st.one_of(st.none(), _SWEEP),
+    "trials": st.integers(1, 10**6),
+    "seed": st.one_of(st.none(), st.integers(0, 2**32)),
+    "output": st.one_of(st.none(), _OUTPUT),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_config_contract_agrees_with_schema(doc):
+    doc = json.loads(json.dumps(doc))   # as the CLI reads it back
+    schema = JsonValidator(json.loads(schema_path().read_text()))
+    try:
+        config = config_from_dict(doc)
+    except ConfigError:
+        config = None
+    assert (config is not None) == schema.is_valid(doc)
+    if config is not None:
+        again = config_to_dict(config)
+        assert schema.is_valid(again) and config_from_dict(again) == config
+    # a directory per example: a function-scoped tmp_path would be shared by all of them
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["homodyne-curves", "--config", make_config(Path(tmp), doc), "--out", str(Path(tmp) / "out.csv")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -44,7 +44,7 @@ DICKE5_TERMS = "LLRRL LLRLR RLRLL LLLRR RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL".spl
 
 
 def pre_tag_state(n):
-    rows, _ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
+    rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
     return QuantumState(n, False, rows[0])
 
 
@@ -102,13 +102,13 @@ def test_partition_branches_hold_expected_terms():
 
 
 def test_recovery_three_elements_on_all_l():
-    rows, _ = _run_gates(ket("LLL").amplitudes[None], recovery_sequence(3)[:3], _ideal_cnot)
+    rows, *_ = _run_gates(ket("LLL").amplitudes[None], recovery_sequence(3)[:3], _ideal_cnot)
     state = QuantumState(3, False, rows[0])
     np.testing.assert_allclose(state.amplitudes, uniform_vector(3, ["RLL", "LRL"]), atol=1e-12)
 
 
 def test_recovery_five_photons_on_all_l():
-    rows, _ = _run_gates(ket("LLLLL").amplitudes[None], recovery_sequence(5)[:3], _ideal_cnot)
+    rows, *_ = _run_gates(ket("LLLLL").amplitudes[None], recovery_sequence(5)[:3], _ideal_cnot)
     state = QuantumState(5, False, rows[0])
     np.testing.assert_allclose(state.amplitudes, uniform_vector(5, ["RLLLL", "LRLLL"]), atol=1e-12)
 
@@ -117,7 +117,7 @@ def test_recovery_five_photons_on_all_l():
 def test_recovery_fixed_point(n):
     part1 = apply_cross_kerr(pre_tag_state(n), 0.1, 10.0)
     retry = part1.branches[max(part1.tags())].normalized()
-    rows2, _ = _run_gates(retry.amplitudes[None], recovery_sequence(n), _ideal_cnot)
+    rows2, *_ = _run_gates(retry.amplitudes[None], recovery_sequence(n), _ideal_cnot)
     state2 = QuantumState(n, False, rows2[0])
     part2 = apply_cross_kerr(state2, 0.1, 10.0)
     assert part1.tags() == part2.tags()
@@ -321,27 +321,38 @@ def test_batch_rows_replay_as_single_runs():
     # ends in the same class and round with the same state and kept norm
     spec = ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK)
     rng = np.random.default_rng(np.random.SeedSequence(23))
-    spins: list = []
     trials = 200
     outcome, rounds, final, survival, history = _run_rounds(
-        spec, trials, _realistic_cnot(spec.params, rng, None, spins), rng, None
+        spec, trials, _realistic_cnot(spec.params, rng, None), rng, None
     )
     trial_tags = [[] for _ in range(trials)]
     trial_spins = [[] for _ in range(trials)]
-    gates = iter(spins)
-    for round_index, (live, _, true) in enumerate(history):
+    for round_index, (live, _, true, readouts) in enumerate(history):
         elements = circuit_wiring(3) if round_index == 0 else recovery_sequence(3)
-        for _ in range(sum(el[0] == "cnot" for el in elements)):
-            for trial, spin in zip(live, next(gates)):
+        assert len(readouts) == sum(el[0] == "cnot" for el in elements)
+        for gate in readouts:
+            for trial, spin in zip(live, gate):
                 trial_spins[trial].append(int(spin))
         for trial, tag in zip(live, true):
             trial_tags[trial].append(int(tag))
-    assert next(gates, None) is None
     for i in range(trials):
         run = run_protocol(spec, forced_tags=trial_tags[i], forced_spins=trial_spins[i])
         assert (run.outcome_class, run.iterations_used) == (outcome[i], rounds[i])
         np.testing.assert_allclose(final[i], run.final_state.amplitudes, atol=1e-12)
         assert survival[i] == pytest.approx(run.accumulated_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("max_iterations,stuck", [(4, "failed_no_recovery"), (1, "failed_max_iter")])
+def test_four_photon_leaked_tag_ends_the_run(max_iterations, stuck):
+    # four photons have no recovery path: a tag that declares nothing ends the
+    # run in its round, and in the last round that is the round budget running out
+    spec = ProtocolSpec(n_photons=4, max_iterations=max_iterations, gate_mode="realistic", params=_WEAK)
+    rng = np.random.default_rng(np.random.SeedSequence(24))
+    runs = [run_protocol(spec, rng=rng) for _ in range(200)]
+    assert {r.outcome_class for r in runs} == {"W", stuck}
+    for r in runs:
+        assert r.iterations_used == len(r.true_tags) == 1
+        assert (r.outcome_class == "W") == (r.homodyne_tags[0] in (1, 3))
 
 
 def test_monte_carlo_gaussian_mode_runs():
