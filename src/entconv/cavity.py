@@ -24,7 +24,9 @@ class CavityParams:
     ``g`` is the emitter-resonator coupling, ``kappa`` the resonator damping
     rate, ``gamma`` the emitter dipolar decay rate.  ``g = 0`` describes an
     uncoupled emitter (used for consistency checks); kappa and gamma must be
-    strictly positive.
+    strictly positive.  A field may also be an array: the fields broadcast
+    against each other to a grid of parameter sets, and every function of a
+    ``CavityParams`` then returns one value per set.
     """
 
     g: float
@@ -35,11 +37,12 @@ class CavityParams:
     omega_p: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite([self.g, self.kappa, self.gamma, self.omega_c, self.omega_0, self.omega_p]).all():
+        fields = (self.g, self.kappa, self.gamma, self.omega_c, self.omega_0, self.omega_p)
+        if not all(np.isfinite(x).all() for x in fields):
             raise ValueError("resonator parameters must be finite")
-        if self.kappa <= 0 or self.gamma <= 0:
+        if np.any(np.less_equal(self.kappa, 0)) or np.any(np.less_equal(self.gamma, 0)):
             raise ValueError("kappa and gamma must be strictly positive")
-        if self.g < 0:
+        if np.any(np.less(self.g, 0)):
             raise ValueError("g must be nonnegative")
 
     def resonant(self) -> bool:
@@ -47,8 +50,8 @@ class CavityParams:
 
     @classmethod
     def from_ratios(cls, g_over_kappa: float, g_over_gamma: float, g: float = 1.0) -> "CavityParams":
-        """Resonant parameter set realizing the given coupling ratios."""
-        if g_over_kappa <= 0 or g_over_gamma <= 0:
+        """Resonant parameter set realizing the given coupling ratios (arrays give a grid)."""
+        if np.any(np.less_equal(g_over_kappa, 0)) or np.any(np.less_equal(g_over_gamma, 0)):
             raise ValueError("coupling ratios must be positive")
         return cls(g=g, kappa=g / g_over_kappa, gamma=g / g_over_gamma)
 
@@ -75,7 +78,7 @@ def empty_reflection(p: CavityParams) -> complex:
 
 @dataclass(frozen=True)
 class ReflectionPair:
-    """Loaded and bare reflection coefficients evaluated at one parameter set."""
+    """Loaded and bare reflection coefficients evaluated at a parameter set (arrays for a grid)."""
 
     r: complex
     r0: complex
@@ -86,18 +89,23 @@ class ReflectionPair:
 
 
 class SpinPhotonMap:
-    """Diagonal conditional map over the joint basis (R+, R-, L+, L-)."""
+    """Diagonal conditional map over the joint basis (R+, R-, L+, L-).
+
+    ``factors`` has shape (..., 4): leading axes hold a grid of parameter sets.
+    """
 
     __slots__ = ("factors",)
 
     def __init__(self, factors) -> None:
         f = np.asarray(factors, dtype=np.complex128)
-        if f.shape != (4,):
+        if f.shape[-1:] != (4,):
             raise ValueError("spin-photon map needs 4 diagonal factors")
         f.setflags(write=False)
         self.factors = f
 
     def apply(self, state: QuantumState, photon: int) -> QuantumState:
+        if self.factors.shape != (4,):
+            raise ValueError("a state takes the map of one parameter set")
         pb = state.site_bit(photon)
         sb = state.site_bit(SPIN)
         idx = np.arange(state.dim)
@@ -120,4 +128,4 @@ def spin_photon_map(p: CavityParams, ideal: bool) -> SpinPhotonMap:
     if ideal:
         return IDEAL_BOUNCE
     pair = ReflectionPair.at(p)
-    return SpinPhotonMap((-pair.r0, -pair.r0, -pair.r0, -pair.r))
+    return SpinPhotonMap(np.stack(np.broadcast_arrays(-pair.r0, -pair.r0, -pair.r0, -pair.r), axis=-1))

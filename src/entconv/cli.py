@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnot import fidelity_grid
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import MAX_TRIALS, ConfigError, RunConfig, config_from_dict, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
 from .protocols import (
     PROBE_ALPHA,
@@ -174,8 +174,8 @@ def cmd_montecarlo(args) -> int:
     spec = _require_protocol(config)
     seed = _require_seed(args)
     trials = args.trials if args.trials is not None else config.trials
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}")
     _check_jobs(args)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     result = monte_carlo(spec, trials, rng)

@@ -56,29 +56,48 @@ def cnot_ideal(state: QuantumState, control: int, target: int) -> QuantumState:
     return apply_controlled(state, control, target, HWP)
 
 
-def _kraus(params: CavityParams, ideal: bool) -> np.ndarray:
-    """``K[s, c, a, t]``: readout s takes target t to a where the control is c.
+# K[c, (s, a, t)] = f[c, u] f[b, v] @ this over (u, b, v), f the bounce factors
+# [photon bit, spin bit]; u and v are the spin bits at the control and target
+# bounces, b the target bit between its QWPs.  It holds the spin Hadamards,
+# SPIN_READY, the QWPs and the minus readout's feed-forward HWP.
+_GATE_ELEMENTS = np.einsum(
+    "su,uv,v,sab,bt->ubvsat", SPIN_HADAMARD, SPIN_HADAMARD, SPIN_READY, np.stack([QWP, HWP @ QWP]), QWP
+).reshape(8, 8)
 
-    The spin starts in (|+> + |->)/sqrt2.  For a fixed readout ``s`` the
-    whole bounce-measure-correct sequence, feed-forward included, is one
-    linear map on the (control, target) pair, built here from the element
-    factors.  The element order is frozen: it is the unique arrangement of
-    this family whose two readout branches match the direct controlled-flip
-    gate after feed-forward (pinned by the regression tests).
+
+def _kraus(params: CavityParams, ideal: bool) -> np.ndarray:
+    """``K[..., s, (c', t), (c, a)]``: readout s takes target t to a where the control is c = c'.
+
+    For a fixed readout ``s`` the whole bounce-measure-correct sequence,
+    feed-forward included, is one linear map ``K_s`` on the (control,
+    target) pair, kept as a block-diagonal 4x4 that a row over (control,
+    target) multiplies from the left; leading axes are the grid axes of
+    ``params``.  The spin starts in (|+> + |->)/sqrt2.  The element order is
+    frozen: it is the unique arrangement of this family whose two readout
+    branches match the direct controlled-flip gate after feed-forward
+    (pinned by the regression tests).
     """
-    f = spin_photon_map(params, ideal).factors.reshape(2, 2)  # [photon bit, spin bit]
-    kraus = np.einsum("su,cu,uv,v,ab,bv,bt->scat", SPIN_HADAMARD, f, SPIN_HADAMARD, SPIN_READY, QWP, f, QWP)
-    kraus[1] = HWP @ kraus[1]
-    return kraus
+    f = spin_photon_map(params, ideal).factors
+    lead = f.shape[:-1]
+    f = f.reshape(lead + (2, 2))
+    pairs = f[..., :, :, None, None] * f[..., None, None, :, :]   # [c, u, b, v]
+    k = (pairs.reshape(lead + (2, 8)) @ _GATE_ELEMENTS).reshape(lead + (2, 2, 2, 2))   # [c, s, a, t]
+    k = np.moveaxis(k, (-3, -1, -4, -2), (-4, -3, -2, -1))   # [s, t, c, a]
+    return (k[..., :, None, :, :, :] * np.eye(2)[:, None, :, None]).reshape(lead + (2, 4, 4))
 
 
 def _kraus_branches(kraus: np.ndarray, rows: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Both readout branches ``K_s psi`` of every photons-only row (shape (T, 2**n)): shape (2, T, 2**n)."""
+    """The readout branches ``K_s psi`` of every photons-only row (shape (T, 2**n)): shape (..., 2, T, 2**n).
+
+    The control and target axes move last, and one matmul against ``kraus``
+    (see ``_kraus``; leading grid axes come out in front) applies every
+    readout's block to every row.
+    """
     n = row_photons(rows)
-    axes = "abcdefgh"[:n]
-    cl, tl = axes[control - 1], axes[target - 1]
-    psi = rows.reshape((-1,) + (2,) * n)
-    return np.einsum(f"s{cl}z{tl},y{axes}->sy{axes.replace(tl, 'z')}", kraus, psi).reshape(2, *rows.shape)
+    lead = kraus.shape[:-2]   # grid axes and readout
+    psi = np.moveaxis(rows.reshape((-1,) + (2,) * n), (control, target), (-2, -1))   # axis i held photon i
+    out = (psi.reshape(-1, 4) @ kraus).reshape(lead + psi.shape)
+    return np.moveaxis(out, (-2, -1), (control - n - 1, target - n - 1)).reshape(lead + rows.shape)
 
 
 def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rng=None, forced_spin=None):
@@ -124,12 +143,13 @@ def cnot_full(
 
 
 def _fidelities(params: CavityParams, inputs: np.ndarray, spins=(0, 1)) -> np.ndarray:
-    """Fidelity of the readout branches ``spins`` (axis 0) for each two-photon input row (axis 1).
+    """Fidelity of the readout branches ``spins`` for each two-photon input row: shape (..., len(spins), rows).
 
-    Control is photon 2 and target photon 1, the layout the gate benchmark
-    is defined for.  A branch with no weight left raises.
+    Leading axes are the grid axes of ``params``.  Control is photon 2 and
+    target photon 1, the layout the gate benchmark is defined for.  A branch
+    with no weight left raises.
     """
-    branches = _kraus_branches(_kraus(params, False), inputs, control=2, target=1)[list(spins)]
+    branches = _kraus_branches(_kraus(params, False)[..., list(spins), :, :], inputs, control=2, target=1)
     probs = row_norms2(branches)
     if np.any(probs <= NORM_TOL**2):
         raise ValueError("branch extinguished")
@@ -176,15 +196,22 @@ def point_fidelity(params: CavityParams, outcome: Spin, input_mode: str) -> floa
 
 
 def fidelity_grid(gk_values, gg_values, input_mode: str = "uniform") -> list[GateFidelityPoint]:
-    """Gate fidelity over a resonant coupling-ratio grid, one row per spin outcome."""
-    inputs = _input_rows(input_mode)
-    points = []
-    for gk in gk_values:
-        for gg in gg_values:
-            fidelities = _fidelities(CavityParams.from_ratios(float(gk), float(gg)), inputs).mean(axis=1)
-            for outcome in (Spin.PLUS, Spin.MINUS):
-                points.append(GateFidelityPoint(float(gk), float(gg), outcome, float(fidelities[outcome.value])))
-    return points
+    """Gate fidelity over a resonant coupling-ratio grid, one row per spin outcome.
+
+    The whole grid is one array pass: one ``CavityParams`` holds every
+    (g/kappa, g/gamma) pair, and one gate compile and one matmul give every
+    branch of every point.
+    """
+    gk = np.asarray(gk_values, dtype=float)
+    gg = np.asarray(gg_values, dtype=float)
+    params = CavityParams.from_ratios(gk[:, None], gg[None, :])
+    fidelities = _fidelities(params, _input_rows(input_mode)).mean(axis=-1)   # [gk, gg, outcome]
+    return [
+        GateFidelityPoint(float(gk[i]), float(gg[j]), outcome, float(fidelities[i, j, outcome.value]))
+        for i in range(len(gk))
+        for j in range(len(gg))
+        for outcome in (Spin.PLUS, Spin.MINUS)
+    ]
 
 
 def benchmark_report(tolerance_pp: float = 0.5) -> dict[str, dict]:

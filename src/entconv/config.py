@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,11 @@ from .protocols import ProtocolSpec
 
 class ConfigError(ValueError):
     """Invalid or missing configuration input (CLI exit code 2)."""
+
+
+# Upper bounds of the config's counts; config_schema.json states the same.
+MAX_TRIALS = 2**63 - 1     # the largest count rng.multinomial takes
+MAX_SWEEP_STEPS = 200      # a grid pass holds ~2 kB per grid point: ~110 MB at 200x200
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,8 @@ class SweepGrid:
             lo, hi = getattr(self, name)
             if not (0 < lo < math.inf and 0 < hi < math.inf):
                 raise ConfigError(f"sweep range {name} must be positive and finite")
-        if self.steps < 2:
-            raise ConfigError("sweep steps must be >= 2")
+        if not 2 <= self.steps <= MAX_SWEEP_STEPS:
+            raise ConfigError(f"sweep steps must be between 2 and {MAX_SWEEP_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,8 @@ class RunConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}")
 
 
 def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
@@ -76,9 +82,11 @@ def _integer(name: str, value) -> int:
 
 
 def _number(name: str, value):
-    """A number field; a JSON boolean is not a number."""
+    """A number field; a JSON boolean is not a number, nor is an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} is beyond the float range")
     return value
 
 

@@ -96,7 +96,8 @@ class HomodyneModel:
         return cls(alpha, theta, tags, means, thresholds, tuple(t for _, t in by_mean))
 
     def mean_of(self, tag: int) -> float:
-        return self.means[self.tags.index(tag)]
+        """Quadrature mean of any tag, one the model discriminates or a leaked one."""
+        return 2.0 * self.alpha * math.cos(tag * self.theta)
 
     def classify(self, x):
         """Tag whose decision cell contains x; vectorized over arrays."""
@@ -138,31 +139,29 @@ def homodyne_measure(
 
     Ideal mode samples the tag with probability equal to the branch weight.
     Gaussian mode samples the true tag by weight, then draws a quadrature
-    value from its Gaussian and classifies by threshold; the returned state is
-    always the renormalized true branch.  ``forced_tag`` pins both the true
-    and reported tag (used for branch-by-branch analysis).
+    value from its Gaussian and classifies it by the model's thresholds, so a
+    tag the model does not discriminate (a leaked one) reads as the tag whose
+    decision cell its draw lands in; the returned state is always the
+    renormalized true branch.  ``forced_tag`` pins both the true and reported
+    tag (used for branch-by-branch analysis).
     """
     weights = part.weights()
-    missing = [k for k in weights if k not in model.tags]
-    if missing:
-        raise ValueError(f"partition tags {missing} missing from homodyne model")
     tags = np.array(part.tags())
     row = np.array([[weights[k] for k in tags]])
-    classified, true, x = _read_tags(row, tags, [model], np.zeros(1, int), mode, rng, forced_tag)
+    classified, true, x = _read_tags(row, tags, model, mode, rng, forced_tag)
     true = int(tags[true[0]])
     x = None if x is None else float(x[0])
     return HomodyneOutcome(int(classified[0]), true, part.branches[true].normalized(), weights[true], x)
 
 
-def _read_tags(weights, tags, models, group, mode, rng, forced_tag):
+def _read_tags(weights, tags, model, mode, rng, forced_tag):
     """The one readout rule: classified tag and true-tag column of each row of branch weights.
 
-    Column ``j`` of ``weights`` holds the weight of tag ``tags[j]`` (ascending)
-    and ``models[group[i]]`` classifies row ``i``.  ``choose_branch`` draws
-    the true tag of each row by weight, then gaussian mode draws one
-    quadrature per row from the true tag's Gaussian and classifies it; the
-    quadratures are returned too (None when none were drawn).
-    ``forced_tag`` pins both tags.
+    Column ``j`` of ``weights`` holds the weight of tag ``tags[j]``
+    (ascending).  ``choose_branch`` draws the true tag of each row by weight,
+    then gaussian mode draws one quadrature per row from the true tag's
+    Gaussian and classifies it with ``model``; the quadratures are returned
+    too (None when none were drawn).  ``forced_tag`` pins both tags.
     """
     if mode not in ("ideal", "gaussian"):
         raise ValueError(f"unknown homodyne mode {mode!r}")
@@ -172,28 +171,23 @@ def _read_tags(weights, tags, models, group, mode, rng, forced_tag):
     true = choose_branch(weights.T, rng, None if forced_tag is None else np.argmax(hit))
     if forced_tag is not None or mode == "ideal":
         return tags[true], true, None
-    x = rng.normal([models[g].mean_of(tags[j]) for g, j in zip(group, true)], 1.0)
-    classified = np.empty_like(true)
-    for g, model in enumerate(models):
-        classified[group == g] = model.classify(x[group == g])
-    return classified, true, x
+    x = rng.normal(np.array([model.mean_of(k) for k in tags])[true], 1.0)
+    return model.classify(x), true, x
 
 
-def read_rows(rows: np.ndarray, theta: float, alpha: float, mode: str = "ideal", rng=None, forced_tag=None):
+def read_rows(rows: np.ndarray, model: HomodyneModel | None, mode: str = "ideal", rng=None, forced_tag=None):
     """Tag and read out every row of a batch of photons-only amplitude rows.
 
-    Row by row this is ``apply_cross_kerr`` then ``homodyne_measure`` with the
-    model for the row's present tags, one ``HomodyneModel`` per distinct tag
-    set.  Returns the classified tags, the true tags and the rows collapsed
-    onto their renormalized true branch.
+    Row by row this is ``apply_cross_kerr`` then ``homodyne_measure``.  The
+    receiver is fixed: every row is classified by the one ``model`` (needed
+    in gaussian mode only), whatever tags the row happens to hold, so a tag
+    of vanishing weight cannot move a decision threshold.  Returns the
+    classified tags, the true tags and the rows collapsed onto their
+    renormalized true branch.
     """
-    tags, branches, present = _tag_branches(rows)   # branches: [row, tag, basis]
+    tags, branches, _ = _tag_branches(rows)   # branches: [row, tag, basis]
     weights = row_norms2(branches)
-    keys = present @ (1 << tags)   # one bit per present tag
-    tag_sets = sorted(set(keys.tolist()))
-    group = np.searchsorted(tag_sets, keys)
-    models = [HomodyneModel.for_tags(alpha, theta, tags[(bits >> tags) & 1 == 1]) for bits in tag_sets]
-    classified, true, _ = _read_tags(weights, tags, models, group, mode, rng, forced_tag)
+    classified, true, _ = _read_tags(weights, tags, model, mode, rng, forced_tag)
     each = np.arange(len(rows))
     return classified, true, branches[each, true] / np.sqrt(weights[each, true])[:, None]
 

@@ -26,7 +26,7 @@ from .cnot import (
     _kraus,
     cnot_rows,
 )
-from .kerr import _tag_branches, read_rows
+from .kerr import HomodyneModel, _tag_branches, read_rows
 from .optics import HWP, QWP
 from .qstate import QuantumState, Spin, apply_controlled_rows, apply_single_qubit_rows, ket, row_inner, row_norms2
 from .qstate import row_photons, superpose
@@ -40,6 +40,10 @@ _INPUT_TERMS = {3: ("RLR", "LRL"), 4: ("RLRR", "LRLL"), 5: ("RLRRR", "LRLLL")}
 _SUCCESS_TAGS = {3: {1: "W"}, 4: {1: "W", 3: "W"}, 5: {1: "W", 3: "Dicke"}}
 
 _MC_CHUNK = 1024
+
+# Most rounds of a run or a success table; the table's exact fractions take
+# ~0.04 s at 1000 rounds and seconds at 10 000.
+MAX_ITERATIONS = 1000
 
 _RECOVERY_PREFIX = (("hwp", 2), ("qwp", 2), ("cnot", 2, 1))
 
@@ -63,8 +67,8 @@ class ProtocolSpec:
 
     def __post_init__(self) -> None:
         _check_photons(self.n_photons)
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 1 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must be between 1 and {MAX_ITERATIONS}")
         if self.gate_mode not in ("ideal", "realistic"):
             raise ValueError(f"unknown gate mode {self.gate_mode!r}")
         if self.homodyne_mode not in ("ideal", "gaussian"):
@@ -231,7 +235,9 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     the rest run the recovery sequence, or, having none at four photons, end
     as ``failed_no_recovery`` unless the round was their last.  Draws go
     trial by trial within each gate and each readout, so a batch of one
-    draws as a single run does.  Returns, per trial, the outcome class,
+    draws as a single run does.  Gaussian readout classifies every round of
+    every trial with one receiver, the thresholds between the tags the ideal
+    circuit produces.  Returns, per trial, the outcome class,
     rounds used, final amplitude row and product of kept gate norms, and per
     round the trials still in the batch, their classified and true tags and
     their gate readouts.
@@ -247,11 +253,14 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     tag_iter = iter(forced_tags) if forced_tags is not None else itertools.repeat(None)
     success = _SUCCESS_TAGS[n]
     declares = np.array([k in success for k in range(n + 1)])   # by classified tag
+    receiver = None   # ideal readout reads the true tag and needs no thresholds
+    if spec.homodyne_mode == "gaussian":
+        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(spec))
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
         rows, norm_factor, readouts = _run_gates(rows, elements, cnot)
         survival[live] *= norm_factor
-        tags, true, rows = read_rows(rows, spec.theta, spec.alpha, spec.homodyne_mode, rng, next(tag_iter))
+        tags, true, rows = read_rows(rows, receiver, spec.homodyne_mode, rng, next(tag_iter))
         history.append((live, tags, true, readouts))
         done = declares[tags]
         if n == 4 and spec.standardize_flipped:
@@ -300,8 +309,8 @@ def classify_state(state: QuantumState, tol: float = 1e-9) -> StateClass:
 def success_series(n_photons: int, rounds: int) -> list[SuccessSeries]:
     """Closed-form conversion probabilities per round, with cumulative sums and limits."""
     _check_photons(n_photons)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    if not 1 <= rounds <= MAX_ITERATIONS:
+        raise ValueError(f"rounds must be between 1 and {MAX_ITERATIONS}")
     if n_photons == 3:
         raw = [("W", [Fraction(3, 4) * Fraction(1, 4) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1))]
     elif n_photons == 4:

@@ -74,11 +74,14 @@ def test_config_examples_validate_against_schema():
 
 
 # JSON numbers have no NaN or infinity (Python's json module reads them only as
-# an extension), so the schema is checked with a number type that excludes them
+# an extension), so the schema is checked with a number type that excludes them;
+# an integer of any size is a number, and the schema's bounds judge its size
 _TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
 JsonValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=_TYPES.redefine("number", lambda checker, x: _TYPES.is_type(x, "number") and math.isfinite(x)),
+    type_checker=_TYPES.redefine(
+        "number", lambda checker, x: _TYPES.is_type(x, "number") and (isinstance(x, int) or math.isfinite(x))
+    ),
 )
 REAL_PARAMS = {"g": 0.3, "kappa": 26.0, "gamma": 0.0004}
 GRID = {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0], "steps": 2}
@@ -118,6 +121,40 @@ def test_config_rejects_what_schema_rejects(tmp_path, doc):
     with pytest.raises(jsonschema.ValidationError):
         JsonValidator(json.loads(schema_path().read_text())).validate(doc)
     assert main(["montecarlo", "--config", make_config(tmp_path, doc), "--jobs", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("homodyne-curves", {"protocol": {"n_photons": 3, "theta": 10**400}}),
+        ("homodyne-curves", {"protocol": {"n_photons": 3, "alpha": 10**400}}),
+        ("montecarlo", {"protocol": {"n_photons": 3, "max_iterations": 10**30}}),
+        ("montecarlo", {"protocol": {"n_photons": 3, "max_iterations": 1001}}),
+        ("montecarlo", {"trials": 2**63}),
+        ("sweep-fidelity", {"sweep": {**GRID, "steps": 201}}),
+        ("sweep-fidelity", {"sweep": {**GRID, "g_over_kappa": [0.5, 10**400]}}),
+        ("run", {"protocol": {"n_photons": 3, "params": {**REAL_PARAMS, "omega_p": -(10**400)}}}),
+    ],
+    ids=["theta", "alpha", "max_iterations_1e30", "max_iterations_1001", "trials", "steps", "sweep_range", "omega_p"],
+)
+def test_oversized_numbers_are_config_errors(tmp_path, capsys, command, doc):
+    # every count has a documented upper bound and every number must fit a float;
+    # without them a huge theta ended in an OverflowError traceback and a huge
+    # max_iterations never finished
+    doc = {"protocol": {"n_photons": 3}, "sweep": GRID, "seed": 1, "trials": 10, **doc}
+    with pytest.raises(jsonschema.ValidationError):
+        JsonValidator(json.loads(schema_path().read_text())).validate(doc)
+    assert main([command, "--config", make_config(tmp_path, doc)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_counts_at_their_bounds_are_accepted(tmp_path):
+    doc = {"protocol": {"n_photons": 3, "max_iterations": 1000}, "sweep": {**GRID, "steps": 200},
+           "seed": 1, "trials": 2**63 - 1}
+    JsonValidator(json.loads(schema_path().read_text())).validate(doc)
+    assert config_from_dict(doc).protocol.max_iterations == 1000
+    assert main(["success-table", "--n", "3", "--rounds", "1000", "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["success-table", "--n", "3", "--rounds", "1001", "--out", str(tmp_path / "t.csv")]) == 2
 
 
 def test_config_rejects_unknown_keys():
@@ -389,10 +426,13 @@ def test_flag_a_command_would_ignore_is_rejected(tmp_path, capsys, command, flag
 
 # config documents built from the schema's field names: each field or section
 # is a valid value most of the time and anything else otherwise
+_OVERSIZED = st.one_of(
+    st.integers(2**62, 2**64), st.integers(-(2**64), -(2**62)), st.sampled_from([10**400, -(10**400), 10**30]),
+)
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10), st.floats(), st.sampled_from([1.5, 2.0]),
     st.text(max_size=3), st.lists(st.integers(0, 3), max_size=3),
-    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2), _OVERSIZED,
 )
 
 
@@ -413,7 +453,7 @@ _OFFSET = st.floats(-5.0, 5.0)
 _PARAMS = _section({"g": st.floats(0.0, 10.0), "kappa": _POSITIVE, "gamma": _POSITIVE},
                    {"omega_c": _OFFSET, "omega_0": _OFFSET, "omega_p": _OFFSET})
 _PROTOCOL = _section({"n_photons": st.sampled_from([3, 4, 5])}, {
-    "max_iterations": st.integers(1, 8),
+    "max_iterations": st.one_of(st.integers(1, 8), st.sampled_from([1000, 1001])),
     "gate_mode": st.sampled_from(["ideal", "realistic"]),
     "homodyne_mode": st.sampled_from(["ideal", "gaussian"]),
     "theta": st.floats(1e-3, 3.0),
@@ -422,12 +462,13 @@ _PROTOCOL = _section({"n_photons": st.sampled_from([3, 4, 5])}, {
     "params": _PARAMS,
 })
 _RANGE = st.lists(_maybe(_POSITIVE), min_size=2, max_size=2)
-_SWEEP = _section({"g_over_kappa": _RANGE, "g_over_gamma": _RANGE, "steps": st.integers(2, 5)}, {})
+_SWEEP = _section({"g_over_kappa": _RANGE, "g_over_gamma": _RANGE,
+                   "steps": st.one_of(st.integers(2, 5), st.sampled_from([200, 201]))}, {})
 _OUTPUT = _section({}, {"path": st.one_of(st.none(), st.text(max_size=5)), "format": st.sampled_from(["csv", "json"])})
 _DOCUMENTS = _section({}, {
     "protocol": st.one_of(st.none(), _PROTOCOL),
     "sweep": st.one_of(st.none(), _SWEEP),
-    "trials": st.integers(1, 10**6),
+    "trials": st.one_of(st.integers(1, 10**6), st.sampled_from([2**63 - 1, 2**63])),
     "seed": st.one_of(st.none(), st.integers(0, 2**32)),
     "output": st.one_of(st.none(), _OUTPUT),
 })

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from entconv.cavity import CavityParams, spin_photon_map
 from entconv.cnot import (
     SPIN_READY,
+    _fidelities,
     _kraus,
     basis_average_fidelity,
     benchmark_report,
@@ -266,11 +267,14 @@ def test_fidelity_bounded(gk, gg, which, outcome):
 
 @pytest.mark.parametrize("input_mode", ["uniform", "basis_average"])
 def test_fidelity_grid_matches_gate_outputs(input_mode):
-    # the grid reads fidelities off the Kraus pair; the gate's own forced-spin
-    # output must give the same numbers, weak coupling included
+    # the grid reads fidelities off the Kraus pair in one array pass; the
+    # gate's own forced-spin output must give the same numbers, row for row,
+    # on a non-square grid with weak coupling included
     inputs = (uniform_input(),) if input_mode == "uniform" else basis_inputs()
-    points = fidelity_grid((0.3, 2.0), (0.4, 7.0), input_mode)
-    assert len(points) == 8
+    gks, ggs = (0.3, 2.0, 0.5), (0.4, 7.0)
+    points = fidelity_grid(gks, ggs, input_mode)
+    order = [(gk, gg, outcome) for gk in gks for gg in ggs for outcome in (Spin.PLUS, Spin.MINUS)]
+    assert [(p.g_over_kappa, p.g_over_gamma, p.outcome) for p in points] == order
     for point in points:
         params = CavityParams.from_ratios(point.g_over_kappa, point.g_over_gamma)
         route = []
@@ -278,6 +282,28 @@ def test_fidelity_grid_matches_gate_outputs(input_mode):
             real = cnot_full(state, 2, 1, params, ideal=False, forced_spin=point.outcome)
             route.append(abs(inner(real.post_state, cnot_ideal(state, 2, 1))) ** 2)
         assert abs(point.fidelity - float(np.mean(route))) <= 1e-12, point
+
+
+def test_grid_point_with_an_extinguished_branch_raises():
+    # at g^2 = kappa gamma / 4 (g/kappa = g/gamma = 0.5) the loaded reflection
+    # vanishes and the minus readout annihilates (|RR> - |LR>)/sqrt2
+    dark = QuantumState(2, False, (ket("RR").amplitudes - ket("LR").amplitudes) / math.sqrt(2))
+    grid = CavityParams.from_ratios(np.array([[0.3], [2.0], [0.5]]), np.array([[0.4, 0.5]]))
+    with pytest.raises(ValueError, match="branch extinguished"):
+        _fidelities(grid, dark.amplitudes[None])
+    point = CavityParams.from_ratios(0.5, 0.5)
+    with pytest.raises(ValueError, match="branch extinguished"):
+        cnot_fidelity(point, dark, Spin.MINUS)
+    assert 0 <= cnot_fidelity(point, dark, Spin.PLUS) <= 1 + 1e-12
+
+
+def test_grid_params_check_every_point():
+    with pytest.raises(ValueError, match="coupling ratios must be positive"):
+        CavityParams.from_ratios(np.array([[0.3], [-1.0]]), np.array([[0.4, 0.5]]))
+    with pytest.raises(ValueError, match="finite"):
+        CavityParams.from_ratios(np.array([[0.3], [np.nan]]), np.array([[0.4, 0.5]]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        CavityParams.from_ratios(np.array([[0.3], [np.inf]]), np.array([[0.4, 0.5]]))
 
 
 def test_benchmark_report_convention_outcomes():

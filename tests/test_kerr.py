@@ -16,6 +16,7 @@ from entconv.kerr import (
     peak_distances,
     read_rows,
 )
+from entconv.protocols import ProtocolSpec, ideal_tags
 from entconv.qstate import QuantumState, attach_spin, ket, superpose
 
 from conftest import basis_index, uniform_vector
@@ -182,16 +183,21 @@ def _rows_with_tag_gaps(gen, n, count, kept_tag=None):
     return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
+def _fixed_receiver(n, theta, alpha):
+    """The receiver a protocol run of n photons reads every row with: thresholds between its ideal tags."""
+    return HomodyneModel.for_tags(alpha, theta, ideal_tags(ProtocolSpec(n, theta=theta, alpha=alpha)))
+
+
 @pytest.mark.parametrize("mode,theta,alpha", [("ideal", THETA_REF, ALPHA_REF), ("gaussian", 0.02, 1.0)])
 def test_batched_readout_matches_per_state_oracle(mode, theta, alpha):
     # a batch of one reads out as apply_cross_kerr + homodyne_measure, draw for draw
     gen = np.random.default_rng(5)
     misses = 0
     for n in (3, 4, 5):
+        model = _fixed_receiver(n, theta, alpha)
         for i, row in enumerate(_rows_with_tag_gaps(gen, n, 60)):
-            tags, true, collapsed = read_rows(row[None], theta, alpha, mode, np.random.default_rng(i))
+            tags, true, collapsed = read_rows(row[None], model, mode, np.random.default_rng(i))
             part = apply_cross_kerr(QuantumState(n, False, row), theta, alpha)
-            model = HomodyneModel.for_tags(alpha, theta, part.tags())
             out = homodyne_measure(part, model, mode, rng=np.random.default_rng(i))
             assert (tags[0], true[0]) == (out.tag, out.true_tag)
             np.testing.assert_array_equal(collapsed[0], out.state.amplitudes)
@@ -203,11 +209,13 @@ def test_batched_forced_readout_keeps_rows_apart():
     # rows with different tag sets in one batch each collapse onto their own branch
     gen = np.random.default_rng(6)
     rows = _rows_with_tag_gaps(gen, 4, 50, kept_tag=2)
-    tags, true, collapsed = read_rows(rows, THETA_REF, ALPHA_REF, "gaussian", forced_tag=2)
+    model = _fixed_receiver(4, THETA_REF, ALPHA_REF)
+    tags, true, collapsed = read_rows(rows, model, "gaussian", forced_tag=2)
     assert set(tags) == set(true) == {2}
     for row, got in zip(rows, collapsed):
         part = apply_cross_kerr(QuantumState(4, False, row), THETA_REF, ALPHA_REF)
-        np.testing.assert_array_equal(got, part.branches[2].normalized().amplitudes)
+        out = homodyne_measure(part, model, "gaussian", forced_tag=2)
+        np.testing.assert_array_equal(got, out.state.amplitudes)
 
 
 def test_error_probability_at_zero_distance():

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from entconv.cavity import CavityParams
-from entconv.kerr import apply_cross_kerr
+from entconv.kerr import HomodyneModel, apply_cross_kerr, read_rows
 from entconv.protocols import (
     ProtocolSpec,
     circuit_wiring,
     classify_state,
     composite_fidelity_report,
     conversion_input,
+    ideal_tags,
     monte_carlo,
     realistic_vs_ideal,
     recovery_sequence,
@@ -353,6 +354,43 @@ def test_four_photon_leaked_tag_ends_the_run(max_iterations, stuck):
     for r in runs:
         assert r.iterations_used == len(r.true_tags) == 1
         assert (r.outcome_class == "W") == (r.homodyne_tags[0] in (1, 3))
+
+
+def _classification_probabilities(rows, model):
+    """P(classified tag) of each row: its tag weights times the Gaussian mass of each decision cell."""
+    n = rows.shape[1].bit_length() - 1
+    l_count = np.array([bin(i).count("1") for i in range(rows.shape[1])])
+    weights = np.stack([np.sum(np.abs(rows[:, l_count == k]) ** 2, axis=1) for k in range(n + 1)], axis=1)
+    weights /= weights.sum(axis=1, keepdims=True)
+    edges = (-math.inf, *model.thresholds, math.inf)
+    cdf = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))   # noqa: E731
+    cells = [[cdf(hi - model.mean_of(k)) - cdf(lo - model.mean_of(k)) for lo, hi in zip(edges, edges[1:])]
+             for k in range(n + 1)]
+    return weights @ np.array(cells)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_gaussian_readout_is_continuous_in_leaked_weight(n):
+    # realistic gates leak float-noise weight into tags the ideal circuit never
+    # produces; whether such an amplitude is exactly 0 or 1e-30 must change no
+    # seeded readout and move no classification probability by more than 1e-9
+    spec = ProtocolSpec(n_photons=n, gate_mode="realistic", homodyne_mode="gaussian",
+                        params=CavityParams(g=0.3, kappa=26.0, gamma=0.0004))
+    rng = np.random.default_rng(np.random.SeedSequence(25))
+    start = np.repeat(conversion_input(n).amplitudes[None], 2000, axis=0)
+    rows, *_ = _run_gates(start, circuit_wiring(n), _realistic_cnot(spec.params, rng, None))
+    leaked = ~np.isin([bin(i).count("1") for i in range(1 << n)], sorted(ideal_tags(spec)))
+    noise = leaked & (np.abs(rows) < 1e-15)
+    assert noise.any()
+    exact_zero, tiny = np.where(noise, 0.0, rows), np.where(noise, 1e-30, rows)
+    receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(spec))
+    reads = [read_rows(r, receiver, "gaussian", np.random.default_rng(26)) for r in (rows, exact_zero, tiny)]
+    for tags, true, _ in reads[1:]:
+        np.testing.assert_array_equal(tags, reads[0][0])
+        np.testing.assert_array_equal(true, reads[0][1])
+    probs = [_classification_probabilities(r, receiver) for r in (rows, exact_zero, tiny)]
+    assert np.abs(probs[1] - probs[0]).max() < 1e-9
+    assert np.abs(probs[2] - probs[0]).max() < 1e-9
 
 
 def test_monte_carlo_gaussian_mode_runs():
