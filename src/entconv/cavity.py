@@ -56,6 +56,7 @@ class CavityParams:
         return cls(g=g, kappa=g / g_over_kappa, gamma=g / g_over_gamma)
 
 
+@np.errstate(all="ignore")
 def reflection_coefficient(p: CavityParams) -> complex:
     """Reflection seen by the coupled polarization-spin component.
 
@@ -70,6 +71,7 @@ def reflection_coefficient(p: CavityParams) -> complex:
     )
 
 
+@np.errstate(all="ignore")
 def empty_reflection(p: CavityParams) -> complex:
     """Bare-resonator reflection; a pure phase (unit modulus) for every detuning."""
     dc = 1j * (p.omega_c - p.omega_p)
@@ -115,6 +117,8 @@ class SpinPhotonMap:
 
 IDEAL_BOUNCE = SpinPhotonMap((1.0, 1.0, 1.0, -1.0))
 
+_NOT_FINITE = "resonator response is not finite at these parameters"
+
 
 def spin_photon_map(p: CavityParams, ideal: bool) -> SpinPhotonMap:
     """Conditional reflection map with the output-path sign flip folded in.
@@ -124,8 +128,15 @@ def spin_photon_map(p: CavityParams, ideal: bool) -> SpinPhotonMap:
     sign-flipped loaded response -r lands on L-, so the map converges to the
     ideal conditional phase as g^2/(kappa*gamma) grows.  The diagonal is
     non-unitary for finite coupling; the missing norm is photon loss.
+    Parameters so extreme that a response overflows or divides by zero
+    raise ``ValueError``.
     """
     if ideal:
         return IDEAL_BOUNCE
-    pair = ReflectionPair.at(p)
+    try:
+        pair = ReflectionPair.at(p)
+    except ArithmeticError as err:   # a single parameter set computes in Python floats, which raise
+        raise ValueError(_NOT_FINITE) from err
+    if not (np.isfinite(pair.r).all() and np.isfinite(pair.r0).all()):
+        raise ValueError(_NOT_FINITE)
     return SpinPhotonMap(np.stack(np.broadcast_arrays(-pair.r0, -pair.r0, -pair.r0, -pair.r), axis=-1))

@@ -100,6 +100,8 @@ def _require_seed(args) -> int:
     seed = args.seed if args.seed is not None else args._config.seed
     if seed is None:
         raise ConfigError("seed required for any stochastic run")
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     return int(seed)
 
 

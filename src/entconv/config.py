@@ -142,6 +142,8 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("output.format must be csv or json")
     output = OutputSpec(**output_data)
     seed = None if data.get("seed") is None else _integer("seed", data["seed"])
+    if seed is not None and seed < 0:   # np.random.SeedSequence takes no negative seed
+        raise ConfigError("seed must be a non-negative integer")
     trials = _integer("trials", data.get("trials", 1))
     return RunConfig(protocol=protocol, sweep=sweep, trials=trials, seed=seed, output=output)
 

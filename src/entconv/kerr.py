@@ -104,6 +104,16 @@ class HomodyneModel:
         cell = np.searchsorted(np.asarray(self.thresholds), x, side="left")
         return np.asarray(self.tags_by_mean)[cell]
 
+    def confusion(self, true_tags) -> np.ndarray:
+        """Chance that a quadrature of each true tag (rows) lands in the decision cell of each of ``tags`` (columns).
+
+        Gaussian masses between adjacent thresholds, from ``erfc``; for two
+        tags the off-diagonal entries are ``error_probability``.
+        """
+        edges = (-math.inf, *self.thresholds, math.inf)
+        below = [[0.5 * math.erfc((self.mean_of(k) - e) / math.sqrt(2.0)) for e in edges] for k in true_tags]
+        return np.diff(below, axis=1)[:, np.argsort(self.tags_by_mean)]   # cells come in order of mean
+
 
 def homodyne_pdf(x, alpha: float, k: int, theta: float):
     """Probability density of the X quadrature for tag k: unit-variance Gaussian."""

@@ -343,74 +343,78 @@ class MonteCarloResult:
         return self.class_counts().get(outcome_class, 0) / self.trials
 
 
-def _ideal_round_weights(spec: ProtocolSpec):
-    """Tag weights of round one, checked to be the fixed point of recovery."""
+def _ideal_gate_table(spec: ProtocolSpec):
+    """Exact (outcome class, rounds used) probabilities of an ideal-gate ensemble, and each round's true-tag weights.
+
+    Ideal gates and either readout are a linear instrument, so the running
+    trials share one unnormalized density matrix, kept as amplitude rows v
+    with rho = sum |v><v|.  Each round books the classified weight of every
+    declaring tag (true-tag weights times the identity, or times the
+    receiver's confusion matrix in gaussian mode) and carries each true-tag
+    branch on, scaled by the root of its chance to be read as a tag that
+    declares nothing.  Cells run by class, then round, failure cell last.
+    """
     n = spec.n_photons
-    rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
-    tags, branches, present = _tag_branches(rows[0])
-    weights = row_norms2(branches)
-    if n != 4:
-        retry = branches[tags[present][-1]] / math.sqrt(weights[present][-1])
-        rows2, *_ = _run_gates(retry[None], recovery_sequence(n), _ideal_cnot)
-        _, branches2, present2 = _tag_branches(rows2[0])
-        if (present2 != present).any() or np.abs(row_norms2(branches2) - weights).max() > 1e-12:
-            raise ValueError("recovery does not reproduce the first-round branch weights")
-    return dict(zip(tags[present].tolist(), weights[present].tolist()))
+    success = _SUCCESS_TAGS[n]
+    if spec.homodyne_mode == "gaussian":
+        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(spec))
+        confusion, read_as = receiver.confusion(range(n + 1)), receiver.tags
+    else:
+        confusion, read_as = np.eye(n + 1), range(n + 1)
+    carry = np.sqrt(confusion[:, [k not in success for k in read_as]].sum(axis=1))
+    rounds = spec.max_iterations
+    cells = {(cls, m): 0.0 for cls in dict.fromkeys(success.values()) for m in range(1, rounds + 1)}
+    rows = conversion_input(n).amplitudes[None]
+    weights = []
+    for m in range(1, rounds + 1):
+        if not len(rows):
+            break
+        rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), _ideal_cnot)
+        _, branches, _ = _tag_branches(rows)   # [row, tag, basis]
+        weights.append(row_norms2(branches).sum(axis=0))
+        for tag, p in zip(read_as, weights[-1] @ confusion):
+            if tag in success:
+                cells[(success[tag], m)] += float(p)
+        rows = (branches * carry[:, None]).reshape(-1, 1 << n)
+        rows = rows[(rows != 0).any(axis=1)]
+        if len(rows) > 1 << n:
+            rows = np.linalg.qr(rows, mode="r")
+    cells[("failed_max_iter", rounds)] = float(row_norms2(rows).sum())
+    return cells, weights
 
 
 def ideal_tags(spec: ProtocolSpec) -> frozenset[int]:
-    """Probe tags the ideal circuit reads out in any round; every other tag is leaked by realistic gates."""
-    return frozenset(_ideal_round_weights(spec))
+    """Probe tags the ideal circuit reads out in any round; every other tag is leaked by realistic gates.
 
-
-def _ideal_cell_probabilities(spec: ProtocolSpec) -> dict[tuple[str, int], float]:
-    """Exact probability of each (outcome class, rounds used) of a fully ideal run.
-
-    Every round repeats the first round's tag weights, so a class has
-    probability p_class * retry**(m - 1) on round m.
+    Read off the table's first two rounds: recovery reproduces the first round's tags.
     """
-    shares: Counter = Counter()
-    for tag, weight in _ideal_round_weights(spec).items():
-        shares[_SUCCESS_TAGS[spec.n_photons].get(tag)] += weight
-    retry = shares.pop(None, 0.0)
-    rounds = spec.max_iterations
-    cells = {(cls, m): p * retry ** (m - 1) for cls, p in shares.items() for m in range(1, rounds + 1)}
-    cells[("failed_max_iter", rounds)] = retry**rounds
-    return cells
-
-
-def _monte_carlo_chain(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
-    """Ideal-mode ensemble: one multinomial draw over the exact (class, round) probabilities."""
-    cells = _ideal_cell_probabilities(spec)
-    counts = rng.multinomial(trials, list(cells.values()))
-    return MonteCarloResult(trials, {cell: int(c) for cell, c in zip(cells, counts) if c})
-
-
-def _monte_carlo_full(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
-    """Sampled ensemble: consecutive batches of up to ``_MC_CHUNK`` trials, all drawing from ``rng``."""
-    counts: Counter = Counter()
-    cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, None)
-    for start in range(0, trials, _MC_CHUNK):
-        outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), cnot, rng, None)
-        counts.update(zip(outcome.tolist(), rounds.tolist()))
-    return MonteCarloResult(trials, dict(counts))
+    _, weights = _ideal_gate_table(replace(spec, homodyne_mode="ideal", max_iterations=2))
+    return frozenset(int(k) for w in weights for k in np.flatnonzero(w))
 
 
 def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
     """Empirical outcome frequencies over seeded trials.
 
-    Fully ideal ensembles draw all trials at once from a multinomial over the
-    exact (class, round) probabilities, built from the tag weights of one
-    circuit execution (the recovery fixed point is verified first), which
-    keeps million-trial ensembles cheap.  Realistic gates or gaussian
-    readout are sampled trial by trial: each trial is one quantum trajectory,
-    and the trials run together as batches of amplitude rows.
+    Ideal-gate ensembles, with either readout, draw all trials at once from
+    one multinomial over the exact (class, round) probabilities of
+    ``_ideal_gate_table``, so million-trial ensembles are cheap.  Realistic
+    gates renormalize the state at every spin readout, which is not linear,
+    so they are sampled trial by trial: each trial is one quantum trajectory,
+    and the trials run together as batches of up to ``_MC_CHUNK`` amplitude
+    rows, all drawing from ``rng``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if spec.gate_mode == "ideal" and spec.homodyne_mode == "ideal":
-        return _monte_carlo_chain(spec, trials, rng)
-    return _monte_carlo_full(spec, trials, rng)
+    if spec.gate_mode == "ideal":
+        cells, _ = _ideal_gate_table(spec)
+        counts = rng.multinomial(trials, list(cells.values()))
+        return MonteCarloResult(trials, {cell: int(c) for cell, c in zip(cells, counts) if c})
+    tally: Counter = Counter()
+    cnot = _realistic_cnot(spec.params, rng, None)
+    for start in range(0, trials, _MC_CHUNK):
+        outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), cnot, rng, None)
+        tally.update(zip(outcome.tolist(), rounds.tolist()))
+    return MonteCarloResult(trials, dict(tally))
 
 
 @dataclass(frozen=True)

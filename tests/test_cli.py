@@ -112,6 +112,8 @@ GRID = {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0], "steps": 2}
         {"output": 5},
         {"output": {"path": 5}},
         {"output": {"colour": "red"}},
+        {"seed": -1},
+        {"seed": -(2**70)},
     ],
     ids=repr,
 )
@@ -146,6 +148,37 @@ def test_oversized_numbers_are_config_errors(tmp_path, capsys, command, doc):
         JsonValidator(json.loads(schema_path().read_text())).validate(doc)
     assert main([command, "--config", make_config(tmp_path, doc)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "montecarlo"])
+def test_negative_seed_flag_is_config_error(tmp_path, capsys, command):
+    # np.random.SeedSequence takes no negative seed; it used to end as a runtime error
+    config = make_config(tmp_path, {"protocol": {"n_photons": 3}, "trials": 10})
+    assert main([command, "--config", config, "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be a non-negative integer\n"
+
+
+_REALISTIC = {"n_photons": 3, "gate_mode": "realistic"}
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("run", {"protocol": {**_REALISTIC, "params": {**REAL_PARAMS, "g": 1e200}}}),
+        ("run", {"protocol": {**_REALISTIC, "params": {**REAL_PARAMS, "omega_c": 1e308, "omega_p": -1e308}}}),
+        ("run", {"protocol": {**_REALISTIC, "params": {"g": 0.0, "kappa": 5e-324, "gamma": 1.0}}}),
+        ("sweep-fidelity", {"protocol": _REALISTIC, "sweep": {**GRID, "g_over_kappa": [1e300, 1e308]}}),
+    ],
+    ids=["g_squared_overflows", "detuning_overflows", "response_divides_by_zero", "sweep_kappa_underflows"],
+)
+def test_non_finite_resonator_response_is_runtime_error(tmp_path, capsys, command, doc):
+    # the schema accepts these finite numbers, but the reflection coefficients
+    # overflow or divide by zero; that used to end in an OverflowError or
+    # ZeroDivisionError traceback or in nan output
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", make_config(tmp_path, {"seed": 1, **doc}), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "runtime error: resonator response is not finite at these parameters\n"
+    assert not out.exists()
 
 
 def test_counts_at_their_bounds_are_accepted(tmp_path):
@@ -469,7 +502,7 @@ _DOCUMENTS = _section({}, {
     "protocol": st.one_of(st.none(), _PROTOCOL),
     "sweep": st.one_of(st.none(), _SWEEP),
     "trials": st.one_of(st.integers(1, 10**6), st.sampled_from([2**63 - 1, 2**63])),
-    "seed": st.one_of(st.none(), st.integers(0, 2**32)),
+    "seed": _maybe(st.one_of(st.none(), st.integers(0, 2**32), st.integers(-(2**32), -1))),
     "output": st.one_of(st.none(), _OUTPUT),
 })
 

@@ -228,6 +228,28 @@ def test_error_probability_monotone():
     assert all(a > b for a, b in zip(ps, ps[1:]))
 
 
+@pytest.mark.parametrize("theta,alpha", [(THETA_REF, ALPHA_REF), (0.02, 1.0)])
+def test_confusion_matrix_generalizes_error_probability(theta, alpha):
+    # for two tags the off-diagonal cells are error_probability; for any tag set
+    # each row, leaked true tags included, is a distribution over the decision cells
+    two = HomodyneModel.for_tags(alpha, theta, (1, 3)).confusion((1, 3))
+    miss = error_probability(peak_distances(alpha, theta, (1, 3))[0])
+    np.testing.assert_allclose(two, [[1 - miss, miss], [miss, 1 - miss]], rtol=0, atol=1e-15)
+    confusion = HomodyneModel.for_tags(alpha, theta, (1, 3, 5)).confusion(range(6))
+    assert confusion.shape == (6, 3) and confusion.min() >= 0.0
+    np.testing.assert_allclose(confusion.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_confusion_matrix_matches_sampled_classification():
+    model = HomodyneModel.for_tags(1.0, 0.02, (1, 3, 5))
+    confusion = model.confusion((0, 3))
+    rng = np.random.default_rng(9)
+    for row, true_tag in zip(confusion, (0, 3)):
+        got = classify_samples(model, true_tag, 20000, rng)
+        share = np.array([np.mean(got == k) for k in model.tags])
+        assert np.all(np.abs(share - row) <= 5 * np.sqrt(row * (1 - row) / 20000) + 1e-9)
+
+
 def test_error_probability_reference_point_against_mp_oracle():
     # high-precision oracle for the reference probe (alpha^2 = 1.3e4, theta = 0.1)
     mp.mp.dps = 50

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,8 @@ from entconv.protocols import (
     recovery_sequence,
     run_protocol,
     success_series,
-    _ideal_cell_probabilities,
     _ideal_cnot,
-    _monte_carlo_full,
+    _ideal_gate_table,
     _realistic_cnot,
     _run_gates,
     _run_rounds,
@@ -39,6 +39,9 @@ PRE_TAG_TERMS = {
         "RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL"
     ).split(),
 }
+
+# a probe whose quadrature peaks barely separate: most gaussian readouts are misclassified
+THETA_LOW, ALPHA_LOW = 0.02, 1.0
 
 W5_TERMS = "LRRRR RLRRR RRLRR RRRLR RRRRL".split()
 DICKE5_TERMS = "LLRRL LLRLR RLRLL LLLRR RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL".split()
@@ -240,12 +243,29 @@ def _three_sigma(p, n):
 @pytest.mark.parametrize("rounds", [1, 4, 8])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ideal_ensemble_cells_match_closed_form(n, rounds):
-    cells = _ideal_cell_probabilities(ProtocolSpec(n_photons=n, max_iterations=rounds))
+    cells, _ = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=rounds))
     expected = {(s.outcome_class, m): p for s in success_series(n, rounds) for m, p in enumerate(s.per_round, start=1)}
     expected[("failed_max_iter", rounds)] = 1.0 - sum(expected.values())
-    assert set(cells) == set(expected)
+    assert list(cells) == list(expected)   # the multinomial draws follow this order
     for cell, p in expected.items():
         assert abs(cells[cell] - p) <= 1e-12, cell
+
+
+@pytest.mark.parametrize("probe", [{}, {"theta": THETA_LOW, "alpha": ALPHA_LOW}], ids=["paper", "low_alpha"])
+@pytest.mark.parametrize("readout", ["ideal", "gaussian"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ideal_gate_table_is_a_distribution(n, readout, probe):
+    cells, _ = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=8, homodyne_mode=readout, **probe))
+    assert min(cells.values()) >= 0.0
+    assert abs(sum(cells.values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n,tags", [(3, {1, 3}), (4, {1, 3}), (5, {1, 3, 5})])
+def test_ideal_tags(n, tags):
+    assert ideal_tags(ProtocolSpec(n_photons=n)) == tags
+    # read off ideal gates and ideal readout, whatever the spec runs
+    other = ProtocolSpec(n_photons=n, max_iterations=1, gate_mode="realistic", homodyne_mode="gaussian")
+    assert ideal_tags(other) == tags
 
 
 def test_monte_carlo_three_photons_one_round():
@@ -268,13 +288,16 @@ def test_monte_carlo_five_photons_limits():
     assert abs(res.class_frequency("Dicke") - 2 / 3) <= _three_sigma(2 / 3, 200000)
 
 
-def test_monte_carlo_full_simulation_agrees_with_chain():
+def test_batched_ideal_trajectories_agree_with_table():
+    # the table the ensemble draws from against batched ideal-gate trajectories
     spec = ProtocolSpec(n_photons=3, max_iterations=4)
-    full = _monte_carlo_full(spec, 4000, np.random.default_rng(np.random.SeedSequence(7)))
-    assert abs(full.class_frequency("W") - 255 / 256) <= _three_sigma(255 / 256, 4000)
-    # iteration histogram follows the geometric series
-    ones = full.counts.get(("W", 1), 0)
-    assert abs(ones / 4000 - 0.75) <= _three_sigma(0.75, 4000)
+    trials = 4000
+    outcome, rounds, *_ = _run_rounds(spec, trials, _ideal_cnot, np.random.default_rng(np.random.SeedSequence(7)), None)
+    sampled = Counter(zip(outcome.tolist(), rounds.tolist()))
+    cells, _ = _ideal_gate_table(spec)
+    assert set(sampled) <= set(cells)
+    for cell, p in cells.items():
+        assert abs(sampled[cell] / trials - p) <= _three_sigma(p, trials) + 1e-12, cell
 
 
 # per-cell false-alarm probability of the two-sample ensemble comparison
@@ -299,11 +322,13 @@ def _two_sample_bound(trials: int, share: float) -> float:
         # weak coupling: leaked tags send many trials into recovery
         ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK),
         # barely separated quadratures: most readouts are misclassified
-        ProtocolSpec(n_photons=3, max_iterations=4, homodyne_mode="gaussian", theta=0.02, alpha=1.0),
+        ProtocolSpec(n_photons=3, max_iterations=4, homodyne_mode="gaussian", theta=THETA_LOW, alpha=ALPHA_LOW),
+        ProtocolSpec(n_photons=5, max_iterations=8, homodyne_mode="gaussian", theta=THETA_LOW, alpha=ALPHA_LOW),
     ],
-    ids=["realistic_weak", "gaussian_blurred"],
+    ids=["realistic_weak", "gaussian_blurred", "gaussian_blurred_n5"],
 )
 def test_batched_ensemble_matches_single_runs(spec):
+    # ideal-gate ensembles draw from the exact table, realistic ones sample batched trajectories
     trials = 3000
     batched = monte_carlo(spec, trials, np.random.default_rng(np.random.SeedSequence(21))).counts
     rng = np.random.default_rng(np.random.SeedSequence(22))
@@ -358,15 +383,10 @@ def test_four_photon_leaked_tag_ends_the_run(max_iterations, stuck):
 
 def _classification_probabilities(rows, model):
     """P(classified tag) of each row: its tag weights times the Gaussian mass of each decision cell."""
-    n = rows.shape[1].bit_length() - 1
     l_count = np.array([bin(i).count("1") for i in range(rows.shape[1])])
-    weights = np.stack([np.sum(np.abs(rows[:, l_count == k]) ** 2, axis=1) for k in range(n + 1)], axis=1)
-    weights /= weights.sum(axis=1, keepdims=True)
-    edges = (-math.inf, *model.thresholds, math.inf)
-    cdf = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))   # noqa: E731
-    cells = [[cdf(hi - model.mean_of(k)) - cdf(lo - model.mean_of(k)) for lo, hi in zip(edges, edges[1:])]
-             for k in range(n + 1)]
-    return weights @ np.array(cells)
+    tags = range(l_count.max() + 1)
+    weights = np.stack([np.sum(np.abs(rows[:, l_count == k]) ** 2, axis=1) for k in tags], axis=1)
+    return weights / weights.sum(axis=1, keepdims=True) @ model.confusion(tags)
 
 
 @pytest.mark.parametrize("n", [3, 5])
