@@ -2,30 +2,17 @@
 conversion (GHZ to W/Dicke) built on emitter-resonator conditional reflection
 gates and probe-phase homodyne readout."""
 
-from .cavity import CavityParams, ReflectionPair, SpinPhotonMap, empty_reflection, reflection_coefficient, spin_photon_map
+from .cavity import CavityParams, SpinPhotonMap, empty_reflection, reflection_coefficient, spin_photon_map
 from .cnot import (
-    CnotOutcome,
     GateFidelityPoint,
-    basis_average_fidelity,
     benchmark_report,
     cnot_fidelity,
-    cnot_full,
     cnot_ideal,
     fidelity_grid,
     uniform_input,
 )
 from .config import ConfigError, OutputSpec, RunConfig, SweepGrid, config_from_dict, config_to_dict, load_config
-from .kerr import (
-    HomodyneModel,
-    HomodyneOutcome,
-    KerrPartition,
-    apply_cross_kerr,
-    classify_samples,
-    error_probability,
-    homodyne_measure,
-    homodyne_pdf,
-    peak_distances,
-)
+from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
 from .optics import hwp, qwp, spin_hadamard
 from .protocols import (
     MonteCarloResult,
@@ -37,8 +24,8 @@ from .protocols import (
     classify_state,
     composite_fidelity_report,
     conversion_input,
+    fidelity_vs_ideal,
     monte_carlo,
-    realistic_vs_ideal,
     recovery_sequence,
     run_protocol,
     success_series,

@@ -78,18 +78,6 @@ def empty_reflection(p: CavityParams) -> complex:
     return (dc - p.kappa / 2) / (dc + p.kappa / 2)
 
 
-@dataclass(frozen=True)
-class ReflectionPair:
-    """Loaded and bare reflection coefficients evaluated at a parameter set (arrays for a grid)."""
-
-    r: complex
-    r0: complex
-
-    @classmethod
-    def at(cls, p: CavityParams) -> "ReflectionPair":
-        return cls(reflection_coefficient(p), empty_reflection(p))
-
-
 class SpinPhotonMap:
     """Diagonal conditional map over the joint basis (R+, R-, L+, L-).
 
@@ -134,9 +122,9 @@ def spin_photon_map(p: CavityParams, ideal: bool) -> SpinPhotonMap:
     if ideal:
         return IDEAL_BOUNCE
     try:
-        pair = ReflectionPair.at(p)
+        r, r0 = reflection_coefficient(p), empty_reflection(p)
     except ArithmeticError as err:   # a single parameter set computes in Python floats, which raise
         raise ValueError(_NOT_FINITE) from err
-    if not (np.isfinite(pair.r).all() and np.isfinite(pair.r0).all()):
+    if not (np.isfinite(r).all() and np.isfinite(r0).all()):
         raise ValueError(_NOT_FINITE)
-    return SpinPhotonMap(np.stack(np.broadcast_arrays(-pair.r0, -pair.r0, -pair.r0, -pair.r), axis=-1))
+    return SpinPhotonMap(np.stack(np.broadcast_arrays(-r0, -r0, -r0, -r), axis=-1))

@@ -24,9 +24,8 @@ from .protocols import (
     PROBE_THETA,
     ProtocolSpec,
     classify_state,
-    ideal_tags,
+    fidelity_vs_ideal,
     monte_carlo,
-    realistic_vs_ideal,
     run_protocol,
     success_series,
 )
@@ -128,10 +127,6 @@ def cmd_run(args) -> int:
     seed = _require_seed(args)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     run = run_protocol(spec, rng=rng)
-    fidelity = None
-    # the ideal circuit has no branch for a misread or leaked tag to replay
-    if spec.gate_mode == "realistic" and run.misclassification_events == 0 and set(run.true_tags) <= ideal_tags(spec):
-        fidelity = realistic_vs_ideal(spec, run.true_tags, run.spin_outcomes).protocol_fidelity
     cls = classify_state(run.final_state)
     report = {
         "command": "run",
@@ -145,7 +140,7 @@ def cmd_run(args) -> int:
         "true_tags": list(run.true_tags),
         "misclassification_events": run.misclassification_events,
         "accumulated_norm": run.accumulated_norm,
-        "fidelity_vs_ideal": fidelity,
+        "fidelity_vs_ideal": fidelity_vs_ideal(spec, run),
         "state_class": {
             "kind": cls.kind,
             "l_excitations": cls.l_excitations,

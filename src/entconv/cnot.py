@@ -31,17 +31,6 @@ TARGET_FIDELITY = {"plus": 0.996, "minus": 0.995}
 
 
 @dataclass(frozen=True)
-class CnotOutcome:
-    """One gate execution: spin readout, feed-forward applied, photons kept."""
-
-    spin_result: Spin
-    correction: str              # "identity" or "x_target"
-    post_state: QuantumState     # photons only, renormalized
-    success_probability: float   # pre-collapse weight of the measured spin branch
-    pre_measurement_norm: float  # squared norm before spin readout; 1 for unitary maps
-
-
-@dataclass(frozen=True)
 class GateFidelityPoint:
     """One sweep row: gate fidelity at a resonant coupling-ratio pair."""
 
@@ -116,32 +105,6 @@ def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rn
     return branches[k, each] / np.sqrt(chosen)[:, None], k, chosen, probs[0] + probs[1]
 
 
-def cnot_full(
-    state: QuantumState,
-    control: int,
-    target: int,
-    params: CavityParams,
-    ideal: bool = True,
-    rng: np.random.Generator | None = None,
-    forced_spin: Spin | int | None = None,
-) -> CnotOutcome:
-    """Run the bounce-measure-correct sequence for one CNOT on a photons-only register.
-
-    This is ``cnot_rows`` with the gate's Kraus pair on a batch of one: the
-    readout ``s`` is drawn from ``|K_s psi|^2`` as ``measure_site`` draws it.
-    """
-    if control == target:
-        raise ValueError("control and target must differ")
-    if state.has_spin:
-        raise ValueError("cnot_full takes a photons-only register")
-    for site in (control, target):
-        state.site_bit(site)   # raises on a site out of range
-    rows, k, chosen, kept = cnot_rows(state.amplitudes[None], control, target, _kraus(params, ideal), rng, forced_spin)
-    s = int(k[0])
-    photons = QuantumState(state.n_photons, False, rows[0])
-    return CnotOutcome(Spin(s), ("identity", "x_target")[s], photons, float(chosen[0]), float(kept[0]))
-
-
 def _fidelities(params: CavityParams, inputs: np.ndarray, spins=(0, 1)) -> np.ndarray:
     """Fidelity of the readout branches ``spins`` for each two-photon input row: shape (..., len(spins), rows).
 
@@ -186,15 +149,6 @@ def _input_rows(input_mode: str) -> np.ndarray:
     raise ValueError(f"unknown input mode {input_mode!r}")
 
 
-def basis_average_fidelity(params: CavityParams, outcome: Spin) -> float:
-    """Gate fidelity averaged over the four two-photon basis inputs."""
-    return point_fidelity(params, outcome, "basis_average")
-
-
-def point_fidelity(params: CavityParams, outcome: Spin, input_mode: str) -> float:
-    return float(_fidelities(params, _input_rows(input_mode), [Spin(outcome).value])[0].mean())
-
-
 def fidelity_grid(gk_values, gg_values, input_mode: str = "uniform") -> list[GateFidelityPoint]:
     """Gate fidelity over a resonant coupling-ratio grid, one row per spin outcome.
 
@@ -226,8 +180,9 @@ def benchmark_report(tolerance_pp: float = 0.5) -> dict[str, dict]:
     for gamma_label, gamma in (("gamma_total", BENCHMARK_GAMMA_TOTAL), ("gamma_zpl", BENCHMARK_GAMMA_ZPL)):
         params = CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=gamma)
         for input_mode in ("uniform", "basis_average"):
+            fidelities = _fidelities(params, _input_rows(input_mode)).mean(axis=-1)
             for outcome, label in ((Spin.PLUS, "plus"), (Spin.MINUS, "minus")):
-                fidelity = point_fidelity(params, outcome, input_mode)
+                fidelity = float(fidelities[outcome.value])
                 target = TARGET_FIDELITY[label]
                 deviation_pp = abs(fidelity - target) * 100.0
                 report[f"{gamma_label}:{input_mode}:{label}"] = {

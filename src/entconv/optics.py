@@ -1,8 +1,9 @@
-"""Fixed linear elements: wave plates, the spin rotation pulse, the path sign flip.
+"""Fixed linear elements: wave plates and the spin rotation pulse.
 
 Polarizing beam splitters and optical switches are routing bookkeeping only
 (which photon visits the resonator) and never carry an amplitude factor, so
-they do not appear here.
+they do not appear here.  The sign flip on a photon's output path is folded
+into the resonator map (``cavity.spin_photon_map``).
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ QWP = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
 HWP = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 # (+, -) basis: pi/2 microwave pulse
 SPIN_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
-PI_SHIFTER = -np.eye(2, dtype=np.complex128)
-
-ELEMENTS = {
-    "QWP": QWP,
-    "HWP": HWP,
-    "SpinHadamard": SPIN_HADAMARD,
-    "PiShifter": PI_SHIFTER,
-}
 
 
 def qwp(state: QuantumState, photon: int) -> QuantumState:

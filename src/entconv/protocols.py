@@ -370,7 +370,7 @@ def _ideal_gate_table(spec: ProtocolSpec):
         if not len(rows):
             break
         rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), _ideal_cnot)
-        _, branches, _ = _tag_branches(rows)   # [row, tag, basis]
+        _, branches = _tag_branches(rows)   # [row, tag, basis]
         weights.append(row_norms2(branches).sum(axis=0))
         for tag, p in zip(read_as, weights[-1] @ confusion):
             if tag in success:
@@ -417,42 +417,19 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> Mo
     return MonteCarloResult(trials, dict(tally))
 
 
-@dataclass(frozen=True)
-class RealisticTrace:
-    """Lockstep comparison of a realistic run against the ideal circuit."""
+def fidelity_vs_ideal(spec: ProtocolSpec, run: ProtocolRun) -> float | None:
+    """Squared overlap of a realistic run's final state with the ideal circuit's on the same true tags.
 
-    run: ProtocolRun
-    ideal_run: ProtocolRun
-    gate_fidelities: tuple[float, ...]
-    protocol_fidelity: float
-
-
-def realistic_vs_ideal(spec: ProtocolSpec, forced_tags, forced_spins=None) -> RealisticTrace:
-    """Run realistic and ideal circuits on the same forced branch schedule.
-
-    The realistic run takes its spin outcomes from ``forced_spins`` (all plus
-    when omitted).  Per-gate fidelities compare each realistic gate against the
-    ideal gate on the ideal trajectory's input at that point (renormalized
-    overlap, the realistic run's spin outcome for that gate); the protocol
-    fidelity is the squared overlap of the two final states.
+    The ideal circuit runs once, its tags forced to the run's true tags; the
+    run's spin readouts are not replayed, because every readout of an ideal
+    gate gives the same state.  None for ideal gates, and for a run with a
+    misclassified readout or a leaked true tag (one the ideal circuit never
+    produces): the ideal circuit has no branch for either to follow.
     """
-    forced_tags = tuple(forced_tags)
-    forced_spins = itertools.repeat(Spin.PLUS) if forced_spins is None else forced_spins
-    real_spec = replace(spec, gate_mode="realistic", homodyne_mode="ideal")
-    run = run_protocol(real_spec, forced_tags=forced_tags, forced_spins=forced_spins)
-    kraus = _kraus(spec.params, ideal=False)
-    spin_replay = iter(run.spin_outcomes)
-    gate_fidelities: list[float] = []
-
-    def scored_cnot(rows, control, target):
-        ideal_rows, *_ = _ideal_cnot(rows, control, target)
-        real_rows, *_ = cnot_rows(rows, control, target, kraus, forced_spin=next(spin_replay))
-        gate_fidelities.append(abs(complex(row_inner(real_rows[0], ideal_rows[0]))) ** 2)
-        return ideal_rows, 1.0, None
-
-    ideal_run = _single_run(spec, scored_cnot, None, forced_tags)
-    fidelity = abs(complex(row_inner(run.final_state.amplitudes, ideal_run.final_state.amplitudes))) ** 2
-    return RealisticTrace(run, ideal_run, tuple(gate_fidelities), fidelity)
+    if spec.gate_mode == "ideal" or run.misclassification_events or not set(run.true_tags) <= ideal_tags(spec):
+        return None
+    ideal_run = _single_run(spec, _ideal_cnot, None, run.true_tags)
+    return abs(complex(row_inner(run.final_state.amplitudes, ideal_run.final_state.amplitudes))) ** 2
 
 
 def _cnot_count(elements) -> int:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from entconv.kerr import _tag_branches
+from entconv.qstate import row_norms2
+
 
 def basis_index(term: str, spin_bit: int | None = None) -> int:
     """Index of a basis ket, photon 1 at the MSB, optional spin at the LSB."""
@@ -36,6 +39,14 @@ def expected_vector(n_photons: int, terms: dict, spin_slots: bool = False) -> np
 def uniform_vector(n_photons: int, terms: list[str]) -> np.ndarray:
     amp = 1.0 / np.sqrt(len(terms))
     return expected_vector(n_photons, {t: amp for t in terms})
+
+
+def tag_split(state):
+    """Unnormalized branch and weight of every tag a photons-only state holds, split as the ideal-gate table splits rows."""
+    tags, branches = _tag_branches(state.amplitudes)
+    weights = row_norms2(branches)
+    held = [int(k) for k in tags if weights[k] > 0]
+    return {k: branches[k] for k in held}, {k: float(weights[k]) for k in held}
 
 
 @pytest.fixture

@@ -14,20 +14,8 @@ import pytest
 
 from entconv.cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from entconv.cli import main
-from entconv.cnot import (
-    basis_average_fidelity,
-    benchmark_report,
-    cnot_full,
-    cnot_ideal,
-    uniform_input,
-)
-from entconv.kerr import (
-    HomodyneModel,
-    apply_cross_kerr,
-    classify_samples,
-    error_probability,
-    peak_distances,
-)
+from entconv.cnot import _kraus, basis_inputs, benchmark_report, cnot_fidelity, cnot_ideal, cnot_rows, uniform_input
+from entconv.kerr import HomodyneModel, error_probability, peak_distances, read_rows
 from entconv.protocols import (
     ProtocolSpec,
     circuit_wiring,
@@ -41,7 +29,7 @@ from entconv.protocols import (
 )
 from entconv.qstate import QuantumState, Spin, ket, superpose
 
-from conftest import uniform_vector
+from conftest import tag_split, uniform_vector
 
 ALPHA_REF = math.sqrt(1.3e4)
 THETA_REF = 0.1
@@ -80,16 +68,13 @@ def test_criterion_1_state_evolution_oracles():
         rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
         state = QuantumState(n, False, rows[0])
         np.testing.assert_allclose(state.amplitudes, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
-        part = apply_cross_kerr(state, THETA_REF, ALPHA_REF)
-        assert part.tags() == tuple(sorted(BRANCH_WEIGHTS[n]))
+        _, weights = tag_split(state)
+        assert tuple(weights) == tuple(sorted(BRANCH_WEIGHTS[n]))
         for tag, weight in BRANCH_WEIGHTS[n].items():
-            assert abs(part.weights()[tag] - float(weight)) < 1e-12
+            assert abs(weights[tag] - float(weight)) < 1e-12
             # each branch keeps the pre-tag amplitudes on its own terms
-            np.testing.assert_allclose(
-                part.branches[tag].normalized().amplitudes,
-                uniform_vector(n, BRANCH_TERMS[(n, tag)]),
-                atol=1e-12,
-            )
+            _, _, collapsed = read_rows(state.amplitudes[None], None, "ideal", forced_tag=tag)
+            np.testing.assert_allclose(collapsed[0], uniform_vector(n, BRANCH_TERMS[(n, tag)]), atol=1e-12)
     # five-photon outcome branches after renormalization
     run_w = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(1,))
     np.testing.assert_allclose(run_w.final_state.amplitudes, uniform_vector(5, BRANCH_TERMS[(5, 1)]), atol=1e-12)
@@ -174,9 +159,9 @@ def test_criterion_4_cnot_contract(rng):
         a, b, g, d = state.amplitudes
         want_vec = np.array([a, d, g, b])  # alpha|RR> + delta|RL> + gamma|LR> + beta|LL>
         for forced in (Spin.PLUS, Spin.MINUS):
-            out = cnot_full(state, 2, 1, params, ideal=True, forced_spin=forced)
-            np.testing.assert_allclose(out.post_state.amplitudes, want_vec, atol=1e-12)
-            assert out.correction == ("identity" if forced == Spin.PLUS else "x_target")
+            rows, readouts, _, _ = cnot_rows(state.amplitudes[None], 2, 1, _kraus(params, True), forced_spin=forced)
+            np.testing.assert_allclose(rows[0], want_vec, atol=1e-12)
+            assert readouts[0] == forced.value
         again = cnot_ideal(cnot_ideal(state, 2, 1), 2, 1)
         np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=1e-12)
     _verdict(4, "both readout branches with feed-forward are exact; involution and truth table verified")
@@ -190,18 +175,12 @@ def test_criterion_5_fidelity_surface():
             for gk in grid:
                 for gg in grid:
                     params = CavityParams.from_ratios(float(gk), float(gg))
-                    f = (
-                        basis_average_fidelity(params, outcome)
-                        if mode == "basis_average"
-                        else abs(
-                            np.vdot(
-                                cnot_full(uniform_input(), 2, 1, params, ideal=False, forced_spin=outcome)
-                                .post_state.amplitudes,
-                                cnot_ideal(uniform_input(), 2, 1).amplitudes,
-                            )
-                        )
-                        ** 2
-                    )
+                    if mode == "basis_average":
+                        f = float(np.mean([cnot_fidelity(params, s, outcome) for s in basis_inputs()]))
+                    else:
+                        rows, *_ = cnot_rows(uniform_input().amplitudes[None], 2, 1, _kraus(params, False),
+                                             forced_spin=outcome)
+                        f = abs(np.vdot(rows[0], cnot_ideal(uniform_input(), 2, 1).amplitudes)) ** 2
                     surface[(round(float(gk), 9), round(float(gg), 9), outcome)] = f
         for outcome in (Spin.PLUS, Spin.MINUS):
             for i, gk in enumerate(grid):
@@ -249,7 +228,7 @@ def test_criterion_6_homodyne_error_model():
     draws = 10**7
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (1, 3))
     rng = np.random.default_rng(np.random.SeedSequence(20260810))
-    miss = int(np.sum(classify_samples(model, 1, draws, rng) != 1))
+    miss = int(np.sum(model.classify(rng.normal(model.mean_of(1), 1.0, size=draws)) != 1))
     se = math.sqrt(draws * p1 * (1 - p1))
     assert abs(miss - draws * p1) <= 3 * se
     elapsed = time.perf_counter() - t0

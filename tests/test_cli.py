@@ -339,6 +339,43 @@ def test_homodyne_curves_degenerate_theta_is_runtime_error(tmp_path):
     assert main(["homodyne-curves", "--config", make_config(tmp_path, cfg)]) == 3
 
 
+@pytest.mark.parametrize("theta", [1.0, 2.0])
+def test_homodyne_curves_past_monotone_means(tmp_path, theta):
+    # beyond 5 theta = pi the means no longer fall as the tag rises; the curve
+    # distances run between adjacent means in mean order and stay positive
+    out = tmp_path / "curves.csv"
+    cfg = {"protocol": {"n_photons": 3, "theta": theta, "alpha": 10.0}}
+    assert main(["homodyne-curves", "--config", make_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = {r[0]: float(r[5]) for r in read_rows(out)[1] if r[0] != "curve"}
+    assert sorted(summary) == ["P_error1", "P_error2", "x_d1", "x_d2"]
+    assert all(math.isfinite(v) and v > 0 for v in summary.values())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["homodyne-curves", "run", "montecarlo"])
+def test_overflowing_probe_means_are_runtime_error(tmp_path, capsys, command):
+    # 2 alpha cos(k theta) is inf at alpha = 1e308, which the schema accepts;
+    # curves printed nan rows, a gaussian run read every probe as one tag and
+    # an ensemble failed inside numpy
+    cfg = {"protocol": {"n_photons": 3, "homodyne_mode": "gaussian", "alpha": 1e308}, "seed": 4, "trials": 100}
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", make_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "runtime error: probe quadrature means overflow\n"
+    assert not out.exists()
+
+
+def test_huge_finite_probe_reads_every_tag(tmp_path):
+    # at alpha = 8e307 the means are finite but the sum of two overflows; the
+    # peaks lie so far apart that gaussian readout classifies as ideal readout
+    # does, and the exact ensemble table gives the same seeded counts
+    outs = []
+    for mode in ("ideal", "gaussian"):
+        cfg = {"protocol": {"n_photons": 3, "homodyne_mode": mode, "alpha": 8e307}, "seed": 4, "trials": 1000}
+        outs.append(tmp_path / f"{mode}.csv")
+        assert main(["montecarlo", "--config", make_config(tmp_path, cfg), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_success_table_golden(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["success-table", "--n", "3", "--rounds", "4", "--out", str(out)]) == 0
@@ -490,7 +527,7 @@ _PROTOCOL = _section({"n_photons": st.sampled_from([3, 4, 5])}, {
     "gate_mode": st.sampled_from(["ideal", "realistic"]),
     "homodyne_mode": st.sampled_from(["ideal", "gaussian"]),
     "theta": st.floats(1e-3, 3.0),
-    "alpha": st.floats(0.0, 200.0),
+    "alpha": st.one_of(st.floats(0.0, 200.0), st.sampled_from([1e308, 8e307])),
     "standardize_flipped": st.booleans(),
     "params": _PARAMS,
 })
@@ -523,7 +560,10 @@ def test_config_contract_agrees_with_schema(doc):
     # a directory per example: a function-scoped tmp_path would be shared by all of them
     with tempfile.TemporaryDirectory() as tmp:
         err = io.StringIO()
+        out = Path(tmp) / "out.csv"
         with contextlib.redirect_stderr(err):
-            code = main(["homodyne-curves", "--config", make_config(Path(tmp), doc), "--out", str(Path(tmp) / "out.csv")])
+            code = main(["homodyne-curves", "--config", make_config(Path(tmp), doc), "--out", str(out)])
+        text = out.read_text().lower() if code == 0 else ""
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert "nan" not in text and "inf" not in text

@@ -11,10 +11,8 @@ from entconv.cnot import (
     SPIN_READY,
     _fidelities,
     _kraus,
-    basis_average_fidelity,
     benchmark_report,
     cnot_fidelity,
-    cnot_full,
     basis_inputs,
     cnot_ideal,
     cnot_rows,
@@ -92,8 +90,12 @@ def test_involution(rng):
 def test_control_equals_target_rejected():
     with pytest.raises(ValueError, match="differ"):
         cnot_ideal(ket("RR"), 1, 1)
-    with pytest.raises(ValueError, match="differ"):
-        cnot_full(ket("RR"), 1, 1, RESONANT)
+
+
+def compiled_cnot(state, control, target, params, ideal, rng=None, forced=None):
+    """The compiled gate on a batch of one: output row, readout, chosen branch weight, squared norm before readout."""
+    rows, readouts, chosen, kept = cnot_rows(state.amplitudes[None], control, target, _kraus(params, ideal), rng, forced)
+    return rows[0], int(readouts[0]), float(chosen[0]), float(kept[0])
 
 
 def test_feed_forward_determinism(rng):
@@ -102,10 +104,10 @@ def test_feed_forward_determinism(rng):
         state = random_two_photon(rng)
         want = cnot_ideal(state, control=2, target=1)
         for forced in (Spin.PLUS, Spin.MINUS):
-            out = cnot_full(state, 2, 1, RESONANT, ideal=True, forced_spin=forced)
-            np.testing.assert_allclose(out.post_state.amplitudes, want.amplitudes, atol=1e-12)
-            assert abs(out.success_probability - 0.5) < 1e-12
-            assert out.correction == ("identity" if forced == Spin.PLUS else "x_target")
+            row, readout, chosen, _ = compiled_cnot(state, 2, 1, RESONANT, ideal=True, forced=forced)
+            np.testing.assert_allclose(row, want.amplitudes, atol=1e-12)
+            assert abs(chosen - 0.5) < 1e-12
+            assert readout == forced.value
 
 
 def test_frozen_element_order_readout_branches(rng):
@@ -169,15 +171,15 @@ def test_compiled_gate_matches_element_replay(n, params, ideal):
         state = QuantumState(n, False, amps / np.linalg.norm(amps))
         for forced in (Spin.PLUS, Spin.MINUS):
             record, photons, norm = replay_cnot(state, control, target, params, ideal, forced=forced)
-            out = cnot_full(state, control, target, params, ideal, forced_spin=forced)
-            assert out.spin_result == forced
-            np.testing.assert_allclose(out.post_state.amplitudes, photons.amplitudes, rtol=0, atol=1e-12)
-            assert out.success_probability == pytest.approx(record.probability, abs=1e-12)
-            assert out.pre_measurement_norm == pytest.approx(norm, abs=1e-12)
+            row, readout, chosen, kept = compiled_cnot(state, control, target, params, ideal, forced=forced)
+            assert readout == forced.value
+            np.testing.assert_allclose(row, photons.amplitudes, rtol=0, atol=1e-12)
+            assert chosen == pytest.approx(record.probability, abs=1e-12)
+            assert kept == pytest.approx(norm, abs=1e-12)
         seed = int(rng.integers(2**32))
         record, _, _ = replay_cnot(state, control, target, params, ideal, rng=np.random.default_rng(seed))
-        out = cnot_full(state, control, target, params, ideal, rng=np.random.default_rng(seed))
-        assert out.spin_result.name.lower() == record.outcome
+        _, readout, _, _ = compiled_cnot(state, control, target, params, ideal, rng=np.random.default_rng(seed))
+        assert Spin(readout).name.lower() == record.outcome
 
 
 def test_compiled_gate_on_a_batch_matches_each_row():
@@ -190,23 +192,18 @@ def test_compiled_gate_on_a_batch_matches_each_row():
         out, readouts, chosen, kept = cnot_rows(rows, 4, 2, _kraus(params, False), forced_spin=spin)
         assert set(readouts) == {spin.value}
         for i, row in enumerate(rows):
-            one = cnot_full(QuantumState(5, False, row), 4, 2, params, ideal=False, forced_spin=spin)
-            np.testing.assert_allclose(out[i], one.post_state.amplitudes, atol=1e-14)
-            assert chosen[i] == pytest.approx(one.success_probability, abs=1e-14)
-            assert kept[i] == pytest.approx(one.pre_measurement_norm, abs=1e-14)
-
-
-def test_spin_register_rejected():
-    with pytest.raises(ValueError, match="photons-only"):
-        cnot_full(attach_spin(ket("RR"), SPIN_READY), 2, 1, RESONANT)
+            one, _, one_chosen, one_kept = compiled_cnot(QuantumState(5, False, row), 4, 2, params, False, forced=spin)
+            np.testing.assert_allclose(out[i], one, atol=1e-14)
+            assert chosen[i] == pytest.approx(one_chosen, abs=1e-14)
+            assert kept[i] == pytest.approx(one_kept, abs=1e-14)
 
 
 def test_realistic_gate_loses_norm_but_stays_faithful(rng):
     state = random_two_photon(rng)
-    out = cnot_full(state, 2, 1, STRONG, ideal=False, forced_spin=Spin.PLUS)
-    assert out.pre_measurement_norm < 1.0
+    row, _, _, kept = compiled_cnot(state, 2, 1, STRONG, ideal=False, forced=Spin.PLUS)
+    assert kept < 1.0
     ideal = cnot_ideal(state, 2, 1)
-    assert abs(inner(out.post_state, ideal)) ** 2 > 0.99
+    assert abs(inner(QuantumState(2, False, row), ideal)) ** 2 > 0.99
 
 
 def _closed_form_fidelities(ratio):
@@ -248,7 +245,7 @@ def test_uniform_input_fidelity_is_one_at_resonance():
 def test_fidelity_tends_to_one():
     params = CavityParams.from_ratios(1e3, 1e3)
     for outcome in (Spin.PLUS, Spin.MINUS):
-        assert basis_average_fidelity(params, outcome) > 1 - 1e-5
+        assert np.mean([cnot_fidelity(params, s, outcome) for s in basis_inputs()]) > 1 - 1e-5
 
 
 def test_fidelity_requires_two_photons():
@@ -279,8 +276,8 @@ def test_fidelity_grid_matches_gate_outputs(input_mode):
         params = CavityParams.from_ratios(point.g_over_kappa, point.g_over_gamma)
         route = []
         for state in inputs:
-            real = cnot_full(state, 2, 1, params, ideal=False, forced_spin=point.outcome)
-            route.append(abs(inner(real.post_state, cnot_ideal(state, 2, 1))) ** 2)
+            real, *_ = compiled_cnot(state, 2, 1, params, ideal=False, forced=point.outcome)
+            route.append(abs(inner(QuantumState(2, False, real), cnot_ideal(state, 2, 1))) ** 2)
         assert abs(point.fidelity - float(np.mean(route))) <= 1e-12, point
 
 

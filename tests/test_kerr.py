@@ -6,20 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.kerr import (
-    HomodyneModel,
-    apply_cross_kerr,
-    classify_samples,
-    error_probability,
-    homodyne_measure,
-    homodyne_pdf,
-    peak_distances,
-    read_rows,
-)
+from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, read_rows
 from entconv.protocols import ProtocolSpec, ideal_tags
-from entconv.qstate import QuantumState, attach_spin, ket, superpose
+from entconv.qstate import QuantumState, ket, superpose
 
-from conftest import basis_index, uniform_vector
+from conftest import basis_index, tag_split, uniform_vector
 
 ALPHA_REF = math.sqrt(1.3e4)
 THETA_REF = 0.1
@@ -29,18 +20,23 @@ def state_from_terms(n, terms):
     return superpose([(ket(t), 1.0) for t in terms])
 
 
+def _classify_draws(model, true_tag, n, rng):
+    """Classified tags of n quadrature draws from one tag's Gaussian."""
+    return model.classify(rng.normal(model.mean_of(true_tag), 1.0, size=n))
+
+
 def test_three_photon_partition():
     state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
-    part = apply_cross_kerr(state, THETA_REF, ALPHA_REF)
-    assert part.tags() == (1, 3)
+    branches, weights = tag_split(state)
+    assert tuple(weights) == (1, 3)
     np.testing.assert_allclose(
-        part.branches[1].amplitudes,
+        branches[1],
         np.array([0.5 if t in ("RLR", "LRR", "RRL") else 0.0 for t in _labels(3)]),
         atol=1e-12,
     )
-    assert abs(part.branches[3].amplitudes[basis_index("LLL")] - 0.5) < 1e-12
-    assert abs(part.weights()[1] - 0.75) < 1e-12
-    assert abs(part.weights()[3] - 0.25) < 1e-12
+    assert abs(branches[3][basis_index("LLL")] - 0.5) < 1e-12
+    assert abs(weights[1] - 0.75) < 1e-12
+    assert abs(weights[3] - 0.25) < 1e-12
 
 
 def _labels(n):
@@ -48,9 +44,9 @@ def _labels(n):
 
 
 def test_all_r_state_single_branch():
-    part = apply_cross_kerr(ket("RRRR"), THETA_REF, ALPHA_REF)
-    assert part.tags() == (0,)
-    assert abs(part.weights()[0] - 1.0) < 1e-15
+    _, weights = tag_split(ket("RRRR"))
+    assert tuple(weights) == (0,)
+    assert abs(weights[0] - 1.0) < 1e-15
 
 
 def test_five_photon_partition_weights():
@@ -58,23 +54,16 @@ def test_five_photon_partition_weights():
         "LRRRR RLRRR RRLRR RRRLR RRRRL LLLLL LLRRL LLRLR RLRLL LLLRR "
         "RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL"
     ).split()
-    part = apply_cross_kerr(state_from_terms(5, terms), THETA_REF, ALPHA_REF)
-    assert part.tags() == (1, 3, 5)
-    assert abs(part.weights()[1] - 5 / 16) < 1e-12
-    assert abs(part.weights()[3] - 10 / 16) < 1e-12
-    assert abs(part.weights()[5] - 1 / 16) < 1e-12
+    _, weights = tag_split(state_from_terms(5, terms))
+    assert tuple(weights) == (1, 3, 5)
+    assert abs(weights[1] - 5 / 16) < 1e-12
+    assert abs(weights[3] - 10 / 16) < 1e-12
+    assert abs(weights[5] - 1 / 16) < 1e-12
 
 
 def test_tag_equals_l_count_exhaustive():
     for label in _labels(5):
-        part = apply_cross_kerr(ket(label), THETA_REF, ALPHA_REF)
-        assert part.tags() == (label.count("L"),)
-
-
-def test_spin_must_be_consumed():
-    s = attach_spin(ket("RL"), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="spin"):
-        apply_cross_kerr(s, THETA_REF, ALPHA_REF)
+        assert tuple(tag_split(ket(label))[1]) == (label.count("L"),)
 
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -83,8 +72,7 @@ def test_weight_conservation(n, seed):
     gen = np.random.default_rng(seed)
     vec = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
     state = QuantumState(n, False, vec)  # deliberately unnormalized
-    part = apply_cross_kerr(state, THETA_REF, ALPHA_REF)
-    assert abs(part.total_weight() - state.norm2()) < 1e-12
+    assert abs(sum(tag_split(state)[1].values()) - state.norm2()) < 1e-12
 
 
 def test_pdf_normalized_by_quadrature():
@@ -111,14 +99,14 @@ def test_pdf_symmetric_in_tag_sign():
 
 def test_ideal_readout_probabilities_three_photons(rng):
     state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
-    part = apply_cross_kerr(state, THETA_REF, ALPHA_REF)
-    model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, part.tags())
-    out = homodyne_measure(part, model, "ideal", forced_tag=1)
-    assert abs(out.probability - 0.75) < 1e-12
-    assert abs(out.state.norm2() - 1.0) < 1e-12
-    out = homodyne_measure(part, model, "ideal", forced_tag=3)
-    assert abs(out.probability - 0.25) < 1e-12
-    np.testing.assert_allclose(out.state.amplitudes, uniform_vector(3, ["LLL"]), atol=1e-12)
+    _, weights = tag_split(state)
+    assert abs(weights[1] - 0.75) < 1e-12
+    assert abs(weights[3] - 0.25) < 1e-12
+    tags, true, rows = read_rows(state.amplitudes[None], None, "ideal", forced_tag=1)
+    assert tags[0] == true[0] == 1
+    assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-12
+    _, _, rows = read_rows(state.amplitudes[None], None, "ideal", forced_tag=3)
+    np.testing.assert_allclose(rows[0], uniform_vector(3, ["LLL"]), atol=1e-12)
 
 
 def test_ideal_readout_probabilities_five_photons():
@@ -126,34 +114,35 @@ def test_ideal_readout_probabilities_five_photons():
         "LRRRR RLRRR RRLRR RRRLR RRRRL LLLLL LLRRL LLRLR RLRLL LLLRR "
         "RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL"
     ).split()
-    part = apply_cross_kerr(state_from_terms(5, terms), THETA_REF, ALPHA_REF)
-    model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, part.tags())
+    state = state_from_terms(5, terms)
+    branches, weights = tag_split(state)
     for tag, weight in ((1, 5 / 16), (3, 10 / 16), (5, 1 / 16)):
-        assert abs(homodyne_measure(part, model, "ideal", forced_tag=tag).probability - weight) < 1e-12
+        assert abs(weights[tag] - weight) < 1e-12
+        # the forced readout keeps the branch, renormalized by the root of its weight
+        _, _, rows = read_rows(state.amplitudes[None], None, "ideal", forced_tag=tag)
+        np.testing.assert_allclose(rows[0] * math.sqrt(weight), branches[tag], atol=1e-12)
 
 
 def test_single_branch_certain(rng):
-    part = apply_cross_kerr(ket("RRRR"), THETA_REF, ALPHA_REF)
-    model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, part.tags())
-    out = homodyne_measure(part, model, "ideal", rng=rng)
-    assert out.tag == 0 and abs(out.probability - 1.0) < 1e-12
-    out = homodyne_measure(part, model, "gaussian", rng=rng)
-    assert out.true_tag == 0
+    row = ket("RRRR").amplitudes[None]
+    model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0,))
+    tags, true, _ = read_rows(row, model, "ideal", rng)
+    assert tags[0] == true[0] == 0
+    _, true, _ = read_rows(row, model, "gaussian", rng)
+    assert true[0] == 0
 
 
 def test_forced_tag_absent():
-    part = apply_cross_kerr(ket("RRR"), THETA_REF, ALPHA_REF)
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0, 1))
     with pytest.raises(ValueError, match="forced tag absent"):
-        homodyne_measure(part, model, "ideal", forced_tag=1)
+        read_rows(ket("RRR").amplitudes[None], model, "ideal", forced_tag=1)
 
 
 def test_ideal_sampling_matches_weights(rng):
     state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
-    part = apply_cross_kerr(state, THETA_REF, ALPHA_REF)
-    model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, part.tags())
     n = 40000
-    hits = sum(homodyne_measure(part, model, "ideal", rng=rng).tag == 1 for _ in range(n))
+    tags, _, _ = read_rows(np.repeat(state.amplitudes[None], n, axis=0), None, "ideal", rng)
+    hits = int(np.sum(tags == 1))
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert abs(hits / n - 0.75) <= 3 * sigma
 
@@ -162,15 +151,12 @@ def test_gaussian_mode_collapses_to_true_branch(rng):
     # nearly-degenerate peaks make misclassification frequent; the state must
     # nevertheless follow the true tag
     state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
-    part = apply_cross_kerr(state, 0.02, 1.0)
-    model = HomodyneModel.for_tags(1.0, 0.02, part.tags())
-    misses = 0
-    for _ in range(300):
-        out = homodyne_measure(part, model, "gaussian", rng=rng)
-        misses += out.misclassified
-        want = part.branches[out.true_tag].normalized()
-        np.testing.assert_allclose(out.state.amplitudes, want.amplitudes, atol=1e-12)
-    assert misses > 0
+    branches, weights = tag_split(state)
+    model = HomodyneModel.for_tags(1.0, 0.02, tuple(weights))
+    tags, true, rows = read_rows(np.repeat(state.amplitudes[None], 300, axis=0), model, "gaussian", rng)
+    for k, row in zip(true, rows):
+        np.testing.assert_allclose(row, branches[k] / math.sqrt(weights[k]), atol=1e-12)
+    assert np.sum(tags != true) > 0
 
 
 def _rows_with_tag_gaps(gen, n, count, kept_tag=None):
@@ -188,34 +174,50 @@ def _fixed_receiver(n, theta, alpha):
     return HomodyneModel.for_tags(alpha, theta, ideal_tags(ProtocolSpec(n, theta=theta, alpha=alpha)))
 
 
+def _popcount_mask(row, k):
+    """The basis states of a row with k L photons."""
+    return np.array([bin(i).count("1") == k for i in range(len(row))])
+
+
+def _popcount_weight(row, k):
+    return float(np.sum(np.abs(row[_popcount_mask(row, k)]) ** 2))
+
+
+def _popcount_collapse(row, k):
+    return np.where(_popcount_mask(row, k), row, 0.0) / math.sqrt(_popcount_weight(row, k))
+
+
 @pytest.mark.parametrize("mode,theta,alpha", [("ideal", THETA_REF, ALPHA_REF), ("gaussian", 0.02, 1.0)])
 def test_batched_readout_matches_per_state_oracle(mode, theta, alpha):
-    # a batch of one reads out as apply_cross_kerr + homodyne_measure, draw for draw
+    # every row collapses onto the popcount branch of its true tag, true tags
+    # follow the popcount weights, and only gaussian readout misreads a tag
     gen = np.random.default_rng(5)
     misses = 0
     for n in (3, 4, 5):
         model = _fixed_receiver(n, theta, alpha)
-        for i, row in enumerate(_rows_with_tag_gaps(gen, n, 60)):
-            tags, true, collapsed = read_rows(row[None], model, mode, np.random.default_rng(i))
-            part = apply_cross_kerr(QuantumState(n, False, row), theta, alpha)
-            out = homodyne_measure(part, model, mode, rng=np.random.default_rng(i))
-            assert (tags[0], true[0]) == (out.tag, out.true_tag)
-            np.testing.assert_array_equal(collapsed[0], out.state.amplitudes)
-            misses += out.misclassified
+        rows = _rows_with_tag_gaps(gen, n, 2000)
+        tags, true, collapsed = read_rows(rows, model, mode, np.random.default_rng(n))
+        for row, k, got in zip(rows, true, collapsed):
+            np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
+        weights = np.array([[_popcount_weight(row, k) for k in range(n + 1)] for row in rows])
+        for k in range(n + 1):
+            p = weights[:, k]
+            assert abs(np.sum(true == k) - p.sum()) <= 5 * math.sqrt(np.sum(p * (1 - p))) + 1, (n, k)
+        misses += int(np.sum(tags != true))
     assert (misses > 0) == (mode == "gaussian")
 
 
 def test_batched_forced_readout_keeps_rows_apart():
     # rows with different tag sets in one batch each collapse onto their own branch
     gen = np.random.default_rng(6)
-    rows = _rows_with_tag_gaps(gen, 4, 50, kept_tag=2)
-    model = _fixed_receiver(4, THETA_REF, ALPHA_REF)
-    tags, true, collapsed = read_rows(rows, model, "gaussian", forced_tag=2)
-    assert set(tags) == set(true) == {2}
-    for row, got in zip(rows, collapsed):
-        part = apply_cross_kerr(QuantumState(4, False, row), THETA_REF, ALPHA_REF)
-        out = homodyne_measure(part, model, "gaussian", forced_tag=2)
-        np.testing.assert_array_equal(got, out.state.amplitudes)
+    for n in (3, 4, 5):
+        model = _fixed_receiver(n, THETA_REF, ALPHA_REF)
+        for k in range(n + 1):
+            rows = _rows_with_tag_gaps(gen, n, 50, kept_tag=k)
+            tags, true, collapsed = read_rows(rows, model, "gaussian", forced_tag=k)
+            assert set(tags) == set(true) == {k}
+            for row, got in zip(rows, collapsed):
+                np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
 
 
 def test_error_probability_at_zero_distance():
@@ -245,7 +247,7 @@ def test_confusion_matrix_matches_sampled_classification():
     confusion = model.confusion((0, 3))
     rng = np.random.default_rng(9)
     for row, true_tag in zip(confusion, (0, 3)):
-        got = classify_samples(model, true_tag, 20000, rng)
+        got = _classify_draws(model, true_tag, 20000, rng)
         share = np.array([np.mean(got == k) for k in model.tags])
         assert np.all(np.abs(share - row) <= 5 * np.sqrt(row * (1 - row) / 20000) + 1e-9)
 
@@ -296,7 +298,7 @@ def test_classifier_rate_matches_formula(rng):
     (xd,) = peak_distances(2.0, 0.5, (1, 3))
     p = error_probability(xd)
     n = 200000
-    miss = int(np.sum(classify_samples(model, 1, n, rng) != 1))
+    miss = int(np.sum(_classify_draws(model, 1, n, rng) != 1))
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(miss - n * p) <= 3 * sigma
 
@@ -307,7 +309,7 @@ def test_misclassification_vanishes_with_growing_probe(rng):
     rates = []
     for alpha in (0.5, 2.0, 8.0):
         model = HomodyneModel.for_tags(alpha, theta, (1, 3))
-        rates.append(float(np.mean(classify_samples(model, 1, n, rng) != 1)))
+        rates.append(float(np.mean(_classify_draws(model, 1, n, rng) != 1)))
     assert rates[0] > rates[1] > rates[2]
     model = HomodyneModel.for_tags(40.0, theta, (1, 3))
-    assert int(np.sum(classify_samples(model, 1, n, rng) != 1)) == 0
+    assert int(np.sum(_classify_draws(model, 1, n, rng) != 1)) == 0

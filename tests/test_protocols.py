@@ -1,22 +1,23 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entconv.cavity import CavityParams
-from entconv.kerr import HomodyneModel, apply_cross_kerr, read_rows
+from entconv.kerr import HomodyneModel, read_rows
 from entconv.protocols import (
     ProtocolSpec,
     circuit_wiring,
     classify_state,
     composite_fidelity_report,
     conversion_input,
+    fidelity_vs_ideal,
     ideal_tags,
     monte_carlo,
-    realistic_vs_ideal,
     recovery_sequence,
     run_protocol,
     success_series,
@@ -28,7 +29,7 @@ from entconv.protocols import (
 )
 from entconv.qstate import QuantumState, Spin, ket, superpose
 
-from conftest import uniform_vector
+from conftest import tag_split, uniform_vector
 
 # hand-expanded pre-tag term lists for the three circuits
 PRE_TAG_TERMS = {
@@ -86,23 +87,17 @@ def test_pre_tag_state_matches_hand_expansion(n):
      (5, {1: Fraction(5, 16), 3: Fraction(10, 16), 5: Fraction(1, 16)})],
 )
 def test_partition_branch_weights(n, expected):
-    part = apply_cross_kerr(pre_tag_state(n), 0.1, 10.0)
-    assert part.tags() == tuple(sorted(expected))
+    _, weights = tag_split(pre_tag_state(n))
+    assert tuple(weights) == tuple(sorted(expected))
     for tag, weight in expected.items():
-        assert abs(part.weights()[tag] - float(weight)) < 1e-12
+        assert abs(weights[tag] - float(weight)) < 1e-12
 
 
 def test_partition_branches_hold_expected_terms():
-    part = apply_cross_kerr(pre_tag_state(5), 0.1, 10.0)
-    np.testing.assert_allclose(
-        part.branches[1].normalized().amplitudes, uniform_vector(5, W5_TERMS), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        part.branches[3].normalized().amplitudes, uniform_vector(5, DICKE5_TERMS), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        part.branches[5].normalized().amplitudes, uniform_vector(5, ["LLLLL"]), atol=1e-12
-    )
+    state = pre_tag_state(5)
+    for tag, terms in ((1, W5_TERMS), (3, DICKE5_TERMS), (5, ["LLLLL"])):
+        _, _, rows = read_rows(state.amplitudes[None], None, "ideal", forced_tag=tag)
+        np.testing.assert_allclose(rows[0], uniform_vector(5, terms), atol=1e-12)
 
 
 def test_recovery_three_elements_on_all_l():
@@ -119,16 +114,14 @@ def test_recovery_five_photons_on_all_l():
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_recovery_fixed_point(n):
-    part1 = apply_cross_kerr(pre_tag_state(n), 0.1, 10.0)
-    retry = part1.branches[max(part1.tags())].normalized()
-    rows2, *_ = _run_gates(retry.amplitudes[None], recovery_sequence(n), _ideal_cnot)
-    state2 = QuantumState(n, False, rows2[0])
-    part2 = apply_cross_kerr(state2, 0.1, 10.0)
-    assert part1.tags() == part2.tags()
-    for tag in part1.tags():
-        np.testing.assert_allclose(
-            part1.branches[tag].amplitudes, part2.branches[tag].amplitudes, atol=1e-12
-        )
+    state1 = pre_tag_state(n)
+    branches1, _ = tag_split(state1)
+    _, _, retry = read_rows(state1.amplitudes[None], None, "ideal", forced_tag=max(branches1))
+    rows2, *_ = _run_gates(retry, recovery_sequence(n), _ideal_cnot)
+    branches2, _ = tag_split(QuantumState(n, False, rows2[0]))
+    assert tuple(branches1) == tuple(branches2)
+    for tag in branches1:
+        np.testing.assert_allclose(branches1[tag], branches2[tag], atol=1e-12)
 
 
 def test_no_recovery_path_for_four_photons():
@@ -179,8 +172,7 @@ def test_run_fails_at_max_iterations():
 
 def test_probability_conservation_each_iteration():
     for n in (3, 4, 5):
-        part = apply_cross_kerr(pre_tag_state(n), 0.1, 10.0)
-        assert abs(part.total_weight() - 1.0) < 1e-12
+        assert abs(sum(tag_split(pre_tag_state(n))[1].values()) - 1.0) < 1e-12
 
 
 def test_classify_w_forms():
@@ -435,17 +427,16 @@ def test_realistic_run_records_loss():
 
 
 def test_realistic_protocol_fidelity_converges_to_ideal():
-    # the conditioned protocol fidelity and the per-gate product both approach 1;
-    # conditioning on the tag can lift the composed fidelity above the product,
-    # so only convergence and high-coupling closeness are asserted
+    # the conditioned protocol fidelity approaches 1 as the coupling grows;
+    # conditioning on the tag can lift it above the per-gate product, so only
+    # convergence and high-coupling closeness are asserted
     fidelities = []
     for ratio in (1.0, 25.0, 1000.0):
         params = CavityParams.from_ratios(math.sqrt(ratio), math.sqrt(ratio))
         spec = ProtocolSpec(n_photons=3, gate_mode="realistic", params=params)
-        trace = realistic_vs_ideal(spec, forced_tags=(1,))
-        fidelities.append(trace.protocol_fidelity)
-        assert len(trace.gate_fidelities) == 2
-        assert all(0 <= f <= 1 + 1e-12 for f in trace.gate_fidelities)
+        run = run_protocol(spec, forced_tags=(1,), forced_spins=itertools.repeat(Spin.PLUS))
+        fidelities.append(fidelity_vs_ideal(spec, run))
+        assert len(run.spin_outcomes) == 2
     assert fidelities[0] < fidelities[1] < fidelities[2]
     assert fidelities[-1] > 1 - 1e-6
 
@@ -453,11 +444,27 @@ def test_realistic_protocol_fidelity_converges_to_ideal():
 def test_realistic_trace_gate_count_matches_iterations():
     params = CavityParams.from_ratios(10.0, 10.0)
     spec = ProtocolSpec(n_photons=5, gate_mode="realistic", params=params, max_iterations=3)
-    trace = realistic_vs_ideal(spec, forced_tags=(5, 1))
+    run = run_protocol(spec, forced_tags=(5, 1), forced_spins=itertools.repeat(Spin.PLUS))
     # 6 gates in round one, recovery adds 1 + 3 suffix gates
-    assert len(trace.gate_fidelities) == 10
-    assert trace.run.homodyne_tags == (5, 1)
-    assert trace.ideal_run.outcome_class == trace.run.outcome_class == "W"
+    assert len(run.spin_outcomes) == 10
+    assert run.homodyne_tags == (5, 1)
+    ideal = run_protocol(replace(spec, gate_mode="ideal"), forced_tags=(5, 1))
+    assert ideal.outcome_class == run.outcome_class == "W"
+    assert 0 <= fidelity_vs_ideal(spec, run) <= 1 + 1e-12
+
+
+def test_fidelity_vs_ideal_needs_a_realistic_run_on_ideal_branches():
+    # ideal gates have nothing to compare, and a misread tag sends the run down
+    # an arm the ideal circuit on the true tags does not take
+    spec = ProtocolSpec(n_photons=3, max_iterations=1)
+    assert fidelity_vs_ideal(spec, run_protocol(spec, forced_tags=(1,))) is None
+    spec = replace(spec, gate_mode="realistic", homodyne_mode="gaussian", theta=THETA_LOW, alpha=ALPHA_LOW)
+    rng = np.random.default_rng(np.random.SeedSequence(27))
+    runs = [run_protocol(spec, rng=rng) for _ in range(100)]
+    misread = [r for r in runs if r.misclassification_events]
+    assert misread and all(fidelity_vs_ideal(spec, r) is None for r in misread)
+    read_true = [r for r in runs if not r.misclassification_events and set(r.true_tags) <= {1, 3}]
+    assert read_true and all(0 <= fidelity_vs_ideal(spec, r) <= 1 + 1e-12 for r in read_true)
 
 
 def test_composite_fidelity_products():
