@@ -7,10 +7,11 @@ Each line is ``<sha256> <exit code> <call>``; the digest covers the call's
 output file and its stderr.  The grid crosses ``run`` and ``montecarlo`` with
 n in {3, 4, 5}, ideal and realistic gates, ideal and gaussian readout, the
 paper's and a weak parameter set, the paper's and a low-alpha probe and a
-few seeds, and adds ``sweep-fidelity``, ``success-table`` and
-``homodyne-curves`` calls.  Run it against two checkouts (``PYTHONPATH``
-pointing at each one's ``src/``) and ``diff`` the outputs to see exactly which
-seeded outputs a change moves.
+few seeds, adds four-photon runs with ``standardize_flipped`` on, and adds
+``sweep-fidelity``, ``success-table`` and ``homodyne-curves`` calls, one of
+them at a probe too strong for the curve grid.  Run it against two
+checkouts (``PYTHONPATH`` pointing at each one's ``src/``) and ``diff`` the
+outputs to see exactly which seeded outputs a change moves.
 """
 
 import contextlib
@@ -63,6 +64,10 @@ def protocol_calls():
         for seed in MONTECARLO_SEEDS:
             config = {"protocol": {**protocol, "max_iterations": 8}, "seed": seed, "trials": MONTECARLO_TRIALS}
             yield f"montecarlo {name} seed={seed}", ["montecarlo"], config
+    for gate, readout, seed in itertools.product(("ideal", "realistic"), ("ideal", "gaussian"), RUN_SEEDS):
+        protocol = {"n_photons": 4, "gate_mode": gate, "homodyne_mode": readout, "standardize_flipped": True}
+        name = f"n=4 gate={gate} readout={readout} standardize_flipped seed={seed}"
+        yield f"run {name}", ["run"], {"protocol": protocol, "seed": seed}
 
 
 def other_calls():
@@ -73,6 +78,7 @@ def other_calls():
         yield f"success-table n={n} rounds={rounds}", ["success-table", "--n", str(n), "--rounds", str(rounds)], None
     for probe, fields in PROBES.items():
         yield f"homodyne-curves probe={probe}", ["homodyne-curves"], {"protocol": {"n_photons": 3, **fields}}
+    yield "homodyne-curves alpha=10000", ["homodyne-curves"], {"protocol": {"n_photons": 3, "alpha": 10000.0}}
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ gates and probe-phase homodyne readout."""
 
 from .cavity import CavityParams, SpinPhotonMap, empty_reflection, reflection_coefficient, spin_photon_map
 from .cnot import (
-    GateFidelityPoint,
     benchmark_report,
     cnot_fidelity,
     cnot_ideal,

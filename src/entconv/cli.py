@@ -10,6 +10,7 @@ configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ from .qstate import Pol
 CURVE_TAGS = (1, 3, 5)
 CURVE_SAMPLES = 1000
 CURVE_MARGIN = 6.0
+CURVE_MAX_STEP = 0.25   # a unit-width peak midway between two samples still prints within 1 % of its height
 
 
 def _fmt(value) -> str:
@@ -193,8 +195,9 @@ def cmd_sweep_fidelity(args) -> int:
     gks = [float(x) for x in np.linspace(*grid.g_over_kappa, grid.steps)]
     ggs = [float(x) for x in np.linspace(*grid.g_over_gamma, grid.steps)]
     _check_jobs(args)
-    points = fidelity_grid(gks, ggs, args.input.replace("-", "_"))
-    rows = [[p.g_over_kappa, p.g_over_gamma, p.outcome.name.lower(), p.fidelity] for p in points]
+    fidelities = fidelity_grid(gks, ggs, args.input.replace("-", "_")).reshape(-1).tolist()
+    cells = itertools.product(gks, ggs, ("plus", "minus"))   # the grid's axis order
+    rows = [[gk, gg, outcome, fidelity] for (gk, gg, outcome), fidelity in zip(cells, fidelities)]
     _emit_table(args, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
     return 0
 
@@ -204,7 +207,10 @@ def cmd_homodyne_curves(args) -> int:
     alpha = config.protocol.alpha if config.protocol is not None else PROBE_ALPHA
     theta = config.protocol.theta if config.protocol is not None else PROBE_THETA
     model = HomodyneModel.for_tags(alpha, theta, CURVE_TAGS)
-    xs = np.linspace(min(model.means) - CURVE_MARGIN, max(model.means) + CURVE_MARGIN, CURVE_SAMPLES)
+    lo, hi = min(model.means) - CURVE_MARGIN, max(model.means) + CURVE_MARGIN
+    xs, step = np.linspace(lo, hi, CURVE_SAMPLES, retstep=True)
+    if step > CURVE_MAX_STEP:
+        raise ValueError(f"curve step {step:.3g} exceeds {CURVE_MAX_STEP}: the probe means spread too far to sample")
     pdfs = {k: homodyne_pdf(xs, alpha, k, theta) for k in CURVE_TAGS}
     header = ["kind", "x", "pdf_k1", "pdf_k3", "pdf_k5", "value"]
     rows = [

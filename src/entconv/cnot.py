@@ -10,14 +10,12 @@ flip of the target wherever the control photon is L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
-from .optics import HWP, QWP, SPIN_HADAMARD
-from .qstate import NORM_TOL, QuantumState, Spin, apply_controlled, apply_controlled_rows, choose_branch, ket
-from .qstate import row_inner, row_norms2, row_photons, superpose
+from .optics import CNOT, HWP, QWP, SPIN_HADAMARD
+from .qstate import NORM_TOL, QuantumState, Spin, apply_controlled, apply_rows, choose_branch, ket, row_inner
+from .qstate import row_norms2, row_photons, superpose
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -28,16 +26,6 @@ BENCHMARK_KAPPA = 26.0
 BENCHMARK_GAMMA_TOTAL = 0.013
 BENCHMARK_GAMMA_ZPL = 0.0004
 TARGET_FIDELITY = {"plus": 0.996, "minus": 0.995}
-
-
-@dataclass(frozen=True)
-class GateFidelityPoint:
-    """One sweep row: gate fidelity at a resonant coupling-ratio pair."""
-
-    g_over_kappa: float
-    g_over_gamma: float
-    outcome: Spin
-    fidelity: float
 
 
 def cnot_ideal(state: QuantumState, control: int, target: int) -> QuantumState:
@@ -75,20 +63,6 @@ def _kraus(params: CavityParams, ideal: bool) -> np.ndarray:
     return (k[..., :, None, :, :, :] * np.eye(2)[:, None, :, None]).reshape(lead + (2, 4, 4))
 
 
-def _kraus_branches(kraus: np.ndarray, rows: np.ndarray, control: int, target: int) -> np.ndarray:
-    """The readout branches ``K_s psi`` of every photons-only row (shape (T, 2**n)): shape (..., 2, T, 2**n).
-
-    The control and target axes move last, and one matmul against ``kraus``
-    (see ``_kraus``; leading grid axes come out in front) applies every
-    readout's block to every row.
-    """
-    n = row_photons(rows)
-    lead = kraus.shape[:-2]   # grid axes and readout
-    psi = np.moveaxis(rows.reshape((-1,) + (2,) * n), (control, target), (-2, -1))   # axis i held photon i
-    out = (psi.reshape(-1, 4) @ kraus).reshape(lead + psi.shape)
-    return np.moveaxis(out, (-2, -1), (control - n - 1, target - n - 1)).reshape(lead + rows.shape)
-
-
 def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rng=None, forced_spin=None):
     """Apply a compiled CNOT to every row of a batch of photons-only amplitude rows.
 
@@ -97,7 +71,8 @@ def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rn
     readouts, the weight of each chosen branch and each row's squared norm
     before readout.
     """
-    branches = _kraus_branches(kraus, rows, control, target)
+    n = row_photons(rows)
+    branches = apply_rows(rows, (n - control, n - target), kraus)   # [s, row, basis]
     probs = row_norms2(branches)
     k = choose_branch(probs, rng, forced_spin)
     each = np.arange(len(rows))
@@ -112,12 +87,12 @@ def _fidelities(params: CavityParams, inputs: np.ndarray, spins=(0, 1)) -> np.nd
     target photon 1, the layout the gate benchmark is defined for.  A branch
     with no weight left raises.
     """
-    branches = _kraus_branches(_kraus(params, False)[..., list(spins), :, :], inputs, control=2, target=1)
+    branches = apply_rows(inputs, (0, 1), _kraus(params, False)[..., list(spins), :, :])
     probs = row_norms2(branches)
     if np.any(probs <= NORM_TOL**2):
         raise ValueError("branch extinguished")
     post = branches / np.sqrt(probs)[..., None]
-    return np.abs(row_inner(post, apply_controlled_rows(inputs, 0, 1, HWP))) ** 2
+    return np.abs(row_inner(post, apply_rows(inputs, (0, 1), CNOT))) ** 2
 
 
 def cnot_fidelity(params: CavityParams, input_state: QuantumState, outcome: Spin) -> float:
@@ -149,23 +124,16 @@ def _input_rows(input_mode: str) -> np.ndarray:
     raise ValueError(f"unknown input mode {input_mode!r}")
 
 
-def fidelity_grid(gk_values, gg_values, input_mode: str = "uniform") -> list[GateFidelityPoint]:
-    """Gate fidelity over a resonant coupling-ratio grid, one row per spin outcome.
+def fidelity_grid(gk_values, gg_values, input_mode: str = "uniform") -> np.ndarray:
+    """Gate fidelity over a resonant coupling-ratio grid, indexed [g/kappa, g/gamma, spin outcome].
 
     The whole grid is one array pass: one ``CavityParams`` holds every
     (g/kappa, g/gamma) pair, and one gate compile and one matmul give every
     branch of every point.
     """
-    gk = np.asarray(gk_values, dtype=float)
-    gg = np.asarray(gg_values, dtype=float)
-    params = CavityParams.from_ratios(gk[:, None], gg[None, :])
-    fidelities = _fidelities(params, _input_rows(input_mode)).mean(axis=-1)   # [gk, gg, outcome]
-    return [
-        GateFidelityPoint(float(gk[i]), float(gg[j]), outcome, float(fidelities[i, j, outcome.value]))
-        for i in range(len(gk))
-        for j in range(len(gg))
-        for outcome in (Spin.PLUS, Spin.MINUS)
-    ]
+    gk = np.asarray(gk_values, dtype=float)[:, None]
+    params = CavityParams.from_ratios(gk, np.asarray(gg_values, dtype=float))
+    return _fidelities(params, _input_rows(input_mode)).mean(axis=-1)
 
 
 def benchmark_report(tolerance_pp: float = 0.5) -> dict[str, dict]:

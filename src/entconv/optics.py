@@ -18,6 +18,8 @@ _SQRT2 = np.sqrt(2.0)
 QWP = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
 # (R, L) basis: R <-> L
 HWP = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+# (control, target) basis, control the more significant bit: HWP on the target where the control is L
+CNOT = np.kron(np.diag([1, 0]), np.eye(2)) + np.kron(np.diag([0, 1]), HWP)
 # (+, -) basis: pi/2 microwave pulse
 SPIN_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
 

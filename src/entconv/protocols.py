@@ -27,9 +27,8 @@ from .cnot import (
     cnot_rows,
 )
 from .kerr import HomodyneModel, _tag_branches, read_rows
-from .optics import HWP, QWP
-from .qstate import QuantumState, Spin, apply_controlled_rows, apply_single_qubit_rows, ket, row_inner, row_norms2
-from .qstate import row_photons, superpose
+from .optics import CNOT, HWP, QWP
+from .qstate import QuantumState, Spin, apply_rows, ket, row_inner, row_norms2, row_photons, superpose
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -153,7 +152,7 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
 
 def _ideal_cnot(rows, control, target):
     n = row_photons(rows)
-    return apply_controlled_rows(rows, n - control, n - target, HWP), 1.0, None
+    return apply_rows(rows, (n - control, n - target), CNOT), 1.0, None
 
 
 def _realistic_cnot(params: CavityParams, rng, forced_spins):
@@ -187,7 +186,7 @@ def _run_gates(rows, elements, cnot):
             if readout is not None:
                 readouts.append(readout)
         elif kind in ("hwp", "qwp"):
-            rows = apply_single_qubit_rows(rows, n - el[1], HWP if kind == "hwp" else QWP)
+            rows = apply_rows(rows, (n - el[1],), (HWP if kind == "hwp" else QWP).T)
         elif kind == "kerr":
             break
         else:
@@ -263,9 +262,8 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
         tags, true, rows = read_rows(rows, receiver, spec.homodyne_mode, rng, next(tag_iter))
         history.append((live, tags, true, readouts))
         done = declares[tags]
-        if n == 4 and spec.standardize_flipped:
-            for photon in range(1, 5):
-                rows[tags == 3] = apply_single_qubit_rows(rows[tags == 3], n - photon, HWP)
+        if n == 4 and spec.standardize_flipped:   # HWP on every photon flips every bit
+            rows[tags == 3] = rows[tags == 3][:, ::-1]
         final[live] = rows
         outcome[live[done]] = [success[int(k)] for k in tags[done]]
         rounds[live[done]] = iteration

@@ -13,6 +13,7 @@ loss.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -138,8 +139,7 @@ def apply_single_qubit(state: QuantumState, site: Site, matrix: np.ndarray) -> Q
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError("single-qubit map must be 2x2")
-    amps = apply_single_qubit_rows(state.amplitudes, state.site_bit(site), m)
-    return QuantumState(state.n_photons, state.has_spin, amps)
+    return QuantumState(state.n_photons, state.has_spin, apply_rows(state.amplitudes, (state.site_bit(site),), m.T))
 
 
 def apply_controlled(state: QuantumState, control: Site, target: Site, matrix: np.ndarray) -> QuantumState:
@@ -149,7 +149,8 @@ def apply_controlled(state: QuantumState, control: Site, target: Site, matrix: n
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError("controlled map must be 2x2")
-    amps = apply_controlled_rows(state.amplitudes, state.site_bit(control), state.site_bit(target), m)
+    op = np.kron(np.diag([1, 0]), np.eye(2)) + np.kron(np.diag([0, 1]), m.T)
+    amps = apply_rows(state.amplitudes, (state.site_bit(control), state.site_bit(target)), op)
     return QuantumState(state.n_photons, state.has_spin, amps)
 
 
@@ -162,18 +163,26 @@ def row_photons(amps: np.ndarray) -> int:
     return amps.shape[-1].bit_length() - 1
 
 
-def apply_single_qubit_rows(amps: np.ndarray, bit: int, m: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 map on basis bit ``bit`` of every row."""
-    return np.einsum("ab,ibj->iaj", m, amps.reshape(-1, 2, 1 << bit)).reshape(amps.shape)
+@functools.lru_cache(maxsize=None)
+def _row_axes(n: int, bits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order moving ``bits`` of a (1, rows, 2, ..., 2) tensor last (axis n + 1 - b holds bit b); its inverse."""
+    order = (0, 1) + tuple(n + 1 - b for b in reversed(range(n)) if b not in bits) + tuple(n + 1 - b for b in bits)
+    return order, tuple(np.argsort(order))
 
 
-def apply_controlled_rows(amps: np.ndarray, control_bit: int, target_bit: int, m: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 map on bit ``target_bit`` of every row where bit ``control_bit`` is 1."""
-    bits = row_photons(amps)
-    out = amps.reshape((-1,) + (2,) * bits).copy()   # axis bits - b holds bit b
-    on = (slice(None),) * (bits - control_bit) + (1,)
-    out[on] = apply_single_qubit_rows(out[on], target_bit - (target_bit > control_bit), m)
-    return out.reshape(amps.shape)
+def apply_rows(amps: np.ndarray, bits, op: np.ndarray) -> np.ndarray:
+    """Apply ``op``, shape (..., 2**k, 2**k), to basis bits ``bits`` of every row: shape op.shape[:-2] + amps.shape.
+
+    The first listed bit is the most significant bit of ``op``'s index.  Each
+    row multiplies ``op`` from the left, so a map ``m`` that acts on column
+    vectors is passed as ``m.T``.  The leading axes of ``op`` (readouts, grid
+    points) come out in front of the rows.
+    """
+    n = row_photons(amps)
+    order, back = _row_axes(n, tuple(bits))
+    psi = amps.reshape((1, -1) + (2,) * n).transpose(order)
+    out = (psi.reshape(-1, op.shape[-1]) @ op).reshape((-1,) + psi.shape[1:])   # leading axes of op flattened
+    return out.transpose(back).reshape(op.shape[:-2] + amps.shape)
 
 
 def row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -339,6 +339,28 @@ def test_homodyne_curves_degenerate_theta_is_runtime_error(tmp_path):
     assert main(["homodyne-curves", "--config", make_config(tmp_path, cfg)]) == 3
 
 
+def test_homodyne_curves_too_coarse_a_step_is_runtime_error(tmp_path, capsys):
+    # at alpha = 10000 the 1000 samples lie 2.36 apart and the k=1 curve
+    # printed a peak of 0.22 instead of 1/sqrt(2 pi)
+    out = tmp_path / "curves.csv"
+    cfg = {"protocol": {"n_photons": 3, "alpha": 10000.0}}
+    assert main(["homodyne-curves", "--config", make_config(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: curve step 2.36 ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_homodyne_curves_keep_their_peaks_at_the_widest_step(tmp_path):
+    out = tmp_path / "curves.csv"
+    cfg = {"protocol": {"n_photons": 3, "alpha": 1000.0}}
+    assert main(["homodyne-curves", "--config", make_config(tmp_path, cfg), "--out", str(out)]) == 0
+    curve = [r for r in read_rows(out)[1] if r[0] == "curve"]
+    assert 0.24 < float(curve[1][1]) - float(curve[0][1]) <= 0.25
+    for col in (2, 3, 4):
+        peak = max(float(r[col]) for r in curve)
+        assert abs(peak * math.sqrt(2 * math.pi) - 1) <= 0.01
+
+
 @pytest.mark.parametrize("theta", [1.0, 2.0])
 def test_homodyne_curves_past_monotone_means(tmp_path, theta):
     # beyond 5 theta = pi the means no longer fall as the tag rises; the curve

@@ -269,16 +269,15 @@ def test_fidelity_grid_matches_gate_outputs(input_mode):
     # on a non-square grid with weak coupling included
     inputs = (uniform_input(),) if input_mode == "uniform" else basis_inputs()
     gks, ggs = (0.3, 2.0, 0.5), (0.4, 7.0)
-    points = fidelity_grid(gks, ggs, input_mode)
-    order = [(gk, gg, outcome) for gk in gks for gg in ggs for outcome in (Spin.PLUS, Spin.MINUS)]
-    assert [(p.g_over_kappa, p.g_over_gamma, p.outcome) for p in points] == order
-    for point in points:
-        params = CavityParams.from_ratios(point.g_over_kappa, point.g_over_gamma)
+    fidelities = fidelity_grid(gks, ggs, input_mode)
+    assert fidelities.shape == (len(gks), len(ggs), 2)
+    for (i, gk), (j, gg), outcome in itertools.product(enumerate(gks), enumerate(ggs), (Spin.PLUS, Spin.MINUS)):
+        params = CavityParams.from_ratios(gk, gg)
         route = []
         for state in inputs:
-            real, *_ = compiled_cnot(state, 2, 1, params, ideal=False, forced=point.outcome)
+            real, *_ = compiled_cnot(state, 2, 1, params, ideal=False, forced=outcome)
             route.append(abs(inner(QuantumState(2, False, real), cnot_ideal(state, 2, 1))) ** 2)
-        assert abs(point.fidelity - float(np.mean(route))) <= 1e-12, point
+        assert abs(fidelities[i, j, outcome.value] - float(np.mean(route))) <= 1e-12, (gk, gg, outcome)
 
 
 def test_grid_point_with_an_extinguished_branch_raises():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from entconv.qstate import (
     QuantumState,
     Spin,
     apply_controlled,
+    apply_rows,
     apply_single_qubit,
     attach_spin,
     discard_spin,
@@ -21,7 +23,7 @@ from entconv.qstate import (
     measure_spin,
     superpose,
 )
-from entconv.optics import HWP, SPIN_HADAMARD
+from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import basis_index, expected_vector
 
@@ -120,6 +122,44 @@ def test_controlled_involution():
 def test_control_equals_target_rejected():
     with pytest.raises(ValueError, match="differ"):
         apply_controlled(ket("RR"), 1, 1, HWP)
+
+
+def dense_row_operator(n, bits, op):
+    """The 2**n x 2**n matrix that a row multiplies to apply the 2**k x 2**k ``op`` on ``bits``.
+
+    ``np.kron(op, I)`` acts on an index whose top k bits are ``bits`` in
+    order and whose low bits are the other bits from high to low; ``perm``
+    takes each basis index to that layout.
+    """
+    order = list(bits) + [b for b in reversed(range(n)) if b not in bits]
+    perm = [sum(((i >> b) & 1) << (n - 1 - pos) for pos, b in enumerate(order)) for i in range(1 << n)]
+    return np.kron(op, np.eye(1 << (n - len(bits))))[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_apply_rows_matches_the_dense_operator(n):
+    rng = np.random.default_rng(n)
+    choices = [bits for k in (1, 2) for bits in itertools.permutations(range(n), k)]
+    for bits, lead, trials in itertools.product(choices, [(), (2,), (3, 2)], [1, 7]):
+        dim = 1 << len(bits)
+        op = rng.normal(size=lead + (dim, dim, 2)) @ [1, 1j]
+        rows = rng.normal(size=(trials, 1 << n, 2)) @ [1, 1j]
+        dense = np.zeros(lead + (1 << n, 1 << n), complex)
+        for idx in np.ndindex(*lead):
+            dense[idx] = dense_row_operator(n, bits, op[idx])
+        got = apply_rows(rows, bits, op)
+        assert got.shape == lead + rows.shape
+        assert np.max(np.abs(got - rows @ dense)) <= 1e-13, (bits, lead, trials)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cnot_constant_is_the_controlled_flip_on_every_basis_state(n):
+    for (control, target), index in itertools.product(itertools.permutations(range(1, n + 1), 2), range(1 << n)):
+        state = QuantumState(n, False, np.eye(1 << n)[index])
+        row = apply_rows(state.amplitudes[None], (n - control, n - target), CNOT)[0]
+        assert np.array_equal(row, apply_controlled(state, control, target, HWP).amplitudes)
+        flipped = index ^ (1 << (n - target)) if (index >> (n - control)) & 1 else index
+        assert np.array_equal(row, np.eye(1 << n)[flipped])
 
 
 def test_inner_self_is_one():
