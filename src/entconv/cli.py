@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnot import fidelity_grid
-from .config import MAX_TRIALS, ConfigError, RunConfig, config_from_dict, load_config
+from .config import ConfigError, RunConfig, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
 from .protocols import (
     PROBE_ALPHA,
@@ -36,6 +36,9 @@ CURVE_TAGS = (1, 3, 5)
 CURVE_SAMPLES = 1000
 CURVE_MARGIN = 6.0
 CURVE_MAX_STEP = 0.25   # a unit-width peak midway between two samples still prints within 1 % of its height
+# the config field each flag is written over before the document is checked
+FLAG_FIELDS = {"seed": "seed", "trials": "trials", "out": "output.path", "format": "output.format",
+               "n": "protocol.n_photons", "rounds": "protocol.max_iterations"}
 
 
 def _fmt(value) -> str:
@@ -72,23 +75,10 @@ def _rows_as_json(header: list[str], rows: list[list]) -> str:
     return _json_text([dict(zip(header, row)) for row in rows])
 
 
-def _emit_table(args, header: list[str], rows: list[list]) -> None:
-    out, fmt = _output_choice(args, default_format="csv")
+def _emit_table(config: RunConfig, header: list[str], rows: list[list]) -> None:
+    fmt = config.output.format or "csv"
     text = _csv(header, rows) if fmt == "csv" else _rows_as_json(header, rows)
-    _write_text(out, text)
-
-
-def _load_config(args) -> RunConfig:
-    if args.config is not None:
-        return load_config(args.config)
-    return config_from_dict({})
-
-
-def _output_choice(args, default_format: str = "csv") -> tuple[str | None, str]:
-    config = args._config
-    out = args.out if args.out is not None else config.output.path
-    fmt = args.format if args.format is not None else config.output.format
-    return out, fmt if fmt is not None else default_format
+    _write_text(config.output.path, text)
 
 
 def _require_protocol(config: RunConfig) -> ProtocolSpec:
@@ -97,13 +87,10 @@ def _require_protocol(config: RunConfig) -> ProtocolSpec:
     return config.protocol
 
 
-def _require_seed(args) -> int:
-    seed = args.seed if args.seed is not None else args._config.seed
-    if seed is None:
+def _require_seed(config: RunConfig) -> int:
+    if config.seed is None:
         raise ConfigError("seed required for any stochastic run")
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    return int(seed)
+    return config.seed
 
 
 def _check_jobs(args) -> None:
@@ -126,7 +113,7 @@ def _state_terms(state) -> list[dict]:
 def cmd_run(args) -> int:
     config = args._config
     spec = _require_protocol(config)
-    seed = _require_seed(args)
+    seed = _require_seed(config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     run = run_protocol(spec, rng=rng)
     cls = classify_state(run.final_state)
@@ -150,9 +137,8 @@ def cmd_run(args) -> int:
         },
         "final_state": _state_terms(run.final_state),
     }
-    out, fmt = _output_choice(args, default_format="json")
-    if fmt == "json":
-        _write_text(out, _json_text(report))
+    if config.output.format in (None, "json"):
+        _write_text(config.output.path, _json_text(report))
     else:
         header = ["key", "value"]
         rows = []
@@ -164,17 +150,15 @@ def cmd_run(args) -> int:
             elif isinstance(value, list):
                 value = ";".join(str(v) for v in value)
             rows.append([key, value])
-        _emit_table(args, header, rows)
+        _emit_table(config, header, rows)
     return 0
 
 
 def cmd_montecarlo(args) -> int:
     config = args._config
     spec = _require_protocol(config)
-    seed = _require_seed(args)
-    trials = args.trials if args.trials is not None else config.trials
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}")
+    seed = _require_seed(config)
+    trials = config.trials
     _check_jobs(args)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     result = monte_carlo(spec, trials, rng)
@@ -183,7 +167,7 @@ def cmd_montecarlo(args) -> int:
         [cls, iters, count, count / trials]
         for (cls, iters), count in sorted(result.counts.items())
     ]
-    _emit_table(args, header, rows)
+    _emit_table(config, header, rows)
     return 0
 
 
@@ -198,7 +182,7 @@ def cmd_sweep_fidelity(args) -> int:
     fidelities = fidelity_grid(gks, ggs, args.input.replace("-", "_")).reshape(-1).tolist()
     cells = itertools.product(gks, ggs, ("plus", "minus"))   # the grid's axis order
     rows = [[gk, gg, outcome, fidelity] for (gk, gg, outcome), fidelity in zip(cells, fidelities)]
-    _emit_table(args, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
+    _emit_table(config, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
     return 0
 
 
@@ -222,18 +206,15 @@ def cmd_homodyne_curves(args) -> int:
         rows.append([f"x_d{i}", None, None, None, None, x_d])
     for i, x_d in enumerate(distances, start=1):
         rows.append([f"P_error{i}", None, None, None, None, error_probability(x_d)])
-    _emit_table(args, header, rows)
+    _emit_table(config, header, rows)
     return 0
 
 
 def cmd_success_table(args) -> int:
     config = args._config
-    n = args.n if args.n is not None else (config.protocol.n_photons if config.protocol else None)
-    rounds = args.rounds if args.rounds is not None else (config.protocol.max_iterations if config.protocol else 4)
-    try:
-        table = success_series(n, rounds)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    spec = _require_protocol(config)
+    n = spec.n_photons
+    table = success_series(n, spec.max_iterations)
     header = ["n_photons", "outcome_class", "round", "per_round_probability", "cumulative_probability"]
     rows = []
     for series in table:
@@ -242,14 +223,14 @@ def cmd_success_table(args) -> int:
             acc += p
             rows.append([n, series.outcome_class, m, p, acc])
         rows.append([n, series.outcome_class, "limit", None, series.limit])
-    _emit_table(args, header, rows)
+    _emit_table(config, header, rows)
     return 0
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON run configuration (see config_schema.json)")
     sub.add_argument("--out", metavar="PATH", help="output file (default: stdout or config output.path)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format (overrides config)")
+    sub.add_argument("--format", choices=("csv", "json"), help="output format (written over config output.format)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(handler=cmd_run)
 
     mc_p = commands.add_parser("montecarlo", help="outcome frequencies over seeded trials")
-    mc_p.add_argument("--trials", type=int, help="trial count for ensembles (overrides config)")
+    mc_p.add_argument("--trials", type=int, help="trial count for ensembles (written over config trials)")
     mc_p.set_defaults(handler=cmd_montecarlo)
 
     sweep_p = commands.add_parser("sweep-fidelity", help="gate fidelity over a coupling-ratio grid")
@@ -278,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each command takes only the flags it reads
     for sub in (run_p, mc_p):
-        sub.add_argument("--seed", type=int, help="seed for stochastic runs (overrides config)")
+        sub.add_argument("--seed", type=int, help="seed for stochastic runs (written over config seed)")
     for sub in (mc_p, sweep_p):
         sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect (must be >= 1)")
     for sub in (run_p, mc_p, sweep_p, curves_p, table_p):
@@ -293,7 +274,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args._config = _load_config(args)
+        flags = {field: getattr(args, flag, None) for flag, field in FLAG_FIELDS.items()}
+        args._config = load_config(args.config, flags)
         return args.handler(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

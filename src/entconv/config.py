@@ -1,15 +1,20 @@
-"""Run configuration for the CLI: JSON (de)serialization plus validation.
+"""Run configuration for the CLI: one check against the schema, then the dataclasses.
 
-The accepted document shape, with units, is described in
-``config_schema.json`` next to this module.  Command-line flags override
-config fields.
+``config_schema.json`` next to this module is the one statement of what a
+document may hold, with units.  ``load_config`` writes the command-line flags
+over the fields they set (``--seed`` over ``seed``, ``--out`` over
+``output.path``, ...) and checks the result once against the schema, with
+JSON's numbers: a boolean is not a number, an integer-valued float is an
+integer, NaN and infinities are not numbers, and an integer of any size meets
+the bounds exactly.  ``config_from_dict`` then only builds the dataclasses.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import sys
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -21,36 +26,17 @@ class ConfigError(ValueError):
     """Invalid or missing configuration input (CLI exit code 2)."""
 
 
-# Upper bounds of the config's counts; config_schema.json states the same.
-MAX_TRIALS = 2**63 - 1     # the largest count rng.multinomial takes
-MAX_SWEEP_STEPS = 200      # a grid pass holds ~2 kB per grid point: ~110 MB at 200x200
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     g_over_kappa: tuple[float, float]
     g_over_gamma: tuple[float, float]
     steps: int
 
-    def __post_init__(self) -> None:
-        for name in ("g_over_kappa", "g_over_gamma"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo < math.inf and 0 < hi < math.inf):
-                raise ConfigError(f"sweep range {name} must be positive and finite")
-        if not 2 <= self.steps <= MAX_SWEEP_STEPS:
-            raise ConfigError(f"sweep steps must be between 2 and {MAX_SWEEP_STEPS}")
-
 
 @dataclass(frozen=True)
 class OutputSpec:
     path: str | None = None
     format: str | None = None   # None: command default (json for run, csv for tables)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.path, (str, type(None))):
-            raise ConfigError("output.path must be a string")
-        if self.format not in (None, "csv", "json"):
-            raise ConfigError(f"unknown output format {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -61,91 +47,78 @@ class RunConfig:
     seed: int | None = None
     output: OutputSpec = field(default_factory=OutputSpec)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}")
+
+_TYPE_NAMES = {"object": "an object", "array": "an array", "string": "a string", "integer": "an integer",
+               "number": "a number", "boolean": "a boolean", "null": "null"}
+_PYTHON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+_BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"), ("maximum", operator.le, "<="))
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+def _is_type(value, name: str) -> bool:
+    if name == "number":
+        finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        return finite and not isinstance(value, bool)
+    if name == "integer":
+        return _is_type(value, "number") and (isinstance(value, int) or value.is_integer())
+    return isinstance(value, _PYTHON_TYPES[name])
 
 
-def _integer(name: str, value) -> int:
-    """An integer field; like JSON Schema, a float with no fractional part counts."""
-    if isinstance(value, float) and value.is_integer():
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _checked(schema: dict, value, path: str = ""):
+    """``value`` as ``schema`` accepts it, an integer-valued float made an int; else a ConfigError naming ``path``."""
+    where = path or "config"
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(value, name) for name in types):
+        raise ConfigError(f"{where} must be {' or '.join(_TYPE_NAMES[name] for name in types)}")
+    if "integer" in types and _is_type(value, "integer"):
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{where} must be one of {schema['enum']}")
+    if _is_type(value, "number"):
+        for keyword, holds, relation in _BOUNDS:
+            if keyword in schema and not holds(value, schema[keyword]):
+                raise ConfigError(f"{where} must be {relation} {schema[keyword]}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{where} must have at least {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", math.inf):
+            raise ConfigError(f"{where} must have at most {schema['maxItems']} items")
+        value = [_checked(schema.get("items", {}), item, f"{where}[{i}]") for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        unknown = sorted(set(value) - set(properties))
+        if unknown and schema.get("additionalProperties") is False:
+            raise ConfigError(f"unknown {where} keys: {unknown}")
+        for name in schema.get("required", []):
+            if name not in value:
+                raise ConfigError(f"{_join(path, name)} is required")
+        value = {name: _checked(properties.get(name, {}), v, _join(path, name)) for name, v in value.items()}
     return value
 
 
-def _number(name: str, value):
-    """A number field; a JSON boolean is not a number, nor is an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number")
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{name} is beyond the float range")
-    return value
+@functools.cache
+def _schema() -> dict:
+    return json.loads(schema_path().read_text())
 
 
-def _protocol_from_dict(data: dict) -> ProtocolSpec:
-    _check_keys(
-        "protocol",
-        data,
-        {"n_photons", "max_iterations", "gate_mode", "homodyne_mode", "params", "theta", "alpha", "standardize_flipped"},
-    )
-    if "n_photons" not in data:
-        raise ConfigError("protocol.n_photons is required")
-    kwargs = dict(data)
-    for name, check in (("n_photons", _integer), ("max_iterations", _integer), ("theta", _number), ("alpha", _number)):
-        if name in kwargs:
-            kwargs[name] = check(f"protocol.{name}", kwargs[name])
-    if not isinstance(kwargs.get("standardize_flipped", False), bool):
-        raise ConfigError("protocol.standardize_flipped must be a boolean")
-    try:
-        if "params" in kwargs:
-            params = kwargs["params"]
-            if not isinstance(params, dict):
-                raise ConfigError("protocol.params must be an object")
-            _check_keys("params", params, {"g", "kappa", "gamma", "omega_c", "omega_0", "omega_p"})
-            kwargs["params"] = CavityParams(**{name: _number(f"params.{name}", v) for name, v in params.items()})
-        return ProtocolSpec(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid protocol section: {err}") from err
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys("config", data, {"protocol", "sweep", "trials", "seed", "output"})
-    for section in ("protocol", "sweep", "output"):
-        if not isinstance(data.get(section, {}), (dict, type(None))):
-            raise ConfigError(f"{section} section must be an object")
-    protocol = _protocol_from_dict(data["protocol"]) if data.get("protocol") is not None else None
-    sweep = None
-    if data.get("sweep") is not None:
-        sweep_data = data["sweep"]
-        _check_keys("sweep", sweep_data, {"g_over_kappa", "g_over_gamma", "steps"})
-        try:
-            sweep = SweepGrid(
-                tuple(float(_number("sweep.g_over_kappa", x)) for x in sweep_data["g_over_kappa"]),
-                tuple(float(_number("sweep.g_over_gamma", x)) for x in sweep_data["g_over_gamma"]),
-                _integer("sweep.steps", sweep_data["steps"]),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"invalid sweep section: {err}") from err
-    output_data = data.get("output") or {}
-    _check_keys("output", output_data, {"path", "format"})
-    if output_data.get("format", "csv") is None:   # only an absent format means the command's default
-        raise ConfigError("output.format must be csv or json")
-    output = OutputSpec(**output_data)
-    seed = None if data.get("seed") is None else _integer("seed", data["seed"])
-    if seed is not None and seed < 0:   # np.random.SeedSequence takes no negative seed
-        raise ConfigError("seed must be a non-negative integer")
-    trials = _integer("trials", data.get("trials", 1))
-    return RunConfig(protocol=protocol, sweep=sweep, trials=trials, seed=seed, output=output)
+def config_from_dict(data) -> RunConfig:
+    data = _checked(_schema(), data)
+    protocol = data.get("protocol")
+    if protocol is not None:
+        if "params" in protocol:
+            protocol = {**protocol, "params": CavityParams(**protocol["params"])}
+        protocol = ProtocolSpec(**protocol)
+    sweep = data.get("sweep")
+    if sweep is not None:
+        ranges = (tuple(float(x) for x in sweep[name]) for name in ("g_over_kappa", "g_over_gamma"))
+        sweep = SweepGrid(*ranges, sweep["steps"])
+    output = OutputSpec(**(data.get("output") or {}))
+    counts = {name: data[name] for name in ("trials", "seed") if name in data}
+    return RunConfig(protocol=protocol, sweep=sweep, output=output, **counts)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -156,15 +129,32 @@ def config_to_dict(config: RunConfig) -> dict:
     return out
 
 
-def load_config(path: str | Path) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from err
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"malformed config JSON: {err}") from err
+def _write_field(data, field_path: str, value) -> None:
+    """Set a dotted field; an absent or null section becomes an object, any other non-object is left as it is."""
+    *sections, name = field_path.split(".")
+    for section in sections:
+        if isinstance(data, dict) and data.get(section) is None:
+            data[section] = {}
+        data = data.get(section) if isinstance(data, dict) else None
+    if isinstance(data, dict):
+        data[name] = value
+
+
+def load_config(path: str | Path | None, flags: dict | None = None) -> RunConfig:
+    """The document at ``path`` (empty for None), each non-None flag written over its dotted field, checked once."""
+    data = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text()
+        except OSError as err:
+            raise ConfigError(f"cannot read config: {err}") from err
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"malformed config JSON: {err}") from err
+    for field_path, value in (flags or {}).items():
+        if value is not None:
+            _write_field(data, field_path, value)
     return config_from_dict(data)
 
 

@@ -10,10 +10,11 @@ failure branch is recovered and re-enters the tagging suffix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -254,7 +255,7 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     declares = np.array([k in success for k in range(n + 1)])   # by classified tag
     receiver = None   # ideal readout reads the true tag and needs no thresholds
     if spec.homodyne_mode == "gaussian":
-        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(spec))
+        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(n))
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
         rows, norm_factor, readouts = _run_gates(rows, elements, cnot)
@@ -355,7 +356,7 @@ def _ideal_gate_table(spec: ProtocolSpec):
     n = spec.n_photons
     success = _SUCCESS_TAGS[n]
     if spec.homodyne_mode == "gaussian":
-        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(spec))
+        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(n))
         confusion, read_as = receiver.confusion(range(n + 1)), receiver.tags
     else:
         confusion, read_as = np.eye(n + 1), range(n + 1)
@@ -381,12 +382,13 @@ def _ideal_gate_table(spec: ProtocolSpec):
     return cells, weights
 
 
-def ideal_tags(spec: ProtocolSpec) -> frozenset[int]:
-    """Probe tags the ideal circuit reads out in any round; every other tag is leaked by realistic gates.
+@functools.lru_cache(maxsize=None)
+def ideal_tags(n_photons: int) -> frozenset[int]:
+    """Probe tags the ideal circuit of n photons reads out in any round; every other tag is leaked by realistic gates.
 
     Read off the table's first two rounds: recovery reproduces the first round's tags.
     """
-    _, weights = _ideal_gate_table(replace(spec, homodyne_mode="ideal", max_iterations=2))
+    _, weights = _ideal_gate_table(ProtocolSpec(n_photons, max_iterations=2))
     return frozenset(int(k) for w in weights for k in np.flatnonzero(w))
 
 
@@ -424,7 +426,7 @@ def fidelity_vs_ideal(spec: ProtocolSpec, run: ProtocolRun) -> float | None:
     misclassified readout or a leaked true tag (one the ideal circuit never
     produces): the ideal circuit has no branch for either to follow.
     """
-    if spec.gate_mode == "ideal" or run.misclassification_events or not set(run.true_tags) <= ideal_tags(spec):
+    if spec.gate_mode == "ideal" or run.misclassification_events or not set(run.true_tags) <= ideal_tags(spec.n_photons):
         return None
     ideal_run = _single_run(spec, _ideal_cnot, None, run.true_tags)
     return abs(complex(row_inner(run.final_state.amplitudes, ideal_run.final_state.amplitudes))) ** 2

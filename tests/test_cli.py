@@ -150,12 +150,48 @@ def test_oversized_numbers_are_config_errors(tmp_path, capsys, command, doc):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "montecarlo"])
-def test_negative_seed_flag_is_config_error(tmp_path, capsys, command):
-    # np.random.SeedSequence takes no negative seed; it used to end as a runtime error
-    config = make_config(tmp_path, {"protocol": {"n_photons": 3}, "trials": 10})
-    assert main([command, "--config", config, "--seed", "-5"]) == 2
-    assert capsys.readouterr().err == "config error: seed must be a non-negative integer\n"
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["montecarlo", "--seed", "1", "--trials", "0"], {}, "trials must be >= 1"),
+        (["montecarlo", "--seed", "1", "--trials", str(2**63)], {}, "trials must be <= 9223372036854775807"),
+        # np.random.SeedSequence takes no negative seed; it used to end as a runtime error
+        (["run", "--seed", "-5"], {}, "seed must be >= 0"),
+        (["montecarlo", "--seed", "-5"], {}, "seed must be >= 0"),
+        (["success-table", "--rounds", "1001"], {}, "protocol.max_iterations must be <= 1000"),
+        (["success-table", "--n", "6"], {}, "protocol.n_photons must be one of [3, 4, 5]"),
+        # a flag never hides a malformed section it would write into
+        (["run", "--seed", "1", "--out", "out.json"], {"output": 5}, "output must be an object or null"),
+        (["success-table", "--n", "3"], {"protocol": 5}, "protocol must be an object or null"),
+    ],
+    ids=["trials_0", "trials_2**63", "run_seed", "montecarlo_seed", "rounds", "n", "out_over_output",
+         "n_over_protocol"],
+)
+def test_flags_are_checked_with_the_config(tmp_path, capsys, monkeypatch, argv, doc, message):
+    # each flag is written over its config field, and the document is checked once
+    monkeypatch.chdir(tmp_path)
+    config = make_config(tmp_path, {"protocol": {"n_photons": 3}, "trials": 10, **doc})
+    assert main([*argv, "--config", config]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+# the keywords config._checked interprets; any other keyword would be silently ignored
+SCHEMA_KEYWORDS = {"type", "properties", "additionalProperties", "required", "enum", "minimum", "maximum",
+                   "exclusiveMinimum", "items", "minItems", "maxItems"}
+SCHEMA_ANNOTATIONS = {"$schema", "title", "description"}
+
+
+def test_schema_uses_only_the_keywords_the_checker_reads():
+    def walk(node, where):
+        assert set(node) <= SCHEMA_KEYWORDS | SCHEMA_ANNOTATIONS, (where, set(node) - SCHEMA_KEYWORDS)
+        assert node.get("additionalProperties", False) is False, where   # read only as false
+        for name, sub in node.get("properties", {}).items():
+            walk(sub, f"{where}.{name}")
+        if "items" in node:
+            walk(node["items"], f"{where}[]")
+
+    walk(json.loads(schema_path().read_text()), "config")
 
 
 _REALISTIC = {"n_photons": 3, "gate_mode": "realistic"}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, read_rows
-from entconv.protocols import ProtocolSpec, ideal_tags
+from entconv.protocols import ideal_tags
 from entconv.qstate import QuantumState, ket, superpose
 
 from conftest import basis_index, tag_split, uniform_vector
@@ -171,7 +171,7 @@ def _rows_with_tag_gaps(gen, n, count, kept_tag=None):
 
 def _fixed_receiver(n, theta, alpha):
     """The receiver a protocol run of n photons reads every row with: thresholds between its ideal tags."""
-    return HomodyneModel.for_tags(alpha, theta, ideal_tags(ProtocolSpec(n, theta=theta, alpha=alpha)))
+    return HomodyneModel.for_tags(alpha, theta, ideal_tags(n))
 
 
 def _popcount_mask(row, k):
