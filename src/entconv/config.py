@@ -68,7 +68,7 @@ def _join(path: str, name: str) -> str:
 
 
 def _checked(schema: dict, value, path: str = ""):
-    """``value`` as ``schema`` accepts it, an integer-valued float made an int; else a ConfigError naming ``path``."""
+    """``value`` as ``schema`` accepts it, an integer made an int and any other number a float; else a ConfigError naming ``path``."""
     where = path or "config"
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
@@ -82,6 +82,8 @@ def _checked(schema: dict, value, path: str = ""):
         for keyword, holds, relation in _BOUNDS:
             if keyword in schema and not holds(value, schema[keyword]):
                 raise ConfigError(f"{where} must be {relation} {schema[keyword]}")
+        if "number" in types:   # a number field's bounds keep it within the float range
+            value = float(value)
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise ConfigError(f"{where} must have at least {schema['minItems']} items")
@@ -114,8 +116,7 @@ def config_from_dict(data) -> RunConfig:
         protocol = ProtocolSpec(**protocol)
     sweep = data.get("sweep")
     if sweep is not None:
-        ranges = (tuple(float(x) for x in sweep[name]) for name in ("g_over_kappa", "g_over_gamma"))
-        sweep = SweepGrid(*ranges, sweep["steps"])
+        sweep = SweepGrid(tuple(sweep["g_over_kappa"]), tuple(sweep["g_over_gamma"]), sweep["steps"])
     output = OutputSpec(**(data.get("output") or {}))
     counts = {name: data[name] for name in ("trials", "seed") if name in data}
     return RunConfig(protocol=protocol, sweep=sweep, output=output, **counts)

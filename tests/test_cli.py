@@ -217,6 +217,19 @@ def test_non_finite_resonator_response_is_runtime_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "g,code", [(2**64, 0), (10**300, 3)], ids=["beyond_int64", "301_digits"],
+)
+def test_integers_the_schema_accepts_reach_the_model_as_floats(tmp_path, capsys, g, code):
+    # an integer beyond int64 but within the float range meets the schema; handed
+    # on as an int it made numpy's isfinite raise a TypeError traceback
+    doc = {"protocol": {**_REALISTIC, "params": {**REAL_PARAMS, "g": g}}, "seed": 1}
+    JsonValidator(json.loads(schema_path().read_text())).validate(doc)
+    assert config_from_dict(doc).protocol.params.g == float(g)
+    assert main(["run", "--config", make_config(tmp_path, doc), "--out", str(tmp_path / "out.json")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_counts_at_their_bounds_are_accepted(tmp_path):
     doc = {"protocol": {"n_photons": 3, "max_iterations": 1000}, "sweep": {**GRID, "steps": 200},
            "seed": 1, "trials": 2**63 - 1}
