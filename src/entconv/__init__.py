@@ -2,17 +2,15 @@
 conversion (GHZ to W/Dicke) built on emitter-resonator conditional reflection
 gates and probe-phase homodyne readout."""
 
-from .cavity import CavityParams, SpinPhotonMap, empty_reflection, reflection_coefficient, spin_photon_map
+from .cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from .cnot import (
     benchmark_report,
     cnot_fidelity,
-    cnot_ideal,
     fidelity_grid,
     uniform_input,
 )
 from .config import ConfigError, OutputSpec, RunConfig, SweepGrid, config_from_dict, config_to_dict, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
-from .optics import hwp, qwp, spin_hadamard
 from .protocols import (
     MonteCarloResult,
     ProtocolRun,
@@ -29,22 +27,6 @@ from .protocols import (
     run_protocol,
     success_series,
 )
-from .qstate import (
-    MeasurementRecord,
-    Pol,
-    QuantumState,
-    Spin,
-    SPIN,
-    apply_controlled,
-    apply_single_qubit,
-    attach_spin,
-    discard_spin,
-    inner,
-    ket,
-    make_basis_state,
-    measure_site,
-    measure_spin,
-    superpose,
-)
+from .qstate import Pol, QuantumState, Spin, inner, ket, make_basis_state, superpose
 
 __version__ = "0.1.0"

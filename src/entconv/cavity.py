@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import SPIN, QuantumState
-
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -44,9 +42,6 @@ class CavityParams:
             raise ValueError("kappa and gamma must be strictly positive")
         if np.any(np.less(self.g, 0)):
             raise ValueError("g must be nonnegative")
-
-    def resonant(self) -> bool:
-        return self.omega_c == self.omega_0 == self.omega_p
 
     @classmethod
     def from_ratios(cls, g_over_kappa: float, g_over_gamma: float, g: float = 1.0) -> "CavityParams":
@@ -78,46 +73,24 @@ def empty_reflection(p: CavityParams) -> complex:
     return (dc - p.kappa / 2) / (dc + p.kappa / 2)
 
 
-class SpinPhotonMap:
-    """Diagonal conditional map over the joint basis (R+, R-, L+, L-).
-
-    ``factors`` has shape (..., 4): leading axes hold a grid of parameter sets.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors) -> None:
-        f = np.asarray(factors, dtype=np.complex128)
-        if f.shape[-1:] != (4,):
-            raise ValueError("spin-photon map needs 4 diagonal factors")
-        f.setflags(write=False)
-        self.factors = f
-
-    def apply(self, state: QuantumState, photon: int) -> QuantumState:
-        if self.factors.shape != (4,):
-            raise ValueError("a state takes the map of one parameter set")
-        pb = state.site_bit(photon)
-        sb = state.site_bit(SPIN)
-        idx = np.arange(state.dim)
-        joint = 2 * ((idx >> pb) & 1) + ((idx >> sb) & 1)
-        return QuantumState(state.n_photons, state.has_spin, state.amplitudes * self.factors[joint])
-
-
-IDEAL_BOUNCE = SpinPhotonMap((1.0, 1.0, 1.0, -1.0))
+# diagonal of the ideal conditional map over the joint basis (R+, R-, L+, L-)
+IDEAL_BOUNCE = np.array((1.0, 1.0, 1.0, -1.0), dtype=np.complex128)
+IDEAL_BOUNCE.setflags(write=False)
 
 _NOT_FINITE = "resonator response is not finite at these parameters"
 
 
-def spin_photon_map(p: CavityParams, ideal: bool) -> SpinPhotonMap:
-    """Conditional reflection map with the output-path sign flip folded in.
+def spin_photon_map(p: CavityParams, ideal: bool) -> np.ndarray:
+    """Diagonal of the conditional reflection map over (R+, R-, L+, L-), output-path sign flip folded in.
 
     Ideal: R components and L+ pass unchanged, L- flips sign.  Realistic: the
     sign-flipped bare response -r0 multiplies R+, R- and L+, and the
     sign-flipped loaded response -r lands on L-, so the map converges to the
     ideal conditional phase as g^2/(kappa*gamma) grows.  The diagonal is
     non-unitary for finite coupling; the missing norm is photon loss.
-    Parameters so extreme that a response overflows or divides by zero
-    raise ``ValueError``.
+    The diagonal has shape (..., 4), leading axes the grid axes of ``p``, and
+    is read-only.  Parameters so extreme that a response overflows or
+    divides by zero raise ``ValueError``.
     """
     if ideal:
         return IDEAL_BOUNCE
@@ -127,4 +100,6 @@ def spin_photon_map(p: CavityParams, ideal: bool) -> SpinPhotonMap:
         raise ValueError(_NOT_FINITE) from err
     if not (np.isfinite(r).all() and np.isfinite(r0).all()):
         raise ValueError(_NOT_FINITE)
-    return SpinPhotonMap(np.stack(np.broadcast_arrays(-r0, -r0, -r0, -r), axis=-1))
+    factors = np.stack(np.broadcast_arrays(-r0, -r0, -r0, -r), axis=-1)
+    factors.setflags(write=False)
+    return factors

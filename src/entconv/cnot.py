@@ -14,7 +14,7 @@ import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
 from .optics import CNOT, HWP, QWP, SPIN_HADAMARD
-from .qstate import NORM_TOL, QuantumState, Spin, apply_controlled, apply_rows, choose_branch, ket, row_inner
+from .qstate import NORM_TOL, QuantumState, Spin, apply_rows, choose_branch, ket, row_inner
 from .qstate import row_norms2, row_photons, superpose
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
@@ -26,11 +26,6 @@ BENCHMARK_KAPPA = 26.0
 BENCHMARK_GAMMA_TOTAL = 0.013
 BENCHMARK_GAMMA_ZPL = 0.0004
 TARGET_FIDELITY = {"plus": 0.996, "minus": 0.995}
-
-
-def cnot_ideal(state: QuantumState, control: int, target: int) -> QuantumState:
-    """Flip the target polarization on branches where the control photon is L."""
-    return apply_controlled(state, control, target, HWP)
 
 
 # K[c, (s, a, t)] = f[c, u] f[b, v] @ this over (u, b, v), f the bounce factors
@@ -54,7 +49,7 @@ def _kraus(params: CavityParams, ideal: bool) -> np.ndarray:
     branches match the direct controlled-flip gate after feed-forward
     (pinned by the regression tests).
     """
-    f = spin_photon_map(params, ideal).factors
+    f = spin_photon_map(params, ideal)
     lead = f.shape[:-1]
     f = f.reshape(lead + (2, 2))
     pairs = f[..., :, :, None, None] * f[..., None, None, :, :]   # [c, u, b, v]
@@ -102,8 +97,8 @@ def cnot_fidelity(params: CavityParams, input_state: QuantumState, outcome: Spin
     realistic branch is renormalized before the overlap.  Control is photon 2
     and target photon 1, the layout the gate benchmark is defined for.
     """
-    if input_state.has_spin or input_state.n_photons != 2:
-        raise ValueError("fidelity benchmark expects a two-photon, photons-only input")
+    if input_state.n_photons != 2:
+        raise ValueError("fidelity benchmark expects a two-photon input")
     return float(_fidelities(params, input_state.amplitudes[None], [Spin(outcome).value])[0, 0])
 
 

@@ -97,22 +97,20 @@ def homodyne_pdf(x, alpha: float, k: int, theta: float):
     return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2) / math.sqrt(2.0 * math.pi)
 
 
-def read_rows(rows: np.ndarray, model: HomodyneModel | None, mode: str = "ideal", rng=None, forced_tag=None):
+def read_rows(rows: np.ndarray, model: HomodyneModel | None, rng=None, forced_tag=None):
     """Tag and read out every row of a batch of photons-only amplitude rows.
 
     The true tag of each row is drawn by its branch weights with
-    ``choose_branch``.  Gaussian mode then draws one quadrature per row from
-    the true tag's Gaussian and classifies it with ``model``.  The receiver
-    is fixed: every row is classified by the one ``model`` (needed in
-    gaussian mode only), whatever tags the row happens to hold, so a tag of
-    vanishing weight cannot move a decision threshold, and a leaked tag
-    reads as the tag whose decision cell its draw lands in.  ``forced_tag``
-    pins both the true and the classified tag.  Returns the classified
-    tags, the true tags and the rows collapsed onto their renormalized true
-    branch.
+    ``choose_branch``.  Without a ``model`` the readout is ideal and reports
+    the true tag.  With one, the readout is gaussian: it then draws one
+    quadrature per row from the true tag's Gaussian and classifies it with
+    ``model``.  The receiver is fixed: every row is classified by the one
+    ``model``, whatever tags the row happens to hold, so a tag of vanishing
+    weight cannot move a decision threshold, and a leaked tag reads as the
+    tag whose decision cell its draw lands in.  ``forced_tag`` pins both the
+    true and the classified tag.  Returns the classified tags, the true tags
+    and the rows collapsed onto their renormalized true branch.
     """
-    if mode not in ("ideal", "gaussian"):
-        raise ValueError(f"unknown homodyne mode {mode!r}")
     tags, branches = _tag_branches(rows)   # branches: [row, tag, basis]
     weights = row_norms2(branches)
     hit = tags == forced_tag
@@ -120,7 +118,7 @@ def read_rows(rows: np.ndarray, model: HomodyneModel | None, mode: str = "ideal"
         raise ValueError("forced tag absent")
     true = choose_branch(weights.T, rng, None if forced_tag is None else np.argmax(hit))
     classified = tags[true]
-    if forced_tag is None and mode == "gaussian":
+    if forced_tag is None and model is not None:
         classified = model.classify(rng.normal(np.array([model.mean_of(k) for k in tags])[true], 1.0))
     each = np.arange(len(rows))
     return classified, true, branches[each, true] / np.sqrt(weights[each, true])[:, None]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qstate import SPIN, QuantumState, apply_single_qubit
-
 _SQRT2 = np.sqrt(2.0)
 
 # (R, L) basis: R -> (R+L)/sqrt2, L -> (R-L)/sqrt2
@@ -23,17 +21,3 @@ CNOT = np.kron(np.diag([1, 0]), np.eye(2)) + np.kron(np.diag([0, 1]), HWP)
 # (+, -) basis: pi/2 microwave pulse
 SPIN_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
 
-
-def qwp(state: QuantumState, photon: int) -> QuantumState:
-    """Quarter-wave plate on one photon."""
-    return apply_single_qubit(state, photon, QWP)
-
-
-def hwp(state: QuantumState, photon: int) -> QuantumState:
-    """Half-wave plate (polarization flip) on one photon."""
-    return apply_single_qubit(state, photon, HWP)
-
-
-def spin_hadamard(state: QuantumState) -> QuantumState:
-    """Hadamard rotation of the spin qubit."""
-    return apply_single_qubit(state, SPIN, SPIN_HADAMARD)

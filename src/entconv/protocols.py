@@ -221,7 +221,7 @@ def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags) -> ProtocolRun:
     tags = tuple(int(tags[0]) for _, tags, _, _ in history)
     true_tags = tuple(int(true[0]) for _, _, true, _ in history)
     misses = sum(t != k for t, k in zip(tags, true_tags))
-    final_state = QuantumState(spec.n_photons, False, final[0])
+    final_state = QuantumState(spec.n_photons, final[0])
     spin_outcomes = tuple(Spin(int(s[0])) for *_, readouts in history for s in readouts)
     return ProtocolRun(
         int(rounds[0]), outcome[0], final_state, tags, true_tags, misses, float(survival[0]), spin_outcomes
@@ -260,7 +260,7 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
         rows, norm_factor, readouts = _run_gates(rows, elements, cnot)
         survival[live] *= norm_factor
-        tags, true, rows = read_rows(rows, receiver, spec.homodyne_mode, rng, next(tag_iter))
+        tags, true, rows = read_rows(rows, receiver, rng, next(tag_iter))
         history.append((live, tags, true, readouts))
         done = declares[tags]
         if n == 4 and spec.standardize_flipped:   # HWP on every photon flips every bit
@@ -279,9 +279,7 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
 
 
 def classify_state(state: QuantumState, tol: float = 1e-9) -> StateClass:
-    """Classify a photons-only normalized state by its basis support pattern."""
-    if state.has_spin:
-        raise ValueError("classification expects a photons-only state")
+    """Classify a normalized state by its basis support pattern."""
     n = state.n_photons
     amps = state.amplitudes
     support = np.flatnonzero(np.abs(amps) > tol)

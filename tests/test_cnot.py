@@ -8,30 +8,20 @@ from hypothesis import strategies as st
 
 from entconv.cavity import CavityParams, spin_photon_map
 from entconv.cnot import (
-    SPIN_READY,
     _fidelities,
     _kraus,
     benchmark_report,
     cnot_fidelity,
     basis_inputs,
-    cnot_ideal,
     cnot_rows,
     fidelity_grid,
     uniform_input,
 )
-from entconv.optics import hwp, qwp, spin_hadamard
-from entconv.qstate import (
-    QuantumState,
-    Spin,
-    attach_spin,
-    discard_spin,
-    inner,
-    ket,
-    measure_spin,
-    superpose,
-)
+from entconv.protocols import _ideal_cnot
+from entconv.qstate import QuantumState, Spin, inner, ket, superpose
 
 from conftest import expected_vector
+from oracle import readout_branches, replay_cnot
 
 RESONANT = CavityParams(g=1.0, kappa=1.0, gamma=1.0)
 STRONG = CavityParams(g=5.0, kappa=1.0, gamma=1.0)  # g^2 = 25 kappa gamma
@@ -50,6 +40,11 @@ def flip_target_matrix(n, control, target):
         j = i ^ (1 << (n - target)) if (i >> (n - control)) & 1 else i
         m[j, i] = 1.0
     return m
+
+
+def cnot_ideal(state, control, target):
+    """The runtime's ideal gate, the controlled flip, on one state."""
+    return QuantumState(state.n_photons, _ideal_cnot(state.amplitudes, control, target)[0])
 
 
 def test_truth_table_exhaustive():
@@ -87,11 +82,6 @@ def test_involution(rng):
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
 
-def test_control_equals_target_rejected():
-    with pytest.raises(ValueError, match="differ"):
-        cnot_ideal(ket("RR"), 1, 1)
-
-
 def compiled_cnot(state, control, target, params, ideal, rng=None, forced=None):
     """The compiled gate on a batch of one: output row, readout, chosen branch weight, squared norm before readout."""
     rows, readouts, chosen, kept = cnot_rows(state.amplitudes[None], control, target, _kraus(params, ideal), rng, forced)
@@ -116,43 +106,11 @@ def test_frozen_element_order_readout_branches(rng):
     # alpha|LR>+beta|RL>+gamma|RR>+delta|LL> (minus, before correction)
     state = random_two_photon(rng)
     a, b, g, d = state.amplitudes
-    bounce = spin_photon_map(RESONANT, ideal=True)
-    work = attach_spin(state, SPIN_READY)
-    work = qwp(work, 1)
-    work = bounce.apply(work, 1)
-    work = qwp(work, 1)
-    work = spin_hadamard(work)
-    work = bounce.apply(work, 2)
-    work = spin_hadamard(work)
-    _, plus_state = measure_spin(work, forced=Spin.PLUS)
-    plus = discard_spin(plus_state)
+    plus, minus = readout_branches(state.amplitudes, 2, 1, spin_photon_map(RESONANT, ideal=True))
     want_plus = expected_vector(2, {"RR": a, "LL": b, "LR": g, "RL": d})
-    np.testing.assert_allclose(plus.amplitudes, want_plus / np.linalg.norm(want_plus), atol=1e-12)
-    _, minus_state = measure_spin(work, forced=Spin.MINUS)
-    minus = discard_spin(minus_state)
+    np.testing.assert_allclose(plus / np.linalg.norm(plus), want_plus / np.linalg.norm(want_plus), atol=1e-12)
     want_minus = expected_vector(2, {"LR": a, "RL": b, "RR": g, "LL": d})
-    np.testing.assert_allclose(minus.amplitudes, want_minus / np.linalg.norm(want_minus), atol=1e-12)
-
-
-def replay_cnot(state, control, target, params, ideal, rng=None, forced=None):
-    """Element-by-element oracle of the gate on a spin register.
-
-    Returns the spin readout record, the corrected photons and the squared
-    norm before readout.
-    """
-    bounce = spin_photon_map(params, ideal)
-    work = attach_spin(state, SPIN_READY)
-    work = qwp(work, target)
-    work = bounce.apply(work, target)
-    work = qwp(work, target)
-    work = spin_hadamard(work)
-    work = bounce.apply(work, control)
-    work = spin_hadamard(work)
-    record, collapsed = measure_spin(work, rng=rng, forced=forced)
-    photons = discard_spin(collapsed)
-    if record.outcome == "minus":
-        photons = hwp(photons, target)
-    return record, photons, work.norm2()
+    np.testing.assert_allclose(minus / np.linalg.norm(minus), want_minus / np.linalg.norm(want_minus), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -166,20 +124,21 @@ def replay_cnot(state, control, target, params, ideal, rng=None, forced=None):
 )
 def test_compiled_gate_matches_element_replay(n, params, ideal):
     rng = np.random.default_rng(n)
+    factors = spin_photon_map(params, ideal)
     for control, target in itertools.permutations(range(1, n + 1), 2):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = QuantumState(n, False, amps / np.linalg.norm(amps))
+        state = QuantumState(n, amps / np.linalg.norm(amps))
         for forced in (Spin.PLUS, Spin.MINUS):
-            record, photons, norm = replay_cnot(state, control, target, params, ideal, forced=forced)
+            _, photons, weight, norm = replay_cnot(state.amplitudes, control, target, factors, forced=forced.value)
             row, readout, chosen, kept = compiled_cnot(state, control, target, params, ideal, forced=forced)
             assert readout == forced.value
-            np.testing.assert_allclose(row, photons.amplitudes, rtol=0, atol=1e-12)
-            assert chosen == pytest.approx(record.probability, abs=1e-12)
+            np.testing.assert_allclose(row, photons, rtol=0, atol=1e-12)
+            assert chosen == pytest.approx(weight, abs=1e-12)
             assert kept == pytest.approx(norm, abs=1e-12)
         seed = int(rng.integers(2**32))
-        record, _, _ = replay_cnot(state, control, target, params, ideal, rng=np.random.default_rng(seed))
+        replayed, *_ = replay_cnot(state.amplitudes, control, target, factors, rng=np.random.default_rng(seed))
         _, readout, _, _ = compiled_cnot(state, control, target, params, ideal, rng=np.random.default_rng(seed))
-        assert Spin(readout).name.lower() == record.outcome
+        assert readout == replayed
 
 
 def test_compiled_gate_on_a_batch_matches_each_row():
@@ -192,7 +151,7 @@ def test_compiled_gate_on_a_batch_matches_each_row():
         out, readouts, chosen, kept = cnot_rows(rows, 4, 2, _kraus(params, False), forced_spin=spin)
         assert set(readouts) == {spin.value}
         for i, row in enumerate(rows):
-            one, _, one_chosen, one_kept = compiled_cnot(QuantumState(5, False, row), 4, 2, params, False, forced=spin)
+            one, _, one_chosen, one_kept = compiled_cnot(QuantumState(5, row), 4, 2, params, False, forced=spin)
             np.testing.assert_allclose(out[i], one, atol=1e-14)
             assert chosen[i] == pytest.approx(one_chosen, abs=1e-14)
             assert kept[i] == pytest.approx(one_kept, abs=1e-14)
@@ -203,7 +162,7 @@ def test_realistic_gate_loses_norm_but_stays_faithful(rng):
     row, _, _, kept = compiled_cnot(state, 2, 1, STRONG, ideal=False, forced=Spin.PLUS)
     assert kept < 1.0
     ideal = cnot_ideal(state, 2, 1)
-    assert abs(inner(QuantumState(2, False, row), ideal)) ** 2 > 0.99
+    assert abs(inner(QuantumState(2, row), ideal)) ** 2 > 0.99
 
 
 def _closed_form_fidelities(ratio):
@@ -276,14 +235,14 @@ def test_fidelity_grid_matches_gate_outputs(input_mode):
         route = []
         for state in inputs:
             real, *_ = compiled_cnot(state, 2, 1, params, ideal=False, forced=outcome)
-            route.append(abs(inner(QuantumState(2, False, real), cnot_ideal(state, 2, 1))) ** 2)
+            route.append(abs(inner(QuantumState(2, real), cnot_ideal(state, 2, 1))) ** 2)
         assert abs(fidelities[i, j, outcome.value] - float(np.mean(route))) <= 1e-12, (gk, gg, outcome)
 
 
 def test_grid_point_with_an_extinguished_branch_raises():
     # at g^2 = kappa gamma / 4 (g/kappa = g/gamma = 0.5) the loaded reflection
     # vanishes and the minus readout annihilates (|RR> - |LR>)/sqrt2
-    dark = QuantumState(2, False, (ket("RR").amplitudes - ket("LR").amplitudes) / math.sqrt(2))
+    dark = QuantumState(2, (ket("RR").amplitudes - ket("LR").amplitudes) / math.sqrt(2))
     grid = CavityParams.from_ratios(np.array([[0.3], [2.0], [0.5]]), np.array([[0.4, 0.5]]))
     with pytest.raises(ValueError, match="branch extinguished"):
         _fidelities(grid, dark.amplitudes[None])

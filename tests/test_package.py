@@ -1,0 +1,37 @@
+"""The runtime package stands alone: it imports nothing from the test tree, and
+the spin-register primitives live only in the test oracle."""
+
+import ast
+from pathlib import Path
+
+import entconv
+from entconv import cavity, cnot, optics, qstate
+
+TEST_TREE = {"tests", "conftest", "oracle"}
+MOVED = (
+    "SPIN", "Site", "MeasurementRecord", "measure_site", "measure_spin", "attach_spin", "discard_spin",
+    "apply_single_qubit", "apply_controlled", "qwp", "hwp", "spin_hadamard", "cnot_ideal", "SpinPhotonMap",
+)
+
+
+def test_runtime_does_not_import_the_test_tree():
+    paths = sorted(Path(entconv.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]   # None for "from . import x"
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in TEST_TREE, (path.name, module)
+
+
+def test_spin_register_names_are_gone():
+    for module in (entconv, qstate, optics, cnot, cavity):
+        assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
+    assert "has_spin" not in qstate.QuantumState.__dataclass_fields__
+    assert not hasattr(qstate.QuantumState, "site_bit")
+    assert not hasattr(cavity.CavityParams, "resonant")

@@ -50,7 +50,7 @@ DICKE5_TERMS = "LLRRL LLRLR RLRLL LLLRR RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL".spl
 
 def pre_tag_state(n):
     rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
-    return QuantumState(n, False, rows[0])
+    return QuantumState(n, rows[0])
 
 
 def test_wiring_element_lists_frozen():
@@ -96,19 +96,19 @@ def test_partition_branch_weights(n, expected):
 def test_partition_branches_hold_expected_terms():
     state = pre_tag_state(5)
     for tag, terms in ((1, W5_TERMS), (3, DICKE5_TERMS), (5, ["LLLLL"])):
-        _, _, rows = read_rows(state.amplitudes[None], None, "ideal", forced_tag=tag)
+        _, _, rows = read_rows(state.amplitudes[None], None, forced_tag=tag)
         np.testing.assert_allclose(rows[0], uniform_vector(5, terms), atol=1e-12)
 
 
 def test_recovery_three_elements_on_all_l():
     rows, *_ = _run_gates(ket("LLL").amplitudes[None], recovery_sequence(3)[:3], _ideal_cnot)
-    state = QuantumState(3, False, rows[0])
+    state = QuantumState(3, rows[0])
     np.testing.assert_allclose(state.amplitudes, uniform_vector(3, ["RLL", "LRL"]), atol=1e-12)
 
 
 def test_recovery_five_photons_on_all_l():
     rows, *_ = _run_gates(ket("LLLLL").amplitudes[None], recovery_sequence(5)[:3], _ideal_cnot)
-    state = QuantumState(5, False, rows[0])
+    state = QuantumState(5, rows[0])
     np.testing.assert_allclose(state.amplitudes, uniform_vector(5, ["RLLLL", "LRLLL"]), atol=1e-12)
 
 
@@ -116,9 +116,9 @@ def test_recovery_five_photons_on_all_l():
 def test_recovery_fixed_point(n):
     state1 = pre_tag_state(n)
     branches1, _ = tag_split(state1)
-    _, _, retry = read_rows(state1.amplitudes[None], None, "ideal", forced_tag=max(branches1))
+    _, _, retry = read_rows(state1.amplitudes[None], None, forced_tag=max(branches1))
     rows2, *_ = _run_gates(retry, recovery_sequence(n), _ideal_cnot)
-    branches2, _ = tag_split(QuantumState(n, False, rows2[0]))
+    branches2, _ = tag_split(QuantumState(n, rows2[0]))
     assert tuple(branches1) == tuple(branches2)
     for tag in branches1:
         np.testing.assert_allclose(branches1[tag], branches2[tag], atol=1e-12)
@@ -393,7 +393,7 @@ def test_gaussian_readout_is_continuous_in_leaked_weight(n):
     assert noise.any()
     exact_zero, tiny = np.where(noise, 0.0, rows), np.where(noise, 1e-30, rows)
     receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(n))
-    reads = [read_rows(r, receiver, "gaussian", np.random.default_rng(26)) for r in (rows, exact_zero, tiny)]
+    reads = [read_rows(r, receiver, np.random.default_rng(26)) for r in (rows, exact_zero, tiny)]
     for tags, true, _ in reads[1:]:
         np.testing.assert_array_equal(tags, reads[0][0])
         np.testing.assert_array_equal(true, reads[0][1])

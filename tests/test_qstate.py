@@ -6,26 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.qstate import (
-    SPIN,
-    Pol,
-    QuantumState,
-    Spin,
-    apply_controlled,
-    apply_rows,
-    apply_single_qubit,
-    attach_spin,
-    discard_spin,
-    inner,
-    ket,
-    make_basis_state,
-    measure_site,
-    measure_spin,
-    superpose,
-)
+from entconv.cavity import IDEAL_BOUNCE, CavityParams
+from entconv.cnot import _kraus, cnot_rows
+from entconv.kerr import read_rows
+from entconv.qstate import Pol, QuantumState, Spin, apply_rows, choose_branch, inner, ket, make_basis_state, superpose
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import basis_index, expected_vector
+from oracle import SPIN_READY, readout_branches
+
+IDEAL = _kraus(CavityParams(1, 1, 1), ideal=True)   # the compiled gate with ideal bounces
 
 
 def test_basis_embedding_three_photons():
@@ -36,10 +26,10 @@ def test_basis_embedding_three_photons():
 
 
 def test_basis_embedding_photon_plus_spin():
-    s = make_basis_state([Pol.R], Spin.PLUS)
-    want = np.zeros(4, complex)
-    want[basis_index("R", 0)] = 1.0
-    assert np.array_equal(s.amplitudes, want)
+    # the spin exists only in the gate oracle, which attaches it as the least significant bit
+    s = np.kron(make_basis_state([Pol.R]).amplitudes, SPIN_READY)
+    want = expected_vector(1, {("R", 0): 1 / math.sqrt(2), ("R", 1): 1 / math.sqrt(2)}, spin_slots=True)
+    np.testing.assert_allclose(s, want, atol=1e-15)
 
 
 def test_basis_embedding_five_photons_all_l():
@@ -83,45 +73,36 @@ def test_superpose_shape_mismatch():
 
 def test_identity_map_leaves_state():
     s = superpose([(ket("RLR"), 1.0), (ket("LRL"), 1.0j)])
-    out = apply_single_qubit(s, 2, np.eye(2))
-    np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
+    out = apply_rows(s.amplitudes, (1,), np.eye(2))
+    np.testing.assert_array_equal(out, s.amplitudes)
 
 
 def test_x_map_flips_photon2():
-    out = apply_single_qubit(ket("RLR"), 2, HWP)
-    np.testing.assert_allclose(out.amplitudes, expected_vector(3, {"RRR": 1.0}), atol=1e-15)
+    out = apply_rows(ket("RLR").amplitudes, (1,), HWP.T)
+    np.testing.assert_allclose(out, expected_vector(3, {"RRR": 1.0}), atol=1e-15)
 
 
 def test_hadamard_twice_on_spin_is_identity():
-    s = attach_spin(ket("RL"), np.array([0.6, 0.8]))
-    out = apply_single_qubit(apply_single_qubit(s, SPIN, SPIN_HADAMARD), SPIN, SPIN_HADAMARD)
-    np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
-
-
-def test_site_out_of_range():
-    with pytest.raises(ValueError, match="site out of range"):
-        apply_single_qubit(ket("RR"), 3, np.eye(2))
+    # apply_rows acts on any bit of a row, the spin slot of an oracle register too
+    s = np.kron(ket("RL").amplitudes, [0.6, 0.8])
+    out = apply_rows(apply_rows(s, (0,), SPIN_HADAMARD.T), (0,), SPIN_HADAMARD.T)
+    np.testing.assert_allclose(out, s, atol=1e-12)
 
 
 def test_controlled_off_branch_untouched():
-    out = apply_controlled(ket("LRL"), 2, 3, HWP)
-    np.testing.assert_array_equal(out.amplitudes, ket("LRL").amplitudes)
+    out = apply_rows(ket("LRL").amplitudes, (1, 0), CNOT)
+    np.testing.assert_array_equal(out, ket("LRL").amplitudes)
 
 
 def test_controlled_flip_when_control_l():
-    out = apply_controlled(ket("RLR"), 2, 3, HWP)
-    np.testing.assert_allclose(out.amplitudes, expected_vector(3, {"RLL": 1.0}), atol=1e-15)
+    out = apply_rows(ket("RLR").amplitudes, (1, 0), CNOT)
+    np.testing.assert_allclose(out, expected_vector(3, {"RLL": 1.0}), atol=1e-15)
 
 
 def test_controlled_involution():
     s = superpose([(ket("RLR"), 1.0), (ket("LLL"), 0.5), (ket("RRL"), -0.25j)])
-    out = apply_controlled(apply_controlled(s, 1, 3, HWP), 1, 3, HWP)
-    np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
-
-
-def test_control_equals_target_rejected():
-    with pytest.raises(ValueError, match="differ"):
-        apply_controlled(ket("RR"), 1, 1, HWP)
+    out = apply_rows(apply_rows(s.amplitudes, (2, 0), CNOT), (2, 0), CNOT)
+    np.testing.assert_allclose(out, s.amplitudes, atol=1e-12)
 
 
 def dense_row_operator(n, bits, op):
@@ -155,9 +136,7 @@ def test_apply_rows_matches_the_dense_operator(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cnot_constant_is_the_controlled_flip_on_every_basis_state(n):
     for (control, target), index in itertools.product(itertools.permutations(range(1, n + 1), 2), range(1 << n)):
-        state = QuantumState(n, False, np.eye(1 << n)[index])
-        row = apply_rows(state.amplitudes[None], (n - control, n - target), CNOT)[0]
-        assert np.array_equal(row, apply_controlled(state, control, target, HWP).amplitudes)
+        row = apply_rows(np.eye(1 << n)[index][None], (n - control, n - target), CNOT)[0]
         flipped = index ^ (1 << (n - target)) if (index >> (n - control)) & 1 else index
         assert np.array_equal(row, np.eye(1 << n)[flipped])
 
@@ -184,58 +163,41 @@ def test_inner_shape_mismatch():
 
 
 def test_spin_measurement_probabilities_half(rng):
-    # two photons entangled with the spin through equal-weight branches
+    # the ideal gate leaves two photons entangled with the spin through equal-weight branches
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c = c / np.linalg.norm(c)
-    plus = {("RR", 0): c[0], ("LL", 0): c[1], ("LR", 0): c[2], ("RL", 0): c[3]}
-    minus = {("LR", 1): c[0], ("RL", 1): c[1], ("RR", 1): c[2], ("LL", 1): c[3]}
-    vec = (expected_vector(2, plus, spin_slots=True) + expected_vector(2, minus, spin_slots=True)) / math.sqrt(2)
-    state = QuantumState(2, True, vec)
-    # oracle: direct amplitude sums over the spin-bit masks
-    p_plus_direct = float(np.sum(np.abs(vec[::2]) ** 2))
-    rec, _ = measure_spin(state, forced=Spin.PLUS)
-    assert abs(rec.probability - p_plus_direct) < 1e-12
-    assert abs(rec.probability - 0.5) < 1e-12
-    rec, _ = measure_spin(state, forced=Spin.MINUS)
-    assert abs(rec.probability - 0.5) < 1e-12
+    # oracle: direct amplitude sums of the element-by-element replay at each readout
+    direct = [float(np.sum(np.abs(branch) ** 2)) for branch in readout_branches(c, 2, 1, IDEAL_BOUNCE)]
+    for spin in (Spin.PLUS, Spin.MINUS):
+        _, _, chosen, _ = cnot_rows(c[None], 2, 1, IDEAL, forced_spin=spin)
+        assert abs(chosen[0] - direct[spin.value]) < 1e-12
+        assert abs(chosen[0] - 0.5) < 1e-12
 
 
-def test_eigenstate_measurement_certain():
-    s = attach_spin(ket("RL"), np.array([1.0, 0.0]))
-    rec, out = measure_spin(s, forced=Spin.PLUS)
-    assert abs(rec.probability - 1.0) < 1e-12
-    np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
+def test_eigenstate_measurement_certain(rng):
+    s = ket("RL")   # every basis state holds one tag: its count of L photons
+    tags, _, out = read_rows(s.amplitudes[None], None, rng)
+    assert tags[0] == 1
+    np.testing.assert_allclose(out[0], s.amplitudes, atol=1e-12)
 
 
 def test_forced_minus_collapse_keeps_minus_branch(rng):
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c = c / np.linalg.norm(c)
-    plus = {("RR", 0): c[0], ("LL", 0): c[1], ("LR", 0): c[2], ("RL", 0): c[3]}
-    minus = {("LR", 1): c[0], ("RL", 1): c[1], ("RR", 1): c[2], ("LL", 1): c[3]}
-    vec = (expected_vector(2, plus, spin_slots=True) + expected_vector(2, minus, spin_slots=True)) / math.sqrt(2)
-    _, collapsed = measure_spin(QuantumState(2, True, vec), forced=Spin.MINUS)
-    photons = discard_spin(collapsed)
-    want = expected_vector(2, {"LR": c[0], "RL": c[1], "RR": c[2], "LL": c[3]})
-    np.testing.assert_allclose(photons.amplitudes, want, atol=1e-12)
+    out, _, _, _ = cnot_rows(c[None], 2, 1, IDEAL, forced_spin=Spin.MINUS)
+    # the minus branch alpha|LR>+beta|RL>+gamma|RR>+delta|LL>, target flipped back by the feed-forward
+    want = expected_vector(2, {"RR": c[0], "LL": c[1], "LR": c[2], "RL": c[3]})
+    np.testing.assert_allclose(out[0], want, atol=1e-12)
 
 
 def test_forced_impossible_outcome():
-    s = attach_spin(ket("R"), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="impossible outcome"):
-        measure_spin(s, forced=Spin.MINUS)
+        choose_branch([[1.0], [0.0]], forced=Spin.MINUS)
 
 
 def test_measure_requires_rng_or_forced():
-    s = attach_spin(ket("R"), np.array([0.6, 0.8]))
     with pytest.raises(ValueError, match="rng"):
-        measure_spin(s)
-
-
-def test_nonorthonormal_basis_rejected():
-    s = ket("RR")
-    bad = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="orthonormal"):
-        measure_site(s, 1, bad)
+        choose_branch([[0.36], [0.64]])
 
 
 # --- hypothesis strategies -------------------------------------------------
@@ -260,8 +222,7 @@ def states(max_photons=3):
     @st.composite
     def build(draw):
         n = draw(st.integers(1, max_photons))
-        has_spin = draw(st.booleans())
-        dim = (1 << n) * (2 if has_spin else 1)
+        dim = 1 << n
         re = draw(st.lists(st.floats(-1, 1, allow_nan=False), min_size=dim, max_size=dim))
         im = draw(st.lists(st.floats(-1, 1, allow_nan=False), min_size=dim, max_size=dim))
         vec = np.array(re) + 1j * np.array(im)
@@ -269,57 +230,44 @@ def states(max_photons=3):
         if norm < 1e-3:
             vec[0] += 1.0
             norm = np.linalg.norm(vec)
-        return QuantumState(n, has_spin, vec / norm)
+        return QuantumState(n, vec / norm)
 
     return build()
 
 
-def sites_of(state):
-    opts = list(range(1, state.n_photons + 1)) + ([SPIN] if state.has_spin else [])
-    return opts
-
-
 @given(states(), unitaries(), st.data())
 def test_unitary_preserves_norm(state, u, data):
-    site = data.draw(st.sampled_from(sites_of(state)))
-    out = apply_single_qubit(state, site, u)
-    assert abs(out.norm2() - 1.0) < 1e-12
+    bit = data.draw(st.integers(0, state.n_photons - 1))
+    out = apply_rows(state.amplitudes, (bit,), u.T)
+    assert abs(QuantumState(state.n_photons, out).norm2() - 1.0) < 1e-12
 
 
 @given(states(), st.data())
 def test_measurement_completeness(state, data):
-    site = data.draw(st.sampled_from(sites_of(state)))
-    basis = np.eye(2)
-    p0 = measure_site(state, site, basis, forced=0)[0].probability if _branch_possible(state, site, 0) else 0.0
-    p1 = measure_site(state, site, basis, forced=1)[0].probability if _branch_possible(state, site, 1) else 0.0
-    assert abs(p0 + p1 - 1.0) < 1e-12
-
-
-def _branch_possible(state, site, k):
-    bit = state.site_bit(site)
-    vals = (np.arange(state.dim) >> bit) & 1
-    return float(np.sum(np.abs(state.amplitudes[vals == k]) ** 2)) > 1e-24
+    # the two spin readouts of the ideal gate share out the whole state
+    if state.n_photons < 2:
+        return
+    control, target = data.draw(st.permutations(range(1, state.n_photons + 1)))[:2]
+    _, _, _, kept = cnot_rows(state.amplitudes[None], control, target, IDEAL, forced_spin=Spin.PLUS)
+    assert abs(kept[0] - 1.0) < 1e-12
 
 
 @given(states(), st.data())
 def test_collapse_idempotence(state, data):
-    site = data.draw(st.sampled_from(sites_of(state)))
+    # a probe readout repeated on its own collapsed row is certain and leaves the row
     seeded = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    basis = np.eye(2)
-    rec1, collapsed = measure_site(state, site, basis, rng=seeded)
-    rec2, again = measure_site(collapsed, site, basis, forced=int(rec1.outcome))
-    assert abs(rec2.probability - 1.0) < 1e-12
-    np.testing.assert_allclose(again.amplitudes, collapsed.amplitudes, atol=1e-12)
+    tags, _, collapsed = read_rows(state.amplitudes[None], None, seeded)
+    again_tags, _, again = read_rows(collapsed, None, seeded)
+    assert again_tags[0] == tags[0]
+    np.testing.assert_allclose(again, collapsed, atol=1e-12)
 
 
 @given(states(), unitaries(), unitaries(), st.data())
 @settings(max_examples=60)
 def test_disjoint_single_qubit_maps_commute(state, u1, u2, data):
-    sites = sites_of(state)
-    if len(sites) < 2:
+    if state.n_photons < 2:
         return
-    pair = data.draw(st.permutations(sites))
-    i, j = pair[0], pair[1]
-    a = apply_single_qubit(apply_single_qubit(state, i, u1), j, u2)
-    b = apply_single_qubit(apply_single_qubit(state, j, u2), i, u1)
-    np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+    i, j = data.draw(st.permutations(range(state.n_photons)))[:2]
+    a = apply_rows(apply_rows(state.amplitudes, (i,), u1.T), (j,), u2.T)
+    b = apply_rows(apply_rows(state.amplitudes, (j,), u2.T), (i,), u1.T)
+    np.testing.assert_allclose(a, b, atol=1e-12)
