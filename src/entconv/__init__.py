@@ -3,12 +3,7 @@ conversion (GHZ to W/Dicke) built on emitter-resonator conditional reflection
 gates and probe-phase homodyne readout."""
 
 from .cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
-from .cnot import (
-    benchmark_report,
-    cnot_fidelity,
-    fidelity_grid,
-    uniform_input,
-)
+from .cnot import benchmark_report, fidelity_grid
 from .config import ConfigError, OutputSpec, RunConfig, SweepGrid, config_from_dict, config_to_dict, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
 from .protocols import (
@@ -27,6 +22,6 @@ from .protocols import (
     run_protocol,
     success_series,
 )
-from .qstate import Pol, QuantumState, Spin, inner, ket, make_basis_state, superpose
+from .qstate import Spin, ket
 
 __version__ = "0.1.0"

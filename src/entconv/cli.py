@@ -30,7 +30,7 @@ from .protocols import (
     run_protocol,
     success_series,
 )
-from .qstate import Pol
+from .qstate import row_photons
 
 CURVE_TAGS = (1, 3, 5)
 CURVE_SAMPLES = 1000
@@ -99,13 +99,12 @@ def _check_jobs(args) -> None:
         raise ConfigError("jobs must be >= 1")
 
 
-def _state_terms(state) -> list[dict]:
+def _state_terms(amps) -> list[dict]:
+    n = row_photons(amps)
     terms = []
-    for idx in np.flatnonzero(np.abs(state.amplitudes) > 1e-12):
-        label = "".join(
-            Pol(int((int(idx) >> (state.n_photons - i)) & 1)).name for i in range(1, state.n_photons + 1)
-        )
-        amp = state.amplitudes[int(idx)]
+    for idx in np.flatnonzero(np.abs(amps) > 1e-12):
+        label = "".join("RL"[(int(idx) >> (n - i)) & 1] for i in range(1, n + 1))
+        amp = amps[int(idx)]
         terms.append({"term": label, "amplitude": [amp.real, amp.imag]})
     return terms
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
 from .optics import CNOT, HWP, QWP, SPIN_HADAMARD
-from .qstate import NORM_TOL, QuantumState, Spin, apply_rows, choose_branch, ket, row_inner
-from .qstate import row_norms2, row_photons, superpose
+from .qstate import NORM_TOL, Spin, apply_rows, choose_branch, row_inner, row_norms2, row_photons
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -75,14 +74,14 @@ def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rn
     return branches[k, each] / np.sqrt(chosen)[:, None], k, chosen, probs[0] + probs[1]
 
 
-def _fidelities(params: CavityParams, inputs: np.ndarray, spins=(0, 1)) -> np.ndarray:
-    """Fidelity of the readout branches ``spins`` for each two-photon input row: shape (..., len(spins), rows).
+def _fidelities(params: CavityParams, inputs: np.ndarray) -> np.ndarray:
+    """Fidelity of both readout branches for each two-photon input row: shape (..., 2, rows).
 
     Leading axes are the grid axes of ``params``.  Control is photon 2 and
     target photon 1, the layout the gate benchmark is defined for.  A branch
     with no weight left raises.
     """
-    branches = apply_rows(inputs, (0, 1), _kraus(params, False)[..., list(spins), :, :])
+    branches = apply_rows(inputs, (0, 1), _kraus(params, False))
     probs = row_norms2(branches)
     if np.any(probs <= NORM_TOL**2):
         raise ValueError("branch extinguished")
@@ -90,32 +89,12 @@ def _fidelities(params: CavityParams, inputs: np.ndarray, spins=(0, 1)) -> np.nd
     return np.abs(row_inner(post, apply_rows(inputs, (0, 1), CNOT))) ** 2
 
 
-def cnot_fidelity(params: CavityParams, input_state: QuantumState, outcome: Spin) -> float:
-    """Squared overlap of the renormalized realistic output with the ideal output.
-
-    Norm shrinkage is read as heralded loss rather than infidelity, so the
-    realistic branch is renormalized before the overlap.  Control is photon 2
-    and target photon 1, the layout the gate benchmark is defined for.
-    """
-    if input_state.n_photons != 2:
-        raise ValueError("fidelity benchmark expects a two-photon input")
-    return float(_fidelities(params, input_state.amplitudes[None], [Spin(outcome).value])[0, 0])
-
-
-def uniform_input() -> QuantumState:
-    """Equal-weight superposition of all four two-photon basis states."""
-    return superpose([(ket(s), 1.0) for s in ("RR", "RL", "LR", "LL")])
-
-
-def basis_inputs() -> tuple[QuantumState, ...]:
-    return tuple(ket(s) for s in ("RR", "RL", "LR", "LL"))
-
-
 def _input_rows(input_mode: str) -> np.ndarray:
+    """Two-photon input rows: the equal-weight superposition of the four basis states, or the four basis states."""
     if input_mode == "uniform":
-        return uniform_input().amplitudes[None]
+        return np.full((1, 4), 0.5, dtype=np.complex128)
     if input_mode == "basis_average":
-        return np.stack([s.amplitudes for s in basis_inputs()])
+        return np.eye(4, dtype=np.complex128)
     raise ValueError(f"unknown input mode {input_mode!r}")
 
 

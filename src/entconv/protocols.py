@@ -29,7 +29,7 @@ from .cnot import (
 )
 from .kerr import HomodyneModel, _tag_branches, read_rows
 from .optics import CNOT, HWP, QWP
-from .qstate import QuantumState, Spin, apply_rows, ket, row_inner, row_norms2, row_photons, superpose
+from .qstate import Spin, apply_rows, frozen, ket, row_inner, row_norms2, row_photons
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -83,7 +83,7 @@ class ProtocolRun:
 
     iterations_used: int
     outcome_class: str                # "W" | "Dicke" | "failed_max_iter" | "failed_no_recovery"
-    final_state: QuantumState
+    final_state: np.ndarray           # read-only amplitude row
     homodyne_tags: tuple[int, ...]    # classified tags, one per iteration
     true_tags: tuple[int, ...]
     misclassification_events: int
@@ -122,11 +122,11 @@ def _check_photons(n_photons: int) -> None:
         raise ValueError(f"unsupported photon number: {n_photons}")
 
 
-def conversion_input(n_photons: int) -> QuantumState:
-    """The GHZ-class input state the n-photon circuit is wired for."""
+def conversion_input(n_photons: int) -> np.ndarray:
+    """Read-only row of the GHZ-class input state the n-photon circuit is wired for."""
     _check_photons(n_photons)
     a, b = _INPUT_TERMS[n_photons]
-    return superpose([(ket(a), 1.0), (ket(b), 1.0)])
+    return frozen((ket(a) + ket(b)) / math.sqrt(2.0))
 
 
 def circuit_wiring(n_photons: int) -> tuple[tuple, ...]:
@@ -221,10 +221,9 @@ def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags) -> ProtocolRun:
     tags = tuple(int(tags[0]) for _, tags, _, _ in history)
     true_tags = tuple(int(true[0]) for _, _, true, _ in history)
     misses = sum(t != k for t, k in zip(tags, true_tags))
-    final_state = QuantumState(spec.n_photons, final[0])
     spin_outcomes = tuple(Spin(int(s[0])) for *_, readouts in history for s in readouts)
     return ProtocolRun(
-        int(rounds[0]), outcome[0], final_state, tags, true_tags, misses, float(survival[0]), spin_outcomes
+        int(rounds[0]), outcome[0], frozen(final[0].copy()), tags, true_tags, misses, float(survival[0]), spin_outcomes
     )
 
 
@@ -243,7 +242,7 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     their gate readouts.
     """
     n = spec.n_photons
-    rows = np.repeat(conversion_input(n).amplitudes[None], trials, axis=0)
+    rows = np.repeat(conversion_input(n)[None], trials, axis=0)
     live = np.arange(trials)
     outcome = np.full(trials, "failed_max_iter", dtype=object)
     rounds = np.full(trials, spec.max_iterations)
@@ -278,10 +277,9 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     return outcome, rounds, final, survival, history
 
 
-def classify_state(state: QuantumState, tol: float = 1e-9) -> StateClass:
-    """Classify a normalized state by its basis support pattern."""
-    n = state.n_photons
-    amps = state.amplitudes
+def classify_state(amps: np.ndarray, tol: float = 1e-9) -> StateClass:
+    """Classify a normalized amplitude row by its basis support pattern."""
+    n = row_photons(amps)
     support = np.flatnonzero(np.abs(amps) > tol)
     if support.size == 0:
         return StateClass("other", n)
@@ -298,7 +296,7 @@ def classify_state(state: QuantumState, tol: float = 1e-9) -> StateClass:
                 return StateClass("W_flipped", n, l_excitations=n - 1, r_excitations=1)
             if 2 <= c <= n - 2:
                 return StateClass("Dicke", n, l_excitations=c, r_excitations=n - c)
-    if support.size == 2 and equal_mags and (int(support[0]) ^ int(support[1])) == state.dim - 1:
+    if support.size == 2 and equal_mags and (int(support[0]) ^ int(support[1])) == len(amps) - 1:
         return StateClass("GHZ_like", n)
     return StateClass("other", n)
 
@@ -361,7 +359,7 @@ def _ideal_gate_table(spec: ProtocolSpec):
     carry = np.sqrt(confusion[:, [k not in success for k in read_as]].sum(axis=1))
     rounds = spec.max_iterations
     cells = {(cls, m): 0.0 for cls in dict.fromkeys(success.values()) for m in range(1, rounds + 1)}
-    rows = conversion_input(n).amplitudes[None]
+    rows = conversion_input(n)[None]
     weights = []
     for m in range(1, rounds + 1):
         if not len(rows):
@@ -427,7 +425,7 @@ def fidelity_vs_ideal(spec: ProtocolSpec, run: ProtocolRun) -> float | None:
     if spec.gate_mode == "ideal" or run.misclassification_events or not set(run.true_tags) <= ideal_tags(spec.n_photons):
         return None
     ideal_run = _single_run(spec, _ideal_cnot, None, run.true_tags)
-    return abs(complex(row_inner(run.final_state.amplitudes, ideal_run.final_state.amplitudes))) ** 2
+    return abs(complex(row_inner(run.final_state, ideal_run.final_state))) ** 2
 
 
 def _cnot_count(elements) -> int:

@@ -1,11 +1,11 @@
-"""Dense complex state vectors for small photonic polarization registers.
+"""Dense complex amplitude rows for small photonic polarization registers.
 
 A register holds up to eight polarization qubits.  The basis index
 convention is fixed package-wide: photon 1 occupies the most significant bit.
 R maps to bit value 0, L to bit value 1.
 
-States are immutable; every operation returns a new state.  Normalization
-happens only at readout collapse and explicit ``normalized()`` calls, so
+A state is a flat amplitude row of length 2**n, and every state the library
+hands out is read-only.  Normalization happens only at readout collapse, so
 non-unitary maps visibly shrink the norm and the shrinkage can be read off as
 loss.
 """
@@ -14,22 +14,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_PHOTONS = 8
 NORM_TOL = 1e-12
-
-
-class Pol(Enum):
-    """Circular polarization basis; R indexed 0, L indexed 1."""
-
-    R = 0
-    L = 1
 
 
 class Spin(Enum):
@@ -39,68 +29,22 @@ class Spin(Enum):
     MINUS = 1
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumState:
-    """Amplitude vector over ``n_photons`` polarization qubits."""
-
-    n_photons: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_photons <= MAX_PHOTONS:
-            raise ValueError(f"register must hold 1..{MAX_PHOTONS} photons, got {self.n_photons}")
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.dim,):
-            raise ValueError(f"amplitude vector must have length {self.dim}, got shape {amps.shape}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_photons
-
-    def norm2(self) -> float:
-        return float(row_norms2(self.amplitudes))
-
-    def normalized(self) -> "QuantumState":
-        n2 = self.norm2()
-        if n2 <= NORM_TOL**2:
-            raise ValueError("null state")
-        return QuantumState(self.n_photons, self.amplitudes / math.sqrt(n2))
+def frozen(row: np.ndarray) -> np.ndarray:
+    """``row``, marked read-only."""
+    row.setflags(write=False)
+    return row
 
 
-def make_basis_state(pols: Sequence[Pol]) -> QuantumState:
-    """Unit amplitude on one computational basis vector."""
-    pols = list(pols)
-    if not pols:
-        raise ValueError("empty register")
-    if len(pols) > MAX_PHOTONS:
-        raise ValueError(f"register too large (max {MAX_PHOTONS} photons)")
-    idx = 0
-    for p in pols:
-        idx = (idx << 1) | Pol(p).value
-    amps = np.zeros(1 << len(pols), dtype=np.complex128)
-    amps[idx] = 1.0
-    return QuantumState(len(pols), amps)
-
-
-def ket(pol_string: str) -> QuantumState:
-    """Basis state from a polarization string such as ``"RLR"``."""
-    return make_basis_state([Pol[c] for c in pol_string])
-
-
-def superpose(terms: Iterable[tuple[QuantumState, complex]]) -> QuantumState:
-    """Normalized linear combination of same-size states."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty superposition")
-    first = terms[0][0]
-    acc = np.zeros(first.dim, dtype=np.complex128)
-    for state, coeff in terms:
-        if state.n_photons != first.n_photons:
-            raise ValueError("mismatched register shapes")
-        acc = acc + complex(coeff) * state.amplitudes
-    return QuantumState(first.n_photons, acc).normalized()
+def ket(pol_string: str) -> np.ndarray:
+    """Read-only basis row from a polarization string such as ``"RLR"``."""
+    if not 1 <= len(pol_string) <= MAX_PHOTONS:
+        raise ValueError(f"register must hold 1..{MAX_PHOTONS} photons, got {len(pol_string)}")
+    for c in pol_string:
+        if c not in "RL":
+            raise ValueError(f"polarization must be R or L, got {c!r}")
+    row = np.zeros(1 << len(pol_string), dtype=np.complex128)
+    row[int(pol_string.replace("R", "0").replace("L", "1"), 2)] = 1.0
+    return frozen(row)
 
 
 # Row forms: ``amps`` holds one amplitude vector per row, shape (..., dim), so
@@ -115,6 +59,8 @@ def row_photons(amps: np.ndarray) -> int:
 @functools.lru_cache(maxsize=None)
 def _row_axes(n: int, bits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Axis order moving ``bits`` of a (1, rows, 2, ..., 2) tensor last (axis n + 1 - b holds bit b); its inverse."""
+    if len(set(bits)) != len(bits) or not set(bits) <= set(range(n)):
+        raise ValueError(f"bits {bits} must be distinct and within 0..{n - 1}")
     order = (0, 1) + tuple(n + 1 - b for b in reversed(range(n)) if b not in bits) + tuple(n + 1 - b for b in bits)
     return order, tuple(np.argsort(order))
 
@@ -144,13 +90,6 @@ def row_norms2(amps: np.ndarray) -> np.ndarray:
     return row_inner(amps, amps).real
 
 
-def inner(a: QuantumState, b: QuantumState) -> complex:
-    """Inner product <a|b>; conjugate-linear in the first argument."""
-    if a.n_photons != b.n_photons:
-        raise ValueError("mismatched register shapes")
-    return complex(row_inner(a.amplitudes, b.amplitudes))
-
-
 def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) -> np.ndarray:
     """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (m, ...).
 
@@ -161,7 +100,7 @@ def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) ->
     most ``NORM_TOL**2`` is an impossible outcome.
     """
     probs = np.asarray(probs, dtype=float)
-    if isinstance(forced, (Pol, Spin)):
+    if isinstance(forced, Spin):
         forced = forced.value
     if forced is not None:
         if forced not in range(len(probs)):

@@ -41,9 +41,9 @@ def uniform_vector(n_photons: int, terms: list[str]) -> np.ndarray:
     return expected_vector(n_photons, {t: amp for t in terms})
 
 
-def tag_split(state):
-    """Unnormalized branch and weight of every tag a photons-only state holds, split as the ideal-gate table splits rows."""
-    tags, branches = _tag_branches(state.amplitudes)
+def tag_split(row):
+    """Unnormalized branch and weight of every tag an amplitude row holds, split as the ideal-gate table splits rows."""
+    tags, branches = _tag_branches(row)
     weights = row_norms2(branches)
     held = [int(k) for k in tags if weights[k] > 0]
     return {k: branches[k] for k in held}, {k: float(weights[k]) for k in held}

@@ -14,7 +14,7 @@ import pytest
 
 from entconv.cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from entconv.cli import main
-from entconv.cnot import _kraus, basis_inputs, benchmark_report, cnot_fidelity, cnot_rows, uniform_input
+from entconv.cnot import _fidelities, _kraus, benchmark_report, cnot_rows
 from entconv.kerr import HomodyneModel, error_probability, peak_distances, read_rows
 from entconv.protocols import (
     ProtocolSpec,
@@ -27,7 +27,7 @@ from entconv.protocols import (
     _ideal_cnot,
     _run_gates,
 )
-from entconv.qstate import QuantumState, Spin, ket, superpose
+from entconv.qstate import Spin, ket
 
 from conftest import tag_split, uniform_vector
 
@@ -65,21 +65,21 @@ def _verdict(number: int, text: str) -> None:
 def test_criterion_1_state_evolution_oracles():
     t0 = time.perf_counter()
     for n in (3, 4, 5):
-        rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
-        state = QuantumState(n, rows[0])
-        np.testing.assert_allclose(state.amplitudes, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
+        rows, *_ = _run_gates(conversion_input(n)[None], circuit_wiring(n), _ideal_cnot)
+        state = rows[0]
+        np.testing.assert_allclose(state, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
         _, weights = tag_split(state)
         assert tuple(weights) == tuple(sorted(BRANCH_WEIGHTS[n]))
         for tag, weight in BRANCH_WEIGHTS[n].items():
             assert abs(weights[tag] - float(weight)) < 1e-12
             # each branch keeps the pre-tag amplitudes on its own terms
-            _, _, collapsed = read_rows(state.amplitudes[None], None, forced_tag=tag)
+            _, _, collapsed = read_rows(state[None], None, forced_tag=tag)
             np.testing.assert_allclose(collapsed[0], uniform_vector(n, BRANCH_TERMS[(n, tag)]), atol=1e-12)
     # five-photon outcome branches after renormalization
     run_w = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(1,))
-    np.testing.assert_allclose(run_w.final_state.amplitudes, uniform_vector(5, BRANCH_TERMS[(5, 1)]), atol=1e-12)
+    np.testing.assert_allclose(run_w.final_state, uniform_vector(5, BRANCH_TERMS[(5, 1)]), atol=1e-12)
     run_d = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(3,))
-    np.testing.assert_allclose(run_d.final_state.amplitudes, uniform_vector(5, BRANCH_TERMS[(5, 3)]), atol=1e-12)
+    np.testing.assert_allclose(run_d.final_state, uniform_vector(5, BRANCH_TERMS[(5, 3)]), atol=1e-12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _verdict(1, f"pre-tag states, partitions and outcome branches exact to 1e-12 ({elapsed:.3f}s)")
@@ -148,22 +148,22 @@ def test_criterion_3_reflection_physics(rng):
 
 def test_criterion_4_cnot_contract(rng):
     for s, want in (("RR", "RR"), ("RL", "LL"), ("LR", "LR"), ("LL", "RL")):
-        out, *_ = _ideal_cnot(ket(s).amplitudes, 2, 1)
+        out, *_ = _ideal_cnot(ket(s), 2, 1)
         assert abs(out[int(np.argmax(np.abs(out)))] - 1.0) < 1e-12
         got = int(np.argmax(np.abs(out)))
         assert got == (("RL".index(want[0]) << 1) | "RL".index(want[1]))
     params = CavityParams(1, 1, 1)
     for _ in range(25):
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = superpose([(ket(s), c[i]) for i, s in enumerate(("RR", "RL", "LR", "LL"))])
-        a, b, g, d = state.amplitudes
+        state = c / np.linalg.norm(c)
+        a, b, g, d = state
         want_vec = np.array([a, d, g, b])  # alpha|RR> + delta|RL> + gamma|LR> + beta|LL>
         for forced in (Spin.PLUS, Spin.MINUS):
-            rows, readouts, _, _ = cnot_rows(state.amplitudes[None], 2, 1, _kraus(params, True), forced_spin=forced)
+            rows, readouts, _, _ = cnot_rows(state[None], 2, 1, _kraus(params, True), forced_spin=forced)
             np.testing.assert_allclose(rows[0], want_vec, atol=1e-12)
             assert readouts[0] == forced.value
-        again = _ideal_cnot(_ideal_cnot(state.amplitudes, 2, 1)[0], 2, 1)[0]
-        np.testing.assert_allclose(again, state.amplitudes, atol=1e-12)
+        again = _ideal_cnot(_ideal_cnot(state, 2, 1)[0], 2, 1)[0]
+        np.testing.assert_allclose(again, state, atol=1e-12)
     _verdict(4, "both readout branches with feed-forward are exact; involution and truth table verified")
 
 
@@ -176,11 +176,12 @@ def test_criterion_5_fidelity_surface():
                 for gg in grid:
                     params = CavityParams.from_ratios(float(gk), float(gg))
                     if mode == "basis_average":
-                        f = float(np.mean([cnot_fidelity(params, s, outcome) for s in basis_inputs()]))
+                        basis = np.stack([ket(s) for s in ("RR", "RL", "LR", "LL")])
+                        f = float(np.mean(_fidelities(params, basis)[outcome.value]))
                     else:
-                        rows, *_ = cnot_rows(uniform_input().amplitudes[None], 2, 1, _kraus(params, False),
-                                             forced_spin=outcome)
-                        f = abs(np.vdot(rows[0], _ideal_cnot(uniform_input().amplitudes, 2, 1)[0])) ** 2
+                        uniform = uniform_vector(2, ["RR", "RL", "LR", "LL"])
+                        rows, *_ = cnot_rows(uniform[None], 2, 1, _kraus(params, False), forced_spin=outcome)
+                        f = abs(np.vdot(rows[0], _ideal_cnot(uniform, 2, 1)[0])) ** 2
                     surface[(round(float(gk), 9), round(float(gg), 9), outcome)] = f
         for outcome in (Spin.PLUS, Spin.MINUS):
             for i, gk in enumerate(grid):

@@ -22,7 +22,7 @@ from entconv.config import (
     schema_path,
 )
 from entconv.protocols import run_protocol
-from entconv.qstate import Spin, inner
+from entconv.qstate import Spin
 
 
 def make_config(tmp_path, data, name="config.json"):
@@ -296,7 +296,7 @@ def test_run_realistic_fidelity_follows_the_runs_own_spins(tmp_path):
     assert Spin.MINUS in run.spin_outcomes
     # the run's own final state against the ideal trajectory on its tags
     ideal = run_protocol(replace(spec, gate_mode="ideal"), forced_tags=run.true_tags)
-    own = abs(inner(run.final_state, ideal.final_state)) ** 2
+    own = abs(np.vdot(run.final_state, ideal.final_state)) ** 2
     assert report["fidelity_vs_ideal"] == pytest.approx(own, rel=1e-12)
 
 

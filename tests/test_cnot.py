@@ -7,29 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconv.cavity import CavityParams, spin_photon_map
-from entconv.cnot import (
-    _fidelities,
-    _kraus,
-    benchmark_report,
-    cnot_fidelity,
-    basis_inputs,
-    cnot_rows,
-    fidelity_grid,
-    uniform_input,
-)
+from entconv.cnot import _fidelities, _kraus, benchmark_report, cnot_rows, fidelity_grid
 from entconv.protocols import _ideal_cnot
-from entconv.qstate import QuantumState, Spin, inner, ket, superpose
+from entconv.qstate import Spin, ket
 
-from conftest import expected_vector
+from conftest import expected_vector, uniform_vector
 from oracle import readout_branches, replay_cnot
 
+TERMS = ("RR", "RL", "LR", "LL")
 RESONANT = CavityParams(g=1.0, kappa=1.0, gamma=1.0)
 STRONG = CavityParams(g=5.0, kappa=1.0, gamma=1.0)  # g^2 = 25 kappa gamma
 
 
 def random_two_photon(rng):
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return superpose([(ket(s), c[i]) for i, s in enumerate(("RR", "RL", "LR", "LL"))])
+    return c / np.linalg.norm(c)
 
 
 def flip_target_matrix(n, control, target):
@@ -43,48 +35,47 @@ def flip_target_matrix(n, control, target):
 
 
 def cnot_ideal(state, control, target):
-    """The runtime's ideal gate, the controlled flip, on one state."""
-    return QuantumState(state.n_photons, _ideal_cnot(state.amplitudes, control, target)[0])
+    """The runtime's ideal gate, the controlled flip, on one row."""
+    return _ideal_cnot(state, control, target)[0]
 
 
 def test_truth_table_exhaustive():
     for s, want in (("RR", "RR"), ("RL", "LL"), ("LR", "LR"), ("LL", "RL")):
         out = cnot_ideal(ket(s), control=2, target=1)
-        np.testing.assert_allclose(out.amplitudes, expected_vector(2, {want: 1.0}), atol=1e-15)
+        np.testing.assert_allclose(out, expected_vector(2, {want: 1.0}), atol=1e-15)
 
 
 def test_control_off_branch_unchanged():
     out = cnot_ideal(ket("LRL"), control=2, target=3)
-    np.testing.assert_array_equal(out.amplitudes, ket("LRL").amplitudes)
+    np.testing.assert_array_equal(out, ket("LRL"))
 
 
 def test_first_stage_on_three_photon_input():
-    state = superpose([(ket("RLR"), 1.0), (ket("LRL"), 1.0)])
+    state = uniform_vector(3, ["RLR", "LRL"])
     out = cnot_ideal(state, control=2, target=3)
     want = expected_vector(3, {"RLL": 1 / math.sqrt(2), "LRL": 1 / math.sqrt(2)})
-    np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
+    np.testing.assert_allclose(out, want, atol=1e-12)
     # independent route: full permutation-matrix product
-    np.testing.assert_allclose(out.amplitudes, flip_target_matrix(3, 2, 3) @ state.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(out, flip_target_matrix(3, 2, 3) @ state, atol=1e-12)
 
 
 def test_matrix_oracle_on_random_states(rng):
     for _ in range(10):
         c = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = superpose([(ket(f"{a}{b}{d}"), c[i]) for i, (a, b, d) in enumerate(
-            (x, y, z) for x in "RL" for y in "RL" for z in "RL")])
+        state = c / np.linalg.norm(c)
         out = cnot_ideal(state, control=3, target=1)
-        np.testing.assert_allclose(out.amplitudes, flip_target_matrix(3, 3, 1) @ state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(out, flip_target_matrix(3, 3, 1) @ state, atol=1e-12)
 
 
 def test_involution(rng):
     state = random_two_photon(rng)
     out = cnot_ideal(cnot_ideal(state, 2, 1), 2, 1)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(out, state, atol=1e-12)
 
 
 def compiled_cnot(state, control, target, params, ideal, rng=None, forced=None):
     """The compiled gate on a batch of one: output row, readout, chosen branch weight, squared norm before readout."""
-    rows, readouts, chosen, kept = cnot_rows(state.amplitudes[None], control, target, _kraus(params, ideal), rng, forced)
+    rows, readouts, chosen, kept = cnot_rows(state[None], control, target, _kraus(params, ideal), rng, forced)
     return rows[0], int(readouts[0]), float(chosen[0]), float(kept[0])
 
 
@@ -95,7 +86,7 @@ def test_feed_forward_determinism(rng):
         want = cnot_ideal(state, control=2, target=1)
         for forced in (Spin.PLUS, Spin.MINUS):
             row, readout, chosen, _ = compiled_cnot(state, 2, 1, RESONANT, ideal=True, forced=forced)
-            np.testing.assert_allclose(row, want.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(row, want, atol=1e-12)
             assert abs(chosen - 0.5) < 1e-12
             assert readout == forced.value
 
@@ -105,8 +96,8 @@ def test_frozen_element_order_readout_branches(rng):
     # two branches alpha|RR>+beta|LL>+gamma|LR>+delta|RL> (plus) and
     # alpha|LR>+beta|RL>+gamma|RR>+delta|LL> (minus, before correction)
     state = random_two_photon(rng)
-    a, b, g, d = state.amplitudes
-    plus, minus = readout_branches(state.amplitudes, 2, 1, spin_photon_map(RESONANT, ideal=True))
+    a, b, g, d = state
+    plus, minus = readout_branches(state, 2, 1, spin_photon_map(RESONANT, ideal=True))
     want_plus = expected_vector(2, {"RR": a, "LL": b, "LR": g, "RL": d})
     np.testing.assert_allclose(plus / np.linalg.norm(plus), want_plus / np.linalg.norm(want_plus), atol=1e-12)
     want_minus = expected_vector(2, {"LR": a, "RL": b, "RR": g, "LL": d})
@@ -127,16 +118,16 @@ def test_compiled_gate_matches_element_replay(n, params, ideal):
     factors = spin_photon_map(params, ideal)
     for control, target in itertools.permutations(range(1, n + 1), 2):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = QuantumState(n, amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
         for forced in (Spin.PLUS, Spin.MINUS):
-            _, photons, weight, norm = replay_cnot(state.amplitudes, control, target, factors, forced=forced.value)
+            _, photons, weight, norm = replay_cnot(state, control, target, factors, forced=forced.value)
             row, readout, chosen, kept = compiled_cnot(state, control, target, params, ideal, forced=forced)
             assert readout == forced.value
             np.testing.assert_allclose(row, photons, rtol=0, atol=1e-12)
             assert chosen == pytest.approx(weight, abs=1e-12)
             assert kept == pytest.approx(norm, abs=1e-12)
         seed = int(rng.integers(2**32))
-        replayed, *_ = replay_cnot(state.amplitudes, control, target, factors, rng=np.random.default_rng(seed))
+        replayed, *_ = replay_cnot(state, control, target, factors, rng=np.random.default_rng(seed))
         _, readout, _, _ = compiled_cnot(state, control, target, params, ideal, rng=np.random.default_rng(seed))
         assert readout == replayed
 
@@ -151,7 +142,7 @@ def test_compiled_gate_on_a_batch_matches_each_row():
         out, readouts, chosen, kept = cnot_rows(rows, 4, 2, _kraus(params, False), forced_spin=spin)
         assert set(readouts) == {spin.value}
         for i, row in enumerate(rows):
-            one, _, one_chosen, one_kept = compiled_cnot(QuantumState(5, row), 4, 2, params, False, forced=spin)
+            one, _, one_chosen, one_kept = compiled_cnot(row, 4, 2, params, False, forced=spin)
             np.testing.assert_allclose(out[i], one, atol=1e-14)
             assert chosen[i] == pytest.approx(one_chosen, abs=1e-14)
             assert kept[i] == pytest.approx(one_kept, abs=1e-14)
@@ -162,7 +153,7 @@ def test_realistic_gate_loses_norm_but_stays_faithful(rng):
     row, _, _, kept = compiled_cnot(state, 2, 1, STRONG, ideal=False, forced=Spin.PLUS)
     assert kept < 1.0
     ideal = cnot_ideal(state, 2, 1)
-    assert abs(inner(QuantumState(2, row), ideal)) ** 2 > 0.99
+    assert abs(np.vdot(row, ideal)) ** 2 > 0.99
 
 
 def _closed_form_fidelities(ratio):
@@ -192,32 +183,26 @@ def test_fidelity_matches_closed_form(ratio):
     params = CavityParams.from_ratios(math.sqrt(ratio), math.sqrt(ratio))
     oracle = _closed_form_fidelities(ratio)
     for (outcome, term), want in oracle.items():
-        got = cnot_fidelity(params, ket(term), outcome)
+        got = _fidelities(params, ket(term)[None])[outcome.value, 0]
         assert got == pytest.approx(want, abs=1e-12), (outcome, term, ratio)
 
 
 def test_uniform_input_fidelity_is_one_at_resonance():
     for outcome in (Spin.PLUS, Spin.MINUS):
-        assert cnot_fidelity(RESONANT, uniform_input(), outcome) == pytest.approx(1.0, abs=1e-9)
+        assert _fidelities(RESONANT, uniform_vector(2, TERMS)[None])[outcome.value, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fidelity_tends_to_one():
     params = CavityParams.from_ratios(1e3, 1e3)
     for outcome in (Spin.PLUS, Spin.MINUS):
-        assert np.mean([cnot_fidelity(params, s, outcome) for s in basis_inputs()]) > 1 - 1e-5
-
-
-def test_fidelity_requires_two_photons():
-    with pytest.raises(ValueError, match="two-photon"):
-        cnot_fidelity(RESONANT, ket("RRR"), Spin.PLUS)
+        assert np.mean(_fidelities(params, np.stack([ket(s) for s in TERMS]))[outcome.value]) > 1 - 1e-5
 
 
 @given(st.floats(0.05, 50), st.floats(0.05, 50), st.integers(0, 3), st.sampled_from([Spin.PLUS, Spin.MINUS]))
 @settings(max_examples=40, deadline=None)
 def test_fidelity_bounded(gk, gg, which, outcome):
     params = CavityParams.from_ratios(gk, gg)
-    state = (ket("RR"), ket("RL"), ket("LR"), ket("LL"))[which]
-    f = cnot_fidelity(params, state, outcome)
+    f = _fidelities(params, ket(TERMS[which])[None])[outcome.value, 0]
     assert -1e-12 <= f <= 1 + 1e-12
 
 
@@ -226,7 +211,7 @@ def test_fidelity_grid_matches_gate_outputs(input_mode):
     # the grid reads fidelities off the Kraus pair in one array pass; the
     # gate's own forced-spin output must give the same numbers, row for row,
     # on a non-square grid with weak coupling included
-    inputs = (uniform_input(),) if input_mode == "uniform" else basis_inputs()
+    inputs = [uniform_vector(2, TERMS)] if input_mode == "uniform" else [ket(s) for s in TERMS]
     gks, ggs = (0.3, 2.0, 0.5), (0.4, 7.0)
     fidelities = fidelity_grid(gks, ggs, input_mode)
     assert fidelities.shape == (len(gks), len(ggs), 2)
@@ -235,21 +220,22 @@ def test_fidelity_grid_matches_gate_outputs(input_mode):
         route = []
         for state in inputs:
             real, *_ = compiled_cnot(state, 2, 1, params, ideal=False, forced=outcome)
-            route.append(abs(inner(QuantumState(2, real), cnot_ideal(state, 2, 1))) ** 2)
+            route.append(abs(np.vdot(real, cnot_ideal(state, 2, 1))) ** 2)
         assert abs(fidelities[i, j, outcome.value] - float(np.mean(route))) <= 1e-12, (gk, gg, outcome)
 
 
 def test_grid_point_with_an_extinguished_branch_raises():
     # at g^2 = kappa gamma / 4 (g/kappa = g/gamma = 0.5) the loaded reflection
     # vanishes and the minus readout annihilates (|RR> - |LR>)/sqrt2
-    dark = QuantumState(2, (ket("RR").amplitudes - ket("LR").amplitudes) / math.sqrt(2))
+    dark = (ket("RR") - ket("LR")) / math.sqrt(2)
     grid = CavityParams.from_ratios(np.array([[0.3], [2.0], [0.5]]), np.array([[0.4, 0.5]]))
     with pytest.raises(ValueError, match="branch extinguished"):
-        _fidelities(grid, dark.amplitudes[None])
+        _fidelities(grid, dark[None])
     point = CavityParams.from_ratios(0.5, 0.5)
     with pytest.raises(ValueError, match="branch extinguished"):
-        cnot_fidelity(point, dark, Spin.MINUS)
-    assert 0 <= cnot_fidelity(point, dark, Spin.PLUS) <= 1 + 1e-12
+        _fidelities(point, dark[None])
+    plus, *_ = compiled_cnot(dark, 2, 1, point, ideal=False, forced=Spin.PLUS)
+    assert 0 <= abs(np.vdot(plus, cnot_ideal(dark, 2, 1))) ** 2 <= 1 + 1e-12
 
 
 def test_grid_params_check_every_point():

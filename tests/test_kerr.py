@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 
 from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, read_rows
 from entconv.protocols import ideal_tags
-from entconv.qstate import QuantumState, ket, superpose
+from entconv.qstate import ket
 
 from conftest import basis_index, tag_split, uniform_vector
 
 ALPHA_REF = math.sqrt(1.3e4)
 THETA_REF = 0.1
-
-
-def state_from_terms(n, terms):
-    return superpose([(ket(t), 1.0) for t in terms])
 
 
 def _classify_draws(model, true_tag, n, rng):
@@ -26,7 +22,7 @@ def _classify_draws(model, true_tag, n, rng):
 
 
 def test_three_photon_partition():
-    state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
+    state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     branches, weights = tag_split(state)
     assert tuple(weights) == (1, 3)
     np.testing.assert_allclose(
@@ -54,7 +50,7 @@ def test_five_photon_partition_weights():
         "LRRRR RLRRR RRLRR RRRLR RRRRL LLLLL LLRRL LLRLR RLRLL LLLRR "
         "RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL"
     ).split()
-    _, weights = tag_split(state_from_terms(5, terms))
+    _, weights = tag_split(uniform_vector(5, terms))
     assert tuple(weights) == (1, 3, 5)
     assert abs(weights[1] - 5 / 16) < 1e-12
     assert abs(weights[3] - 10 / 16) < 1e-12
@@ -71,8 +67,8 @@ def test_tag_equals_l_count_exhaustive():
 def test_weight_conservation(n, seed):
     gen = np.random.default_rng(seed)
     vec = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
-    state = QuantumState(n, vec)  # deliberately unnormalized
-    assert abs(sum(tag_split(state)[1].values()) - state.norm2()) < 1e-12
+    # deliberately unnormalized
+    assert abs(sum(tag_split(vec)[1].values()) - np.vdot(vec, vec).real) < 1e-12
 
 
 def test_pdf_normalized_by_quadrature():
@@ -98,14 +94,14 @@ def test_pdf_symmetric_in_tag_sign():
 
 
 def test_ideal_readout_probabilities_three_photons(rng):
-    state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
+    state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     _, weights = tag_split(state)
     assert abs(weights[1] - 0.75) < 1e-12
     assert abs(weights[3] - 0.25) < 1e-12
-    tags, true, rows = read_rows(state.amplitudes[None], None, forced_tag=1)
+    tags, true, rows = read_rows(state[None], None, forced_tag=1)
     assert tags[0] == true[0] == 1
     assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-12
-    _, _, rows = read_rows(state.amplitudes[None], None, forced_tag=3)
+    _, _, rows = read_rows(state[None], None, forced_tag=3)
     np.testing.assert_allclose(rows[0], uniform_vector(3, ["LLL"]), atol=1e-12)
 
 
@@ -114,17 +110,17 @@ def test_ideal_readout_probabilities_five_photons():
         "LRRRR RLRRR RRLRR RRRLR RRRRL LLLLL LLRRL LLRLR RLRLL LLLRR "
         "RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL"
     ).split()
-    state = state_from_terms(5, terms)
+    state = uniform_vector(5, terms)
     branches, weights = tag_split(state)
     for tag, weight in ((1, 5 / 16), (3, 10 / 16), (5, 1 / 16)):
         assert abs(weights[tag] - weight) < 1e-12
         # the forced readout keeps the branch, renormalized by the root of its weight
-        _, _, rows = read_rows(state.amplitudes[None], None, forced_tag=tag)
+        _, _, rows = read_rows(state[None], None, forced_tag=tag)
         np.testing.assert_allclose(rows[0] * math.sqrt(weight), branches[tag], atol=1e-12)
 
 
 def test_single_branch_certain(rng):
-    row = ket("RRRR").amplitudes[None]
+    row = ket("RRRR")[None]
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0,))
     tags, true, _ = read_rows(row, None, rng)
     assert tags[0] == true[0] == 0
@@ -135,13 +131,13 @@ def test_single_branch_certain(rng):
 def test_forced_tag_absent():
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0, 1))
     with pytest.raises(ValueError, match="forced tag absent"):
-        read_rows(ket("RRR").amplitudes[None], model, forced_tag=1)
+        read_rows(ket("RRR")[None], model, forced_tag=1)
 
 
 def test_ideal_sampling_matches_weights(rng):
-    state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
+    state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     n = 40000
-    tags, _, _ = read_rows(np.repeat(state.amplitudes[None], n, axis=0), None, rng)
+    tags, _, _ = read_rows(np.repeat(state[None], n, axis=0), None, rng)
     hits = int(np.sum(tags == 1))
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert abs(hits / n - 0.75) <= 3 * sigma
@@ -150,10 +146,10 @@ def test_ideal_sampling_matches_weights(rng):
 def test_gaussian_mode_collapses_to_true_branch(rng):
     # nearly-degenerate peaks make misclassification frequent; the state must
     # nevertheless follow the true tag
-    state = state_from_terms(3, ["RLR", "LRR", "RRL", "LLL"])
+    state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     branches, weights = tag_split(state)
     model = HomodyneModel.for_tags(1.0, 0.02, tuple(weights))
-    tags, true, rows = read_rows(np.repeat(state.amplitudes[None], 300, axis=0), model, rng)
+    tags, true, rows = read_rows(np.repeat(state[None], 300, axis=0), model, rng)
     for k, row in zip(true, rows):
         np.testing.assert_allclose(row, branches[k] / math.sqrt(weights[k]), atol=1e-12)
     assert np.sum(tags != true) > 0

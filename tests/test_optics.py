@@ -25,50 +25,50 @@ def test_all_element_matrices_unitary():
 
 
 def test_qwp_on_r():
-    out = plate(ket("R").amplitudes, 1, QWP)
+    out = plate(ket("R"), 1, QWP)
     want = expected_vector(1, {"R": 1 / math.sqrt(2), "L": 1 / math.sqrt(2)})
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_qwp_on_l_has_minus_sign():
-    out = plate(ket("L").amplitudes, 1, QWP)
+    out = plate(ket("L"), 1, QWP)
     want = expected_vector(1, {"R": 1 / math.sqrt(2), "L": -1 / math.sqrt(2)})
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_qwp_twice_is_identity():
-    out = plate(plate(ket("R").amplitudes, 1, QWP), 1, QWP)
-    np.testing.assert_allclose(out, ket("R").amplitudes, atol=1e-12)
+    out = plate(plate(ket("R"), 1, QWP), 1, QWP)
+    np.testing.assert_allclose(out, ket("R"), atol=1e-12)
 
 
 def test_hwp_flips_middle_photon():
-    out = plate(ket("RLR").amplitudes, 2, HWP)
+    out = plate(ket("RLR"), 2, HWP)
     np.testing.assert_allclose(out, expected_vector(3, {"RRR": 1.0}), atol=1e-15)
 
 
 def test_hwp_first_recovery_step():
-    out = plate(ket("LLL").amplitudes, 2, HWP)
+    out = plate(ket("LLL"), 2, HWP)
     np.testing.assert_allclose(out, expected_vector(3, {"LRL": 1.0}), atol=1e-15)
 
 
 def test_hwp_twice_is_identity():
-    out = plate(plate(ket("RL").amplitudes, 2, HWP), 2, HWP)
-    np.testing.assert_allclose(out, ket("RL").amplitudes, atol=1e-15)
+    out = plate(plate(ket("RL"), 2, HWP), 2, HWP)
+    np.testing.assert_allclose(out, ket("RL"), atol=1e-15)
 
 
 def test_spin_hadamard_on_plus():
-    out = spin_hadamard(np.kron(ket("R").amplitudes, [1.0, 0.0]))
+    out = spin_hadamard(np.kron(ket("R"), [1.0, 0.0]))
     want = expected_vector(1, {("R", 0): 1 / math.sqrt(2), ("R", 1): 1 / math.sqrt(2)}, spin_slots=True)
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_spin_hadamard_twice_is_identity():
-    s = np.kron(ket("RL").amplitudes, [0.28, 0.96])
+    s = np.kron(ket("RL"), [0.28, 0.96])
     out = spin_hadamard(spin_hadamard(s))
     np.testing.assert_allclose(out, s, atol=1e-12)
 
 
 def test_spin_hadamard_inverts_equal_superposition():
-    out = spin_hadamard(np.kron(ket("R").amplitudes, [1.0, 1.0]) / math.sqrt(2))
+    out = spin_hadamard(np.kron(ket("R"), [1.0, 1.0]) / math.sqrt(2))
     want = expected_vector(1, {("R", 0): 1.0}, spin_slots=True)
     np.testing.assert_allclose(out, want, atol=1e-12)

@@ -1,5 +1,6 @@
-"""The runtime package stands alone: it imports nothing from the test tree, and
-the spin-register primitives live only in the test oracle."""
+"""The runtime package stands alone: it imports nothing from the test tree, the
+spin-register primitives live only in the test oracle, and amplitude rows are
+the only state type."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,9 @@ TEST_TREE = {"tests", "conftest", "oracle"}
 MOVED = (
     "SPIN", "Site", "MeasurementRecord", "measure_site", "measure_spin", "attach_spin", "discard_spin",
     "apply_single_qubit", "apply_controlled", "qwp", "hwp", "spin_hadamard", "cnot_ideal", "SpinPhotonMap",
+)
+STATE_WRAPPERS = (
+    "QuantumState", "Pol", "make_basis_state", "superpose", "inner", "cnot_fidelity", "uniform_input", "basis_inputs",
 )
 
 
@@ -32,6 +36,9 @@ def test_runtime_does_not_import_the_test_tree():
 def test_spin_register_names_are_gone():
     for module in (entconv, qstate, optics, cnot, cavity):
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
-    assert "has_spin" not in qstate.QuantumState.__dataclass_fields__
-    assert not hasattr(qstate.QuantumState, "site_bit")
     assert not hasattr(cavity.CavityParams, "resonant")
+
+
+def test_state_wrappers_are_gone():
+    for module in (entconv, qstate, cnot):
+        assert [name for name in STATE_WRAPPERS if hasattr(module, name)] == [], module.__name__

@@ -27,9 +27,9 @@ from entconv.protocols import (
     _run_gates,
     _run_rounds,
 )
-from entconv.qstate import QuantumState, Spin, ket, superpose
+from entconv.qstate import Spin, ket
 
-from conftest import tag_split, uniform_vector
+from conftest import expected_vector, tag_split, uniform_vector
 
 # hand-expanded pre-tag term lists for the three circuits
 PRE_TAG_TERMS = {
@@ -49,8 +49,8 @@ DICKE5_TERMS = "LLRRL LLRLR RLRLL LLLRR RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL".spl
 
 
 def pre_tag_state(n):
-    rows, *_ = _run_gates(conversion_input(n).amplitudes[None], circuit_wiring(n), _ideal_cnot)
-    return QuantumState(n, rows[0])
+    rows, *_ = _run_gates(conversion_input(n)[None], circuit_wiring(n), _ideal_cnot)
+    return rows[0]
 
 
 def test_wiring_element_lists_frozen():
@@ -77,7 +77,7 @@ def test_wiring_unsupported_n():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_pre_tag_state_matches_hand_expansion(n):
     state = pre_tag_state(n)
-    np.testing.assert_allclose(state.amplitudes, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
+    np.testing.assert_allclose(state, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -96,29 +96,29 @@ def test_partition_branch_weights(n, expected):
 def test_partition_branches_hold_expected_terms():
     state = pre_tag_state(5)
     for tag, terms in ((1, W5_TERMS), (3, DICKE5_TERMS), (5, ["LLLLL"])):
-        _, _, rows = read_rows(state.amplitudes[None], None, forced_tag=tag)
+        _, _, rows = read_rows(state[None], None, forced_tag=tag)
         np.testing.assert_allclose(rows[0], uniform_vector(5, terms), atol=1e-12)
 
 
 def test_recovery_three_elements_on_all_l():
-    rows, *_ = _run_gates(ket("LLL").amplitudes[None], recovery_sequence(3)[:3], _ideal_cnot)
-    state = QuantumState(3, rows[0])
-    np.testing.assert_allclose(state.amplitudes, uniform_vector(3, ["RLL", "LRL"]), atol=1e-12)
+    rows, *_ = _run_gates(ket("LLL")[None], recovery_sequence(3)[:3], _ideal_cnot)
+    state = rows[0]
+    np.testing.assert_allclose(state, uniform_vector(3, ["RLL", "LRL"]), atol=1e-12)
 
 
 def test_recovery_five_photons_on_all_l():
-    rows, *_ = _run_gates(ket("LLLLL").amplitudes[None], recovery_sequence(5)[:3], _ideal_cnot)
-    state = QuantumState(5, rows[0])
-    np.testing.assert_allclose(state.amplitudes, uniform_vector(5, ["RLLLL", "LRLLL"]), atol=1e-12)
+    rows, *_ = _run_gates(ket("LLLLL")[None], recovery_sequence(5)[:3], _ideal_cnot)
+    state = rows[0]
+    np.testing.assert_allclose(state, uniform_vector(5, ["RLLLL", "LRLLL"]), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_recovery_fixed_point(n):
     state1 = pre_tag_state(n)
     branches1, _ = tag_split(state1)
-    _, _, retry = read_rows(state1.amplitudes[None], None, forced_tag=max(branches1))
+    _, _, retry = read_rows(state1[None], None, forced_tag=max(branches1))
     rows2, *_ = _run_gates(retry, recovery_sequence(n), _ideal_cnot)
-    branches2, _ = tag_split(QuantumState(n, rows2[0]))
+    branches2, _ = tag_split(rows2[0])
     assert tuple(branches1) == tuple(branches2)
     for tag in branches1:
         np.testing.assert_allclose(branches1[tag], branches2[tag], atol=1e-12)
@@ -134,7 +134,7 @@ def test_run_three_photon_success_round_one():
     assert run.outcome_class == "W"
     assert run.iterations_used == 1
     np.testing.assert_allclose(
-        run.final_state.amplitudes, uniform_vector(3, ["RLR", "LRR", "RRL"]), atol=1e-12
+        run.final_state, uniform_vector(3, ["RLR", "LRR", "RRL"]), atol=1e-12
     )
 
 
@@ -142,7 +142,7 @@ def test_run_four_photon_flipped_branch():
     run = run_protocol(ProtocolSpec(n_photons=4), forced_tags=(3,))
     assert run.outcome_class == "W"
     np.testing.assert_allclose(
-        run.final_state.amplitudes, uniform_vector(4, ["RLLL", "LRLL", "LLRL", "LLLR"]), atol=1e-12
+        run.final_state, uniform_vector(4, ["RLLL", "LRLL", "LLRL", "LLLR"]), atol=1e-12
     )
     assert classify_state(run.final_state).kind == "W_flipped"
     run = run_protocol(ProtocolSpec(n_photons=4, standardize_flipped=True), forced_tags=(3,))
@@ -152,7 +152,7 @@ def test_run_four_photon_flipped_branch():
 def test_run_five_photon_dicke_branch():
     run = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(3,))
     assert run.outcome_class == "Dicke"
-    np.testing.assert_allclose(run.final_state.amplitudes, uniform_vector(5, DICKE5_TERMS), atol=1e-12)
+    np.testing.assert_allclose(run.final_state, uniform_vector(5, DICKE5_TERMS), atol=1e-12)
 
 
 def test_run_five_photon_w_after_two_recoveries():
@@ -160,14 +160,14 @@ def test_run_five_photon_w_after_two_recoveries():
     assert run.outcome_class == "W"
     assert run.iterations_used == 3
     assert run.homodyne_tags == (5, 5, 1)
-    np.testing.assert_allclose(run.final_state.amplitudes, uniform_vector(5, W5_TERMS), atol=1e-12)
+    np.testing.assert_allclose(run.final_state, uniform_vector(5, W5_TERMS), atol=1e-12)
 
 
 def test_run_fails_at_max_iterations():
     run = run_protocol(ProtocolSpec(n_photons=3, max_iterations=2), forced_tags=(3, 3))
     assert run.outcome_class == "failed_max_iter"
     assert run.iterations_used == 2
-    np.testing.assert_allclose(run.final_state.amplitudes, uniform_vector(3, ["LLL"]), atol=1e-12)
+    np.testing.assert_allclose(run.final_state, uniform_vector(3, ["LLL"]), atol=1e-12)
 
 
 def test_probability_conservation_each_iteration():
@@ -176,15 +176,15 @@ def test_probability_conservation_each_iteration():
 
 
 def test_classify_w_forms():
-    w = superpose([(ket(t), 1.0) for t in ("RLR", "LRR", "RRL")])
+    w = uniform_vector(3, ["RLR", "LRR", "RRL"])
     assert classify_state(w).kind == "W"
-    flipped = superpose([(ket(t), 1.0) for t in ("RLLL", "LRLL", "LLRL", "LLLR")])
+    flipped = uniform_vector(4, ["RLLL", "LRLL", "LLRL", "LLLR"])
     cls = classify_state(flipped)
     assert cls.kind == "W_flipped" and cls.r_excitations == 1
 
 
 def test_classify_dicke_reports_both_conventions():
-    state = superpose([(ket(t), 1.0) for t in DICKE5_TERMS])
+    state = uniform_vector(5, DICKE5_TERMS)
     cls = classify_state(state)
     assert cls.kind == "Dicke"
     assert cls.l_excitations == 3
@@ -194,7 +194,7 @@ def test_classify_dicke_reports_both_conventions():
 def test_classify_ghz_like_and_other():
     assert classify_state(conversion_input(3)).kind == "GHZ_like"
     assert classify_state(ket("LLL")).kind == "other"
-    skew = superpose([(ket("RLR"), 1.0), (ket("LRR"), -1.0), (ket("RRL"), 1.0)])
+    skew = expected_vector(3, {"RLR": 1.0, "LRR": -1.0, "RRL": 1.0}) / math.sqrt(3)
     assert classify_state(skew).kind == "other"
 
 
@@ -353,7 +353,7 @@ def test_batch_rows_replay_as_single_runs():
     for i in range(trials):
         run = run_protocol(spec, forced_tags=trial_tags[i], forced_spins=trial_spins[i])
         assert (run.outcome_class, run.iterations_used) == (outcome[i], rounds[i])
-        np.testing.assert_allclose(final[i], run.final_state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(final[i], run.final_state, atol=1e-12)
         assert survival[i] == pytest.approx(run.accumulated_norm, rel=1e-12)
 
 
@@ -386,7 +386,7 @@ def test_gaussian_readout_is_continuous_in_leaked_weight(n):
     spec = ProtocolSpec(n_photons=n, gate_mode="realistic", homodyne_mode="gaussian",
                         params=CavityParams(g=0.3, kappa=26.0, gamma=0.0004))
     rng = np.random.default_rng(np.random.SeedSequence(25))
-    start = np.repeat(conversion_input(n).amplitudes[None], 2000, axis=0)
+    start = np.repeat(conversion_input(n)[None], 2000, axis=0)
     rows, *_ = _run_gates(start, circuit_wiring(n), _realistic_cnot(spec.params, rng, None))
     leaked = ~np.isin([bin(i).count("1") for i in range(1 << n)], sorted(ideal_tags(n)))
     noise = leaked & (np.abs(rows) < 1e-15)

@@ -9,100 +9,106 @@ from hypothesis import strategies as st
 from entconv.cavity import IDEAL_BOUNCE, CavityParams
 from entconv.cnot import _kraus, cnot_rows
 from entconv.kerr import read_rows
-from entconv.qstate import Pol, QuantumState, Spin, apply_rows, choose_branch, inner, ket, make_basis_state, superpose
+from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
+from entconv.qstate import Spin, apply_rows, choose_branch, ket, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
-from conftest import basis_index, expected_vector
+from conftest import basis_index, expected_vector, uniform_vector
 from oracle import SPIN_READY, readout_branches
 
 IDEAL = _kraus(CavityParams(1, 1, 1), ideal=True)   # the compiled gate with ideal bounces
 
 
 def test_basis_embedding_three_photons():
-    s = make_basis_state([Pol.R, Pol.L, Pol.R])
+    s = ket("RLR")
     want = np.zeros(8, complex)
     want[basis_index("RLR")] = 1.0
-    assert np.array_equal(s.amplitudes, want)
+    assert np.array_equal(s, want)
 
 
 def test_basis_embedding_photon_plus_spin():
     # the spin exists only in the gate oracle, which attaches it as the least significant bit
-    s = np.kron(make_basis_state([Pol.R]).amplitudes, SPIN_READY)
+    s = np.kron(ket("R"), SPIN_READY)
     want = expected_vector(1, {("R", 0): 1 / math.sqrt(2), ("R", 1): 1 / math.sqrt(2)}, spin_slots=True)
     np.testing.assert_allclose(s, want, atol=1e-15)
 
 
 def test_basis_embedding_five_photons_all_l():
     s = ket("LLLLL")
-    assert s.amplitudes[basis_index("LLLLL")] == 1.0
-    assert np.count_nonzero(s.amplitudes) == 1
-    assert s.dim == 32
+    assert s[basis_index("LLLLL")] == 1.0
+    assert np.count_nonzero(s) == 1
+    assert s.shape == (32,)
 
 
 def test_empty_register_rejected():
-    with pytest.raises(ValueError, match="empty register"):
-        make_basis_state([])
+    with pytest.raises(ValueError, match="got 0"):
+        ket("")
 
 
 def test_oversized_register_rejected():
-    with pytest.raises(ValueError, match="too large"):
-        make_basis_state([Pol.R] * 9)
+    with pytest.raises(ValueError, match="got 9"):
+        ket("R" * 9)
+
+
+def test_ket_rejects_a_character_other_than_r_or_l():
+    with pytest.raises(ValueError, match="'H'"):
+        ket("RHL")
+
+
+def test_states_handed_out_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        ket("RLR")[0] = 1.0
+    for n in (3, 4, 5):
+        with pytest.raises(ValueError, match="read-only"):
+            conversion_input(n)[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        run_protocol(ProtocolSpec(n_photons=3), forced_tags=(1,)).final_state[0] = 1.0
 
 
 def test_superpose_ghz_pair():
-    s = superpose([(ket("RLR"), 1.0), (ket("LRL"), 1.0)])
+    # the three-photon conversion input superposes a GHZ pair of kets
     want = expected_vector(3, {"RLR": 1 / math.sqrt(2), "LRL": 1 / math.sqrt(2)})
-    np.testing.assert_allclose(s.amplitudes, want, atol=1e-12)
-
-
-def test_superpose_cancellation_is_null():
-    with pytest.raises(ValueError, match="null state"):
-        superpose([(ket("R"), 1.0), (ket("R"), -1.0)])
+    np.testing.assert_allclose(conversion_input(3), want, atol=1e-12)
 
 
 def test_superpose_four_photon_input():
-    s = superpose([(ket("RLRR"), 1.0), (ket("LRLL"), 1.0)])
     want = expected_vector(4, {"RLRR": 1 / math.sqrt(2), "LRLL": 1 / math.sqrt(2)})
-    np.testing.assert_allclose(s.amplitudes, want, atol=1e-12)
-
-
-def test_superpose_shape_mismatch():
-    with pytest.raises(ValueError, match="shapes"):
-        superpose([(ket("RR"), 1.0), (ket("RRR"), 1.0)])
+    np.testing.assert_allclose(conversion_input(4), want, atol=1e-12)
 
 
 def test_identity_map_leaves_state():
-    s = superpose([(ket("RLR"), 1.0), (ket("LRL"), 1.0j)])
-    out = apply_rows(s.amplitudes, (1,), np.eye(2))
-    np.testing.assert_array_equal(out, s.amplitudes)
+    s = expected_vector(3, {"RLR": 1 / math.sqrt(2), "LRL": 1j / math.sqrt(2)})
+    out = apply_rows(s, (1,), np.eye(2))
+    np.testing.assert_array_equal(out, s)
 
 
 def test_x_map_flips_photon2():
-    out = apply_rows(ket("RLR").amplitudes, (1,), HWP.T)
+    out = apply_rows(ket("RLR"), (1,), HWP.T)
     np.testing.assert_allclose(out, expected_vector(3, {"RRR": 1.0}), atol=1e-15)
 
 
 def test_hadamard_twice_on_spin_is_identity():
     # apply_rows acts on any bit of a row, the spin slot of an oracle register too
-    s = np.kron(ket("RL").amplitudes, [0.6, 0.8])
+    s = np.kron(ket("RL"), [0.6, 0.8])
     out = apply_rows(apply_rows(s, (0,), SPIN_HADAMARD.T), (0,), SPIN_HADAMARD.T)
     np.testing.assert_allclose(out, s, atol=1e-12)
 
 
 def test_controlled_off_branch_untouched():
-    out = apply_rows(ket("LRL").amplitudes, (1, 0), CNOT)
-    np.testing.assert_array_equal(out, ket("LRL").amplitudes)
+    out = apply_rows(ket("LRL"), (1, 0), CNOT)
+    np.testing.assert_array_equal(out, ket("LRL"))
 
 
 def test_controlled_flip_when_control_l():
-    out = apply_rows(ket("RLR").amplitudes, (1, 0), CNOT)
+    out = apply_rows(ket("RLR"), (1, 0), CNOT)
     np.testing.assert_allclose(out, expected_vector(3, {"RLL": 1.0}), atol=1e-15)
 
 
 def test_controlled_involution():
-    s = superpose([(ket("RLR"), 1.0), (ket("LLL"), 0.5), (ket("RRL"), -0.25j)])
-    out = apply_rows(apply_rows(s.amplitudes, (2, 0), CNOT), (2, 0), CNOT)
-    np.testing.assert_allclose(out, s.amplitudes, atol=1e-12)
+    s = expected_vector(3, {"RLR": 1.0, "LLL": 0.5, "RRL": -0.25j})
+    s /= np.linalg.norm(s)
+    out = apply_rows(apply_rows(s, (2, 0), CNOT), (2, 0), CNOT)
+    np.testing.assert_allclose(out, s, atol=1e-12)
 
 
 def dense_row_operator(n, bits, op):
@@ -142,24 +148,28 @@ def test_cnot_constant_is_the_controlled_flip_on_every_basis_state(n):
 
 
 def test_inner_self_is_one():
-    s = superpose([(ket("RLR"), 1.0), (ket("LRL"), 1.0)])
-    assert abs(inner(s, s) - 1.0) < 1e-12
+    s = conversion_input(3)
+    assert abs(row_inner(s, s) - 1.0) < 1e-12
 
 
 def test_inner_orthogonal():
-    assert inner(ket("R"), ket("L")) == 0.0
+    assert row_inner(ket("R"), ket("L")) == 0.0
 
 
 def test_inner_rebuilt_four_term_state():
     terms = ["RLR", "LRR", "RRL", "LLL"]
-    a = superpose([(ket(t), 1.0) for t in terms])
-    b = superpose([(ket(t), 1.0) for t in terms])
-    assert abs(inner(a, b) - 1.0) < 1e-12
+    assert abs(row_inner(uniform_vector(3, terms), uniform_vector(3, terms)) - 1.0) < 1e-12
 
 
-def test_inner_shape_mismatch():
-    with pytest.raises(ValueError, match="shapes"):
-        inner(ket("R"), ket("RR"))
+@pytest.mark.parametrize("bits", [(1, 1), (3,), (-1,), (0, 3)])
+def test_apply_rows_names_a_bad_bit_list(bits):
+    with pytest.raises(ValueError, match=r"distinct and within 0\.\.2"):
+        apply_rows(ket("RLR"), bits, np.eye(1 << len(bits)))
+
+
+def test_cnot_rows_names_equal_control_and_target():
+    with pytest.raises(ValueError, match="distinct"):
+        cnot_rows(ket("RLR")[None], 1, 1, IDEAL, forced_spin=Spin.PLUS)
 
 
 def test_spin_measurement_probabilities_half(rng):
@@ -176,9 +186,9 @@ def test_spin_measurement_probabilities_half(rng):
 
 def test_eigenstate_measurement_certain(rng):
     s = ket("RL")   # every basis state holds one tag: its count of L photons
-    tags, _, out = read_rows(s.amplitudes[None], None, rng)
+    tags, _, out = read_rows(s[None], None, rng)
     assert tags[0] == 1
-    np.testing.assert_allclose(out[0], s.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(out[0], s, atol=1e-12)
 
 
 def test_forced_minus_collapse_keeps_minus_branch(rng):
@@ -230,25 +240,25 @@ def states(max_photons=3):
         if norm < 1e-3:
             vec[0] += 1.0
             norm = np.linalg.norm(vec)
-        return QuantumState(n, vec / norm)
+        return vec / norm
 
     return build()
 
 
 @given(states(), unitaries(), st.data())
 def test_unitary_preserves_norm(state, u, data):
-    bit = data.draw(st.integers(0, state.n_photons - 1))
-    out = apply_rows(state.amplitudes, (bit,), u.T)
-    assert abs(QuantumState(state.n_photons, out).norm2() - 1.0) < 1e-12
+    bit = data.draw(st.integers(0, row_photons(state) - 1))
+    out = apply_rows(state, (bit,), u.T)
+    assert abs(row_norms2(out) - 1.0) < 1e-12
 
 
 @given(states(), st.data())
 def test_measurement_completeness(state, data):
     # the two spin readouts of the ideal gate share out the whole state
-    if state.n_photons < 2:
+    if row_photons(state) < 2:
         return
-    control, target = data.draw(st.permutations(range(1, state.n_photons + 1)))[:2]
-    _, _, _, kept = cnot_rows(state.amplitudes[None], control, target, IDEAL, forced_spin=Spin.PLUS)
+    control, target = data.draw(st.permutations(range(1, row_photons(state) + 1)))[:2]
+    _, _, _, kept = cnot_rows(state[None], control, target, IDEAL, forced_spin=Spin.PLUS)
     assert abs(kept[0] - 1.0) < 1e-12
 
 
@@ -256,7 +266,7 @@ def test_measurement_completeness(state, data):
 def test_collapse_idempotence(state, data):
     # a probe readout repeated on its own collapsed row is certain and leaves the row
     seeded = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    tags, _, collapsed = read_rows(state.amplitudes[None], None, seeded)
+    tags, _, collapsed = read_rows(state[None], None, seeded)
     again_tags, _, again = read_rows(collapsed, None, seeded)
     assert again_tags[0] == tags[0]
     np.testing.assert_allclose(again, collapsed, atol=1e-12)
@@ -265,9 +275,9 @@ def test_collapse_idempotence(state, data):
 @given(states(), unitaries(), unitaries(), st.data())
 @settings(max_examples=60)
 def test_disjoint_single_qubit_maps_commute(state, u1, u2, data):
-    if state.n_photons < 2:
+    if row_photons(state) < 2:
         return
-    i, j = data.draw(st.permutations(range(state.n_photons)))[:2]
-    a = apply_rows(apply_rows(state.amplitudes, (i,), u1.T), (j,), u2.T)
-    b = apply_rows(apply_rows(state.amplitudes, (j,), u2.T), (i,), u1.T)
+    i, j = data.draw(st.permutations(range(row_photons(state))))[:2]
+    a = apply_rows(apply_rows(state, (i,), u1.T), (j,), u2.T)
+    b = apply_rows(apply_rows(state, (j,), u2.T), (i,), u1.T)
     np.testing.assert_allclose(a, b, atol=1e-12)
