@@ -22,6 +22,6 @@ from .protocols import (
     run_protocol,
     success_series,
 )
-from .qstate import Spin, ket
+from .qstate import ket
 
 __version__ = "0.1.0"

@@ -51,55 +51,59 @@ class CavityParams:
         return cls(g=g, kappa=g / g_over_kappa, gamma=g / g_over_gamma)
 
 
+def _quotient(a, b, c, d) -> np.ndarray:
+    """(a + ib) / (c + id) by Smith's method, in the branch order of CPython's complex division."""
+    by_imag = np.abs(c) < np.abs(d)
+    ratio = np.where(by_imag, c / d, d / c)
+    denom = np.where(by_imag, c * ratio + d, c + d * ratio)
+    out = np.empty(np.shape(denom), dtype=np.complex128)
+    out.real = np.where(by_imag, a * ratio + b, a + b * ratio) / denom
+    out.imag = np.where(by_imag, b * ratio - a, b - a * ratio) / denom
+    return out[()]
+
+
+def _detuning(omega, p: CavityParams) -> np.ndarray:
+    """``omega - omega_p`` as the imaginary part of ``1j * (omega - omega_p)``: 0.0 + x, so -0.0 reads as 0.0."""
+    return 0.0 + (np.asarray(omega, dtype=float) - np.asarray(p.omega_p, dtype=float))
+
+
 @np.errstate(all="ignore")
 def reflection_coefficient(p: CavityParams) -> complex:
     """Reflection seen by the coupled polarization-spin component.
 
     At resonance this reduces to (g^2 - kappa*gamma/4) / (g^2 + kappa*gamma/4),
     approaching +1 once g^2 dominates kappa*gamma and matching the bare
-    response -1 when g = 0.
+    response -1 when g = 0.  A parameter set and a grid compute alike, by
+    CPython's complex arithmetic written out on float arrays, signed zeros included.
     """
-    dc = 1j * (p.omega_c - p.omega_p)
-    d0 = 1j * (p.omega_0 - p.omega_p)
-    return ((dc - p.kappa / 2) * (d0 + p.gamma / 2) + p.g**2) / (
-        (dc + p.kappa / 2) * (d0 + p.gamma / 2) + p.g**2
-    )
+    k, c = np.asarray(p.kappa, dtype=float) / 2, np.asarray(p.gamma, dtype=float) / 2
+    g = np.asarray(p.g, dtype=float)
+    dc, d0 = _detuning(p.omega_c, p), _detuning(p.omega_0, p)
+    num = -k * c - dc * d0 + g * g, -k * d0 + dc * c + 0.0   # adding the real g^2 adds 0.0 to the imaginary part
+    return _quotient(*num, k * c - dc * d0 + g * g, k * d0 + dc * c + 0.0)
 
 
 @np.errstate(all="ignore")
 def empty_reflection(p: CavityParams) -> complex:
     """Bare-resonator reflection; a pure phase (unit modulus) for every detuning."""
-    dc = 1j * (p.omega_c - p.omega_p)
-    return (dc - p.kappa / 2) / (dc + p.kappa / 2)
+    k, dc = np.asarray(p.kappa, dtype=float) / 2, _detuning(p.omega_c, p)
+    return _quotient(-k, dc, k, dc)
 
 
-# diagonal of the ideal conditional map over the joint basis (R+, R-, L+, L-)
-IDEAL_BOUNCE = np.array((1.0, 1.0, 1.0, -1.0), dtype=np.complex128)
-IDEAL_BOUNCE.setflags(write=False)
-
-_NOT_FINITE = "resonator response is not finite at these parameters"
-
-
-def spin_photon_map(p: CavityParams, ideal: bool) -> np.ndarray:
+def spin_photon_map(p: CavityParams) -> np.ndarray:
     """Diagonal of the conditional reflection map over (R+, R-, L+, L-), output-path sign flip folded in.
 
-    Ideal: R components and L+ pass unchanged, L- flips sign.  Realistic: the
-    sign-flipped bare response -r0 multiplies R+, R- and L+, and the
+    The sign-flipped bare response -r0 multiplies R+, R- and L+, and the
     sign-flipped loaded response -r lands on L-, so the map converges to the
-    ideal conditional phase as g^2/(kappa*gamma) grows.  The diagonal is
-    non-unitary for finite coupling; the missing norm is photon loss.
-    The diagonal has shape (..., 4), leading axes the grid axes of ``p``, and
-    is read-only.  Parameters so extreme that a response overflows or
-    divides by zero raise ``ValueError``.
+    ideal conditional phase diag(1, 1, 1, -1) as g^2/(kappa*gamma) grows.
+    The diagonal is non-unitary for finite coupling; the missing norm is
+    photon loss.  It has shape (..., 4), leading axes the grid axes of
+    ``p``, and is read-only.  Parameters so extreme that a response
+    overflows or divides by zero raise ``ValueError``.
     """
-    if ideal:
-        return IDEAL_BOUNCE
-    try:
-        r, r0 = reflection_coefficient(p), empty_reflection(p)
-    except ArithmeticError as err:   # a single parameter set computes in Python floats, which raise
-        raise ValueError(_NOT_FINITE) from err
+    r, r0 = reflection_coefficient(p), empty_reflection(p)
     if not (np.isfinite(r).all() and np.isfinite(r0).all()):
-        raise ValueError(_NOT_FINITE)
+        raise ValueError("resonator response is not finite at these parameters")
     factors = np.stack(np.broadcast_arrays(-r0, -r0, -r0, -r), axis=-1)
     factors.setflags(write=False)
     return factors

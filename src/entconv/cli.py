@@ -19,7 +19,7 @@ import numpy as np
 
 from .cnot import fidelity_grid
 from .config import ConfigError, RunConfig, load_config
-from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
+from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, quadrature_mean
 from .protocols import (
     PROBE_ALPHA,
     PROBE_THETA,
@@ -189,8 +189,9 @@ def cmd_homodyne_curves(args) -> int:
     config = args._config
     alpha = config.protocol.alpha if config.protocol is not None else PROBE_ALPHA
     theta = config.protocol.theta if config.protocol is not None else PROBE_THETA
-    model = HomodyneModel.for_tags(alpha, theta, CURVE_TAGS)
-    lo, hi = min(model.means) - CURVE_MARGIN, max(model.means) + CURVE_MARGIN
+    model = HomodyneModel.for_tags(alpha, theta, CURVE_TAGS)   # rejects overflowing or coinciding means
+    lo = quadrature_mean(alpha, theta, model.tags[0]) - CURVE_MARGIN
+    hi = quadrature_mean(alpha, theta, model.tags[-1]) + CURVE_MARGIN
     xs, step = np.linspace(lo, hi, CURVE_SAMPLES, retstep=True)
     if step > CURVE_MAX_STEP:
         raise ValueError(f"curve step {step:.3g} exceeds {CURVE_MAX_STEP}: the probe means spread too far to sample")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
 from .optics import CNOT, HWP, QWP, SPIN_HADAMARD
-from .qstate import NORM_TOL, Spin, apply_rows, choose_branch, row_inner, row_norms2, row_photons
+from .qstate import NORM_TOL, apply_rows, choose_branch, row_inner, row_norms2, row_photons
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -36,19 +36,18 @@ _GATE_ELEMENTS = np.einsum(
 ).reshape(8, 8)
 
 
-def _kraus(params: CavityParams, ideal: bool) -> np.ndarray:
+def _kraus(f: np.ndarray) -> np.ndarray:
     """``K[..., s, (c', t), (c, a)]``: readout s takes target t to a where the control is c = c'.
 
     For a fixed readout ``s`` the whole bounce-measure-correct sequence,
     feed-forward included, is one linear map ``K_s`` on the (control,
     target) pair, kept as a block-diagonal 4x4 that a row over (control,
-    target) multiplies from the left; leading axes are the grid axes of
-    ``params``.  The spin starts in (|+> + |->)/sqrt2.  The element order is
-    frozen: it is the unique arrangement of this family whose two readout
-    branches match the direct controlled-flip gate after feed-forward
-    (pinned by the regression tests).
+    target) multiplies from the left; leading axes are those of the bounce
+    diagonal ``f`` (``spin_photon_map``).  The spin starts in
+    (|+> + |->)/sqrt2.  The element order is frozen: it is the unique
+    arrangement of this family whose two readout branches match the direct
+    controlled-flip gate after feed-forward (pinned by the regression tests).
     """
-    f = spin_photon_map(params, ideal)
     lead = f.shape[:-1]
     f = f.reshape(lead + (2, 2))
     pairs = f[..., :, :, None, None] * f[..., None, None, :, :]   # [c, u, b, v]
@@ -81,7 +80,7 @@ def _fidelities(params: CavityParams, inputs: np.ndarray) -> np.ndarray:
     target photon 1, the layout the gate benchmark is defined for.  A branch
     with no weight left raises.
     """
-    branches = apply_rows(inputs, (0, 1), _kraus(params, False))
+    branches = apply_rows(inputs, (0, 1), _kraus(spin_photon_map(params)))
     probs = row_norms2(branches)
     if np.any(probs <= NORM_TOL**2):
         raise ValueError("branch extinguished")
@@ -123,8 +122,8 @@ def benchmark_report(tolerance_pp: float = 0.5) -> dict[str, dict]:
         params = CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=gamma)
         for input_mode in ("uniform", "basis_average"):
             fidelities = _fidelities(params, _input_rows(input_mode)).mean(axis=-1)
-            for outcome, label in ((Spin.PLUS, "plus"), (Spin.MINUS, "minus")):
-                fidelity = float(fidelities[outcome.value])
+            for outcome, label in enumerate(("plus", "minus")):
+                fidelity = float(fidelities[outcome])
                 target = TARGET_FIDELITY[label]
                 deviation_pp = abs(fidelity - target) * 100.0
                 report[f"{gamma_label}:{input_mode}:{label}"] = {

@@ -22,13 +22,12 @@ from .qstate import NORM_TOL, choose_branch, row_norms2, row_photons
 MIN_MEAN_GAP = 1e-9
 
 
-def _tag_branches(rows: np.ndarray):
-    """Every tag 0..n, and each row split into one branch per tag (axis -2)."""
+def _tag_branches(rows: np.ndarray) -> np.ndarray:
+    """Each row split into one branch per tag 0..n (axis -2); tag k keeps the basis states with k L photons."""
     n = row_photons(rows)
     idx = np.arange(1 << n)
     counts = sum((idx >> b) & 1 for b in range(n))   # L photons of each basis state
-    tags = np.arange(n + 1)
-    return tags, np.where(counts == tags[:, None], rows[..., None, :], 0.0)
+    return np.where(counts == np.arange(n + 1)[:, None], rows[..., None, :], 0.0)
 
 
 def quadrature_mean(alpha: float, theta: float, k: int) -> float:
@@ -40,24 +39,22 @@ def quadrature_mean(alpha: float, theta: float, k: int) -> float:
 class HomodyneModel:
     """Gaussian likelihoods and decision thresholds for a set of probe tags.
 
-    ``means`` aligns with ``tags``; ``thresholds`` are the midpoints between
-    adjacent means sorted ascending, the maximum-likelihood rule for
+    ``tags`` run in order of mean, ascending; ``thresholds`` are the
+    midpoints between adjacent means, the maximum-likelihood rule for
     equal-variance Gaussians.
     """
 
     alpha: float
     theta: float
     tags: tuple[int, ...]
-    means: tuple[float, ...]
     thresholds: tuple[float, ...]
-    tags_by_mean: tuple[int, ...]
 
     @classmethod
     def for_tags(cls, alpha: float, theta: float, tags) -> "HomodyneModel":
-        tags = tuple(sorted(int(k) for k in tags))
+        tags = [int(k) for k in tags]
         if not tags:
             raise ValueError("no tags to discriminate")
-        means = tuple(quadrature_mean(alpha, theta, k) for k in tags)
+        means = [quadrature_mean(alpha, theta, k) for k in tags]
         if not math.isfinite(max(means) - min(means)):
             raise ValueError("probe quadrature means overflow")
         by_mean = sorted(zip(means, tags))
@@ -66,16 +63,12 @@ class HomodyneModel:
                 raise ValueError("degenerate phase configuration")
         # lo/2 + hi/2 is (lo + hi)/2 to the bit, and cannot overflow
         thresholds = tuple(lo[0] / 2.0 + hi[0] / 2.0 for lo, hi in zip(by_mean, by_mean[1:]))
-        return cls(alpha, theta, tags, means, thresholds, tuple(t for _, t in by_mean))
-
-    def mean_of(self, tag: int) -> float:
-        """Quadrature mean of any tag, one the model discriminates or a leaked one."""
-        return quadrature_mean(self.alpha, self.theta, tag)
+        return cls(alpha, theta, tuple(t for _, t in by_mean), thresholds)
 
     def classify(self, x):
         """Tag whose decision cell contains x; vectorized over arrays."""
         cell = np.searchsorted(np.asarray(self.thresholds), x, side="left")
-        return np.asarray(self.tags_by_mean)[cell]
+        return np.asarray(self.tags)[cell]
 
     def confusion(self, true_tags) -> np.ndarray:
         """Chance that a quadrature of each true tag (rows) lands in the decision cell of each of ``tags`` (columns).
@@ -84,8 +77,8 @@ class HomodyneModel:
         tags the off-diagonal entries are ``error_probability``.
         """
         edges = (-math.inf, *self.thresholds, math.inf)
-        below = [[0.5 * math.erfc((self.mean_of(k) - e) / math.sqrt(2.0)) for e in edges] for k in true_tags]
-        return np.diff(below, axis=1)[:, np.argsort(self.tags_by_mean)]   # cells come in order of mean
+        means = [quadrature_mean(self.alpha, self.theta, k) for k in true_tags]
+        return np.diff([[0.5 * math.erfc((m - e) / math.sqrt(2.0)) for e in edges] for m in means], axis=1)
 
 
 @np.errstate(over="ignore")   # far from a huge mean the density underflows to its limit 0
@@ -111,15 +104,16 @@ def read_rows(rows: np.ndarray, model: HomodyneModel | None, rng=None, forced_ta
     true and the classified tag.  Returns the classified tags, the true tags
     and the rows collapsed onto their renormalized true branch.
     """
-    tags, branches = _tag_branches(rows)   # branches: [row, tag, basis]
+    branches = _tag_branches(rows)   # [row, tag, basis]
     weights = row_norms2(branches)
-    hit = tags == forced_tag
-    if forced_tag is not None and not (hit.any() and np.all(weights[:, hit] > NORM_TOL**2)):
+    tags = range(weights.shape[1])
+    if forced_tag is not None and not (forced_tag in tags and np.all(weights[:, int(forced_tag)] > NORM_TOL**2)):
         raise ValueError("forced tag absent")
-    true = choose_branch(weights.T, rng, None if forced_tag is None else np.argmax(hit))
-    classified = tags[true]
+    true = choose_branch(weights.T, rng, forced_tag)
+    classified = true
     if forced_tag is None and model is not None:
-        classified = model.classify(rng.normal(np.array([model.mean_of(k) for k in tags])[true], 1.0))
+        means = np.array([quadrature_mean(model.alpha, model.theta, k) for k in tags])
+        classified = model.classify(rng.normal(means[true], 1.0))
     each = np.arange(len(rows))
     return classified, true, branches[each, true] / np.sqrt(weights[each, true])[:, None]
 

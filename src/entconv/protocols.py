@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cavity import CavityParams
+from .cavity import CavityParams, spin_photon_map
 from .cnot import (
     BENCHMARK_G,
     BENCHMARK_GAMMA_TOTAL,
@@ -29,7 +29,7 @@ from .cnot import (
 )
 from .kerr import HomodyneModel, _tag_branches, read_rows
 from .optics import CNOT, HWP, QWP
-from .qstate import Spin, apply_rows, frozen, ket, row_inner, row_norms2, row_photons
+from .qstate import apply_rows, frozen, ket, row_inner, row_norms2, row_photons
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -88,7 +88,7 @@ class ProtocolRun:
     true_tags: tuple[int, ...]
     misclassification_events: int
     accumulated_norm: float           # survival probability of all gate bounces (1 in ideal mode)
-    spin_outcomes: tuple[Spin, ...]   # spin readout of each realistic gate, in order (empty in ideal mode)
+    spin_outcomes: tuple[int, ...]    # readout of each realistic gate (0 plus, 1 minus), in order; empty in ideal mode
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def conversion_input(n_photons: int) -> np.ndarray:
 
 
 def circuit_wiring(n_photons: int) -> tuple[tuple, ...]:
-    """Frozen element order of the n-photon conversion circuit.
+    """Frozen gate order of the n-photon conversion circuit; the probe tag and its readout follow it.
 
     The fold-stage control/target assignment is the unique one in this family
     that reproduces the hand-expanded pre-tag states (pinned by tests).
@@ -140,11 +140,11 @@ def circuit_wiring(n_photons: int) -> tuple[tuple, ...]:
     spread = tuple(("cnot", 2, t) for t in range(3, n + 1))
     plates = tuple(("hwp", t) for t in range(3, n + 1)) + tuple(("qwp", t) for t in range(3, n + 1))
     fold = {3: (("cnot", 3, 1),), 4: (("cnot", 3, 1), ("cnot", 4, 2)), 5: (("cnot", 3, 1), ("cnot", 4, 2), ("cnot", 5, 1))}[n]
-    return spread + plates + fold + (("kerr",), ("homodyne",))
+    return spread + plates + fold
 
 
 def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
-    """Recovery of the all-L failure branch followed by re-entry into the tagging suffix."""
+    """Recovery of the all-L failure branch followed by re-entry into the circuit's plates and fold stage."""
     if n_photons not in (3, 5):
         raise ValueError("no recovery path")
     wiring = circuit_wiring(n_photons)
@@ -158,7 +158,7 @@ def _ideal_cnot(rows, control, target):
 
 def _realistic_cnot(params: CavityParams, rng, forced_spins):
     """The compiled realistic CNOT on a batch, taking its readouts from ``forced_spins`` in turn if given."""
-    kraus = _kraus(params, ideal=False)
+    kraus = _kraus(spin_photon_map(params))
     spin_iter = iter(forced_spins) if forced_spins is not None else itertools.repeat(None)
 
     def cnot(rows, control, target):
@@ -169,7 +169,7 @@ def _realistic_cnot(params: CavityParams, rng, forced_spins):
 
 
 def _run_gates(rows, elements, cnot):
-    """Apply the gate prefix of an element list to a batch of amplitude rows, stopping at the probe tag.
+    """Apply the gates of an element list to a batch of amplitude rows.
 
     ``rows`` has shape (trials, 2**n); ``cnot(rows, control, target)``
     returns the output rows, the squared norm each row kept and each row's
@@ -188,8 +188,6 @@ def _run_gates(rows, elements, cnot):
                 readouts.append(readout)
         elif kind in ("hwp", "qwp"):
             rows = apply_rows(rows, (n - el[1],), (HWP if kind == "hwp" else QWP).T)
-        elif kind == "kerr":
-            break
         else:
             raise ValueError(f"unknown circuit element {el!r}")
     return rows, norm_factor, readouts
@@ -221,7 +219,7 @@ def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags) -> ProtocolRun:
     tags = tuple(int(tags[0]) for _, tags, _, _ in history)
     true_tags = tuple(int(true[0]) for _, _, true, _ in history)
     misses = sum(t != k for t, k in zip(tags, true_tags))
-    spin_outcomes = tuple(Spin(int(s[0])) for *_, readouts in history for s in readouts)
+    spin_outcomes = tuple(int(s[0]) for *_, readouts in history for s in readouts)
     return ProtocolRun(
         int(rounds[0]), outcome[0], frozen(final[0].copy()), tags, true_tags, misses, float(survival[0]), spin_outcomes
     )
@@ -339,7 +337,7 @@ class MonteCarloResult:
 
 
 def _ideal_gate_table(spec: ProtocolSpec):
-    """Exact (outcome class, rounds used) probabilities of an ideal-gate ensemble, and each round's true-tag weights.
+    """Exact (outcome class, rounds used) probabilities of an ideal-gate ensemble.
 
     Ideal gates and either readout are a linear instrument, so the running
     trials share one unnormalized density matrix, kept as amplitude rows v
@@ -360,14 +358,12 @@ def _ideal_gate_table(spec: ProtocolSpec):
     rounds = spec.max_iterations
     cells = {(cls, m): 0.0 for cls in dict.fromkeys(success.values()) for m in range(1, rounds + 1)}
     rows = conversion_input(n)[None]
-    weights = []
     for m in range(1, rounds + 1):
         if not len(rows):
             break
         rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), _ideal_cnot)
-        _, branches = _tag_branches(rows)   # [row, tag, basis]
-        weights.append(row_norms2(branches).sum(axis=0))
-        for tag, p in zip(read_as, weights[-1] @ confusion):
+        branches = _tag_branches(rows)   # [row, tag, basis]
+        for tag, p in zip(read_as, row_norms2(branches).sum(axis=0) @ confusion):
             if tag in success:
                 cells[(success[tag], m)] += float(p)
         rows = (branches * carry[:, None]).reshape(-1, 1 << n)
@@ -375,17 +371,17 @@ def _ideal_gate_table(spec: ProtocolSpec):
         if len(rows) > 1 << n:
             rows = np.linalg.qr(rows, mode="r")
     cells[("failed_max_iter", rounds)] = float(row_norms2(rows).sum())
-    return cells, weights
+    return cells
 
 
 @functools.lru_cache(maxsize=None)
 def ideal_tags(n_photons: int) -> frozenset[int]:
     """Probe tags the ideal circuit of n photons reads out in any round; every other tag is leaked by realistic gates.
 
-    Read off the table's first two rounds: recovery reproduces the first round's tags.
+    Read off the first round: recovery reproduces its tags.
     """
-    _, weights = _ideal_gate_table(ProtocolSpec(n_photons, max_iterations=2))
-    return frozenset(int(k) for w in weights for k in np.flatnonzero(w))
+    rows, *_ = _run_gates(conversion_input(n_photons)[None], circuit_wiring(n_photons), _ideal_cnot)
+    return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[0]))
 
 
 def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
@@ -402,7 +398,7 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> Mo
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if spec.gate_mode == "ideal":
-        cells, _ = _ideal_gate_table(spec)
+        cells = _ideal_gate_table(spec)
         counts = rng.multinomial(trials, list(cells.values()))
         return MonteCarloResult(trials, {cell: int(c) for cell, c in zip(cells, counts) if c})
     tally: Counter = Counter()

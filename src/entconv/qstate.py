@@ -14,19 +14,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from enum import Enum
 
 import numpy as np
 
 MAX_PHOTONS = 8
 NORM_TOL = 1e-12
-
-
-class Spin(Enum):
-    """Electron spin readout of a gate; plus indexed 0."""
-
-    PLUS = 0
-    MINUS = 1
 
 
 def frozen(row: np.ndarray) -> np.ndarray:
@@ -100,8 +92,6 @@ def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) ->
     most ``NORM_TOL**2`` is an impossible outcome.
     """
     probs = np.asarray(probs, dtype=float)
-    if isinstance(forced, Spin):
-        forced = forced.value
     if forced is not None:
         if forced not in range(len(probs)):
             raise ValueError(f"cannot interpret forced outcome {forced!r}")

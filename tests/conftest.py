@@ -43,9 +43,9 @@ def uniform_vector(n_photons: int, terms: list[str]) -> np.ndarray:
 
 def tag_split(row):
     """Unnormalized branch and weight of every tag an amplitude row holds, split as the ideal-gate table splits rows."""
-    tags, branches = _tag_branches(row)
+    branches = _tag_branches(row)
     weights = row_norms2(branches)
-    held = [int(k) for k in tags if weights[k] > 0]
+    held = [k for k in range(len(weights)) if weights[k] > 0]
     return {k: branches[k] for k in held}, {k: float(weights[k]) for k in held}
 
 

@@ -13,6 +13,10 @@ from entconv.optics import HWP, QWP, SPIN_HADAMARD
 PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))   # onto bit value 0 and 1
 SPIN_READY = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
+# bounce diagonal over (R+, R-, L+, L-) in the strong-coupling limit: only |L>|-> flips sign
+IDEAL_BOUNCE = np.array((1.0, 1.0, 1.0, -1.0), dtype=np.complex128)
+IDEAL_BOUNCE.setflags(write=False)
+
 
 def embed(m, above: int, below: int) -> np.ndarray:
     """``m`` on one qubit with ``above`` qubits more significant and ``below`` less: a dense matrix."""

@@ -15,7 +15,7 @@ import pytest
 from entconv.cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from entconv.cli import main
 from entconv.cnot import _fidelities, _kraus, benchmark_report, cnot_rows
-from entconv.kerr import HomodyneModel, error_probability, peak_distances, read_rows
+from entconv.kerr import HomodyneModel, error_probability, peak_distances, quadrature_mean, read_rows
 from entconv.protocols import (
     ProtocolSpec,
     circuit_wiring,
@@ -27,9 +27,10 @@ from entconv.protocols import (
     _ideal_cnot,
     _run_gates,
 )
-from entconv.qstate import Spin, ket
+from entconv.qstate import ket
 
 from conftest import tag_split, uniform_vector
+from oracle import IDEAL_BOUNCE
 
 ALPHA_REF = math.sqrt(1.3e4)
 THETA_REF = 0.1
@@ -137,11 +138,10 @@ def test_criterion_3_reflection_physics(rng):
             omega_p=float(rng.uniform(-50, 50)),
         )
         assert abs(abs(empty_reflection(q)) - 1.0) < 1e-12
-    ideal = spin_photon_map(p, ideal=True)
     gaps = []
     for ratio in (1, 5, 25, 100, 1000):
         q = CavityParams.from_ratios(math.sqrt(ratio), math.sqrt(ratio))
-        gaps.append(float(np.max(np.abs(spin_photon_map(q, ideal=False) - ideal))))
+        gaps.append(float(np.max(np.abs(spin_photon_map(q) - IDEAL_BOUNCE))))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     _verdict(3, "resonant r = 0.980198..., r0 = -1 exactly, |r0| = 1, monotone convergence to the ideal map")
 
@@ -152,16 +152,15 @@ def test_criterion_4_cnot_contract(rng):
         assert abs(out[int(np.argmax(np.abs(out)))] - 1.0) < 1e-12
         got = int(np.argmax(np.abs(out)))
         assert got == (("RL".index(want[0]) << 1) | "RL".index(want[1]))
-    params = CavityParams(1, 1, 1)
     for _ in range(25):
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = c / np.linalg.norm(c)
         a, b, g, d = state
         want_vec = np.array([a, d, g, b])  # alpha|RR> + delta|RL> + gamma|LR> + beta|LL>
-        for forced in (Spin.PLUS, Spin.MINUS):
-            rows, readouts, _, _ = cnot_rows(state[None], 2, 1, _kraus(params, True), forced_spin=forced)
+        for forced in (0, 1):
+            rows, readouts, _, _ = cnot_rows(state[None], 2, 1, _kraus(IDEAL_BOUNCE), forced_spin=forced)
             np.testing.assert_allclose(rows[0], want_vec, atol=1e-12)
-            assert readouts[0] == forced.value
+            assert readouts[0] == forced
         again = _ideal_cnot(_ideal_cnot(state, 2, 1)[0], 2, 1)[0]
         np.testing.assert_allclose(again, state, atol=1e-12)
     _verdict(4, "both readout branches with feed-forward are exact; involution and truth table verified")
@@ -171,19 +170,19 @@ def test_criterion_5_fidelity_surface():
     grid = np.linspace(0.5, 10.0, 20)
     for mode in ("uniform", "basis_average"):
         surface = {}
-        for outcome in (Spin.PLUS, Spin.MINUS):
+        for outcome in (0, 1):
             for gk in grid:
                 for gg in grid:
                     params = CavityParams.from_ratios(float(gk), float(gg))
                     if mode == "basis_average":
                         basis = np.stack([ket(s) for s in ("RR", "RL", "LR", "LL")])
-                        f = float(np.mean(_fidelities(params, basis)[outcome.value]))
+                        f = float(np.mean(_fidelities(params, basis)[outcome]))
                     else:
                         uniform = uniform_vector(2, ["RR", "RL", "LR", "LL"])
-                        rows, *_ = cnot_rows(uniform[None], 2, 1, _kraus(params, False), forced_spin=outcome)
+                        rows, *_ = cnot_rows(uniform[None], 2, 1, _kraus(spin_photon_map(params)), forced_spin=outcome)
                         f = abs(np.vdot(rows[0], _ideal_cnot(uniform, 2, 1)[0])) ** 2
                     surface[(round(float(gk), 9), round(float(gg), 9), outcome)] = f
-        for outcome in (Spin.PLUS, Spin.MINUS):
+        for outcome in (0, 1):
             for i, gk in enumerate(grid):
                 for j, gg in enumerate(grid):
                     here = surface[(round(float(gk), 9), round(float(gg), 9), outcome)]
@@ -191,8 +190,8 @@ def test_criterion_5_fidelity_surface():
                         assert surface[(round(float(grid[i + 1]), 9), round(float(gg), 9), outcome)] >= here - 1e-12
                     if j + 1 < len(grid):
                         assert surface[(round(float(gk), 9), round(float(grid[j + 1]), 9), outcome)] >= here - 1e-12
-        assert surface[(5.0, 5.0, Spin.PLUS)] >= 0.99
-        assert surface[(5.0, 5.0, Spin.MINUS)] >= 0.99
+        assert surface[(5.0, 5.0, 0)] >= 0.99
+        assert surface[(5.0, 5.0, 1)] >= 0.99
 
     report = benchmark_report(tolerance_pp=0.5)
     lines = []
@@ -229,7 +228,7 @@ def test_criterion_6_homodyne_error_model():
     draws = 10**7
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (1, 3))
     rng = np.random.default_rng(np.random.SeedSequence(20260810))
-    miss = int(np.sum(model.classify(rng.normal(model.mean_of(1), 1.0, size=draws)) != 1))
+    miss = int(np.sum(model.classify(rng.normal(quadrature_mean(ALPHA_REF, THETA_REF, 1), 1.0, size=draws)) != 1))
     se = math.sqrt(draws * p1 * (1 - p1))
     assert abs(miss - draws * p1) <= 3 * se
     elapsed = time.perf_counter() - t0

@@ -10,6 +10,8 @@ from entconv.cavity import (
     spin_photon_map,
 )
 
+from oracle import IDEAL_BOUNCE
+
 
 def test_resonant_reflection_at_strong_coupling():
     # g^2 = 25 kappa gamma at resonance reduces to (25 - 1/4)/(25 + 1/4) = 99/101
@@ -74,33 +76,20 @@ def test_reflection_never_amplifies(g, kappa, gamma, wc, w0, wp):
     assert abs(empty_reflection(p)) <= 1 + 1e-9
 
 
-def test_ideal_map_flips_coupled_component_sign():
-    # over (R+, R-, L+, L-) only |L>|-> flips
-    m = spin_photon_map(CavityParams(1, 1, 1), ideal=True)
-    np.testing.assert_array_equal(m, [1, 1, 1, -1])
-    assert not m.flags.writeable
-
-
-def test_ideal_map_is_involution():
-    m = spin_photon_map(CavityParams(1, 1, 1), ideal=True)
-    np.testing.assert_allclose(m * m, np.ones(4), atol=1e-15)
-
-
 def test_realistic_map_at_strong_coupling_scales_coupled_component():
     # resonance, g^2 = 25 kappa gamma: bare factor -r0 = +1, coupled factor -r = -99/101;
     # relative to the ideal conditional sign the L- amplitude shrinks by 99/101
-    m = spin_photon_map(CavityParams(g=5.0, kappa=1.0, gamma=1.0), ideal=False)
+    m = spin_photon_map(CavityParams(g=5.0, kappa=1.0, gamma=1.0))
     np.testing.assert_allclose(m[:3], [1.0, 1.0, 1.0], atol=1e-12)
     assert abs(m[3] - (-99 / 101)) < 1e-12
     assert not m.flags.writeable
 
 
 def test_realistic_map_converges_monotonically_to_ideal():
-    ideal = spin_photon_map(CavityParams(1, 1, 1), ideal=True)
     gaps = []
     for ratio in (1.0, 5.0, 25.0, 100.0, 1000.0):
         p = CavityParams.from_ratios(np.sqrt(ratio), np.sqrt(ratio))
-        gaps.append(np.max(np.abs(spin_photon_map(p, ideal=False) - ideal)))
+        gaps.append(np.max(np.abs(spin_photon_map(p) - IDEAL_BOUNCE)))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
 
@@ -115,7 +104,7 @@ def test_realistic_map_never_amplifies(rng):
             omega_0=float(rng.uniform(-5, 5)),
             omega_p=float(rng.uniform(-5, 5)),
         )
-        assert np.all(np.abs(spin_photon_map(p, ideal=False)) <= 1 + 1e-9)
+        assert np.all(np.abs(spin_photon_map(p)) <= 1 + 1e-9)
 
 
 def test_invalid_rates_rejected():
@@ -123,3 +112,72 @@ def test_invalid_rates_rejected():
         CavityParams(g=1.0, kappa=0.0, gamma=1.0)
     with pytest.raises(ValueError):
         CavityParams(g=-1.0, kappa=1.0, gamma=1.0)
+
+
+def _random_sets(seed, count, detuned):
+    """``count`` seeded parameter sets as rows (g, kappa, gamma, omega_c, omega_0, omega_p), rates log-uniform."""
+    gen = np.random.default_rng(seed)
+    rates = 10.0 ** gen.uniform(-3, 2, size=(count, 3))
+    omegas = gen.uniform(-50, 50, size=(count, 3)) if detuned else np.zeros((count, 3))
+    return np.hstack([rates, omegas])
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+def test_one_set_computes_bit_for_bit_like_its_grid_point(detuned):
+    # a CavityParams of scalars and the same point of an array-valued one give the
+    # same bytes, signed zeros included, so a run and a sweep price a gate alike
+    sets = _random_sets(31 if detuned else 30, 2000, detuned)
+    grid = spin_photon_map(CavityParams(*sets.T))
+    differ = [i for i, row in enumerate(sets) if spin_photon_map(CavityParams(*map(float, row))).tobytes() != grid[i].tobytes()]
+    assert differ == []
+
+
+def _complex_reflection(p):
+    """The reflection coefficients as CPython's complex arithmetic evaluates them, g^2 written g*g."""
+    dc = 1j * (p.omega_c - p.omega_p)
+    d0 = 1j * (p.omega_0 - p.omega_p)
+    loaded = ((dc - p.kappa / 2) * (d0 + p.gamma / 2) + p.g * p.g) / ((dc + p.kappa / 2) * (d0 + p.gamma / 2) + p.g * p.g)
+    return loaded, (dc - p.kappa / 2) / (dc + p.kappa / 2)
+
+
+EDGE_SETS = [
+    (1.9495510185041254, 1.0, 1.0, 0.0, 0.0, 0.0),   # C pow gives g**2 one ulp above g*g
+    (0.3, 26.0, 4e-4, -0.0, 0.0, 0.0),
+    (0.3, 26.0, 4e-4, -0.0, -0.0, 0.0),
+    (0.0, 2.0, 1e-300, 0.0, -0.0, -0.0),
+    (0.3, 26.0, 2e-100, -1e-300, 0.0, 0.0),   # dc * gamma/2 underflows to -0.0
+]
+
+
+def test_reflection_is_the_complex_expression_bit_for_bit():
+    # the float-array arithmetic is the complex expression a single set used to take,
+    # products and Smith's division in CPython's order, signed zeros included
+    sets = [tuple(map(float, row)) for row in _random_sets(32, 2000, detuned=True)] + EDGE_SETS
+    for row in sets:
+        p = CavityParams(*row)
+        want = [np.complex128(x).tobytes() for x in _complex_reflection(p)]
+        assert [np.complex128(reflection_coefficient(p)).tobytes(), np.complex128(empty_reflection(p)).tobytes()] == want, row
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        CavityParams(0.3, 1e200, 4e-4),
+        CavityParams(0.3, 26.0, 1e200),
+        CavityParams(1e150, 26.0, 4e-4),
+        CavityParams(0.3, 1e-200, 4e-4),
+        CavityParams(0.3, 26.0, 1e-300),
+        CavityParams(0.3, 26.0, 4e-4, omega_c=1e200),
+    ],
+    ids=["kappa_1e200", "gamma_1e200", "g_1e150", "kappa_1e-200", "gamma_1e-300", "omega_c_1e200"],
+)
+def test_extreme_parameter_sets_stay_finite(params):
+    m = spin_photon_map(params)
+    assert np.isfinite(m).all()
+    assert np.all(np.abs(m) <= 1 + 1e-9)
+
+
+def test_vanishing_rates_are_not_finite():
+    # g, kappa and gamma at 1e-200: every product underflows and the loaded response is 0/0
+    with pytest.raises(ValueError, match="not finite"):
+        spin_photon_map(CavityParams(1e-200, 1e-200, 1e-200))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -22,7 +23,6 @@ from entconv.config import (
     schema_path,
 )
 from entconv.protocols import run_protocol
-from entconv.qstate import Spin
 
 
 def make_config(tmp_path, data, name="config.json"):
@@ -203,9 +203,10 @@ _REALISTIC = {"n_photons": 3, "gate_mode": "realistic"}
         ("run", {"protocol": {**_REALISTIC, "params": {**REAL_PARAMS, "g": 1e200}}}),
         ("run", {"protocol": {**_REALISTIC, "params": {**REAL_PARAMS, "omega_c": 1e308, "omega_p": -1e308}}}),
         ("run", {"protocol": {**_REALISTIC, "params": {"g": 0.0, "kappa": 5e-324, "gamma": 1.0}}}),
-        ("sweep-fidelity", {"protocol": _REALISTIC, "sweep": {**GRID, "g_over_kappa": [1e300, 1e308]}}),
+        ("sweep-fidelity", {"protocol": _REALISTIC, "sweep": {**GRID, "g_over_kappa": [1e-300, 1e-200],
+                                                             "g_over_gamma": [1e-300, 1e-200]}}),
     ],
-    ids=["g_squared_overflows", "detuning_overflows", "response_divides_by_zero", "sweep_kappa_underflows"],
+    ids=["g_squared_overflows", "detuning_overflows", "response_divides_by_zero", "sweep_rates_overflow"],
 )
 def test_non_finite_resonator_response_is_runtime_error(tmp_path, capsys, command, doc):
     # the schema accepts these finite numbers, but the reflection coefficients
@@ -215,6 +216,19 @@ def test_non_finite_resonator_response_is_runtime_error(tmp_path, capsys, comman
     assert main([command, "--config", make_config(tmp_path, {"seed": 1, **doc}), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "runtime error: resonator response is not finite at these parameters\n"
     assert not out.exists()
+
+
+def test_sweep_at_vanishing_kappa_prices_the_gate_as_a_run_does(tmp_path):
+    # kappa near 1e-308 is a finite gate for one parameter set and, with one
+    # arithmetic, for a grid too; numpy's complex division took the reciprocal
+    # of the subnormal denominator, overflowed and made the sweep exit 3
+    doc = {"protocol": _REALISTIC, "sweep": {**GRID, "g_over_kappa": [1e300, 1e308]}, "seed": 1}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-fidelity", "--config", make_config(tmp_path, doc), "--out", str(out)]) == 0
+    fidelities = [float(row["fidelity"]) for row in csv.DictReader(out.open())]
+    assert len(fidelities) == 8 and all(0.0 <= f <= 1.0 for f in fidelities)
+    run = {"protocol": {**_REALISTIC, "params": {"g": 1.0, "kappa": 1e-308, "gamma": 2.0}}, "seed": 1}
+    assert main(["run", "--config", make_config(tmp_path, run, "run.json"), "--out", str(tmp_path / "run.json")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -293,7 +307,7 @@ def test_run_realistic_fidelity_follows_the_runs_own_spins(tmp_path):
     report = json.loads(out.read_text())
     spec = config_from_dict({"protocol": protocol}).protocol
     run = run_protocol(spec, rng=np.random.default_rng(np.random.SeedSequence(0)))
-    assert Spin.MINUS in run.spin_outcomes
+    assert 1 in run.spin_outcomes
     # the run's own final state against the ideal trajectory on its tags
     ideal = run_protocol(replace(spec, gate_mode="ideal"), forced_tags=run.true_tags)
     own = abs(np.vdot(run.final_state, ideal.final_state)) ** 2

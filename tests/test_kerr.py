@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, read_rows
+from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, quadrature_mean, read_rows
 from entconv.protocols import ideal_tags
 from entconv.qstate import ket
 
@@ -18,7 +18,7 @@ THETA_REF = 0.1
 
 def _classify_draws(model, true_tag, n, rng):
     """Classified tags of n quadrature draws from one tag's Gaussian."""
-    return model.classify(rng.normal(model.mean_of(true_tag), 1.0, size=n))
+    return model.classify(rng.normal(quadrature_mean(model.alpha, model.theta, true_tag), 1.0, size=n))
 
 
 def test_three_photon_partition():
@@ -231,7 +231,8 @@ def test_error_probability_monotone():
 def test_confusion_matrix_generalizes_error_probability(theta, alpha):
     # for two tags the off-diagonal cells are error_probability; for any tag set
     # each row, leaked true tags included, is a distribution over the decision cells
-    two = HomodyneModel.for_tags(alpha, theta, (1, 3)).confusion((1, 3))
+    model = HomodyneModel.for_tags(alpha, theta, (1, 3))
+    two = model.confusion(model.tags)   # rows and columns in order of mean
     miss = error_probability(peak_distances(alpha, theta, (1, 3))[0])
     np.testing.assert_allclose(two, [[1 - miss, miss], [miss, 1 - miss]], rtol=0, atol=1e-15)
     confusion = HomodyneModel.for_tags(alpha, theta, (1, 3, 5)).confusion(range(6))

@@ -12,9 +12,11 @@ TEST_TREE = {"tests", "conftest", "oracle"}
 MOVED = (
     "SPIN", "Site", "MeasurementRecord", "measure_site", "measure_spin", "attach_spin", "discard_spin",
     "apply_single_qubit", "apply_controlled", "qwp", "hwp", "spin_hadamard", "cnot_ideal", "SpinPhotonMap",
+    "IDEAL_BOUNCE",
 )
 STATE_WRAPPERS = (
     "QuantumState", "Pol", "make_basis_state", "superpose", "inner", "cnot_fidelity", "uniform_input", "basis_inputs",
+    "Spin",
 )
 
 

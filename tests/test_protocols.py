@@ -27,7 +27,7 @@ from entconv.protocols import (
     _run_gates,
     _run_rounds,
 )
-from entconv.qstate import Spin, ket
+from entconv.qstate import ket
 
 from conftest import expected_vector, tag_split, uniform_vector
 
@@ -55,17 +55,17 @@ def pre_tag_state(n):
 
 def test_wiring_element_lists_frozen():
     assert circuit_wiring(3) == (
-        ("cnot", 2, 3), ("hwp", 3), ("qwp", 3), ("cnot", 3, 1), ("kerr",), ("homodyne",),
+        ("cnot", 2, 3), ("hwp", 3), ("qwp", 3), ("cnot", 3, 1),
     )
     assert circuit_wiring(4) == (
         ("cnot", 2, 3), ("cnot", 2, 4),
         ("hwp", 3), ("hwp", 4), ("qwp", 3), ("qwp", 4),
-        ("cnot", 3, 1), ("cnot", 4, 2), ("kerr",), ("homodyne",),
+        ("cnot", 3, 1), ("cnot", 4, 2),
     )
     assert circuit_wiring(5) == (
         ("cnot", 2, 3), ("cnot", 2, 4), ("cnot", 2, 5),
         ("hwp", 3), ("hwp", 4), ("hwp", 5), ("qwp", 3), ("qwp", 4), ("qwp", 5),
-        ("cnot", 3, 1), ("cnot", 4, 2), ("cnot", 5, 1), ("kerr",), ("homodyne",),
+        ("cnot", 3, 1), ("cnot", 4, 2), ("cnot", 5, 1),
     )
 
 
@@ -235,7 +235,7 @@ def _three_sigma(p, n):
 @pytest.mark.parametrize("rounds", [1, 4, 8])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ideal_ensemble_cells_match_closed_form(n, rounds):
-    cells, _ = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=rounds))
+    cells = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=rounds))
     expected = {(s.outcome_class, m): p for s in success_series(n, rounds) for m, p in enumerate(s.per_round, start=1)}
     expected[("failed_max_iter", rounds)] = 1.0 - sum(expected.values())
     assert list(cells) == list(expected)   # the multinomial draws follow this order
@@ -247,7 +247,7 @@ def test_ideal_ensemble_cells_match_closed_form(n, rounds):
 @pytest.mark.parametrize("readout", ["ideal", "gaussian"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ideal_gate_table_is_a_distribution(n, readout, probe):
-    cells, _ = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=8, homodyne_mode=readout, **probe))
+    cells = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=8, homodyne_mode=readout, **probe))
     assert min(cells.values()) >= 0.0
     assert abs(sum(cells.values()) - 1.0) <= 1e-12
 
@@ -283,7 +283,7 @@ def test_batched_ideal_trajectories_agree_with_table():
     trials = 4000
     outcome, rounds, *_ = _run_rounds(spec, trials, _ideal_cnot, np.random.default_rng(np.random.SeedSequence(7)), None)
     sampled = Counter(zip(outcome.tolist(), rounds.tolist()))
-    cells, _ = _ideal_gate_table(spec)
+    cells = _ideal_gate_table(spec)
     assert set(sampled) <= set(cells)
     for cell, p in cells.items():
         assert abs(sampled[cell] / trials - p) <= _three_sigma(p, trials) + 1e-12, cell
@@ -418,7 +418,7 @@ def test_monte_carlo_reproducible():
 def test_realistic_run_records_loss():
     params = CavityParams.from_ratios(5.0, 5.0)
     spec = ProtocolSpec(n_photons=3, gate_mode="realistic", params=params)
-    run = run_protocol(spec, forced_tags=(1,), forced_spins=itertools.repeat(Spin.PLUS))
+    run = run_protocol(spec, forced_tags=(1,), forced_spins=itertools.repeat(0))
     assert 0.0 < run.accumulated_norm < 1.0
     assert run.outcome_class == "W"
 
@@ -431,7 +431,7 @@ def test_realistic_protocol_fidelity_converges_to_ideal():
     for ratio in (1.0, 25.0, 1000.0):
         params = CavityParams.from_ratios(math.sqrt(ratio), math.sqrt(ratio))
         spec = ProtocolSpec(n_photons=3, gate_mode="realistic", params=params)
-        run = run_protocol(spec, forced_tags=(1,), forced_spins=itertools.repeat(Spin.PLUS))
+        run = run_protocol(spec, forced_tags=(1,), forced_spins=itertools.repeat(0))
         fidelities.append(fidelity_vs_ideal(spec, run))
         assert len(run.spin_outcomes) == 2
     assert fidelities[0] < fidelities[1] < fidelities[2]
@@ -441,7 +441,7 @@ def test_realistic_protocol_fidelity_converges_to_ideal():
 def test_realistic_trace_gate_count_matches_iterations():
     params = CavityParams.from_ratios(10.0, 10.0)
     spec = ProtocolSpec(n_photons=5, gate_mode="realistic", params=params, max_iterations=3)
-    run = run_protocol(spec, forced_tags=(5, 1), forced_spins=itertools.repeat(Spin.PLUS))
+    run = run_protocol(spec, forced_tags=(5, 1), forced_spins=itertools.repeat(0))
     # 6 gates in round one, recovery adds 1 + 3 suffix gates
     assert len(run.spin_outcomes) == 10
     assert run.homodyne_tags == (5, 1)

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.cavity import IDEAL_BOUNCE, CavityParams
 from entconv.cnot import _kraus, cnot_rows
 from entconv.kerr import read_rows
 from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
-from entconv.qstate import Spin, apply_rows, choose_branch, ket, row_inner, row_norms2, row_photons
+from entconv.qstate import apply_rows, choose_branch, ket, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import basis_index, expected_vector, uniform_vector
-from oracle import SPIN_READY, readout_branches
+from oracle import IDEAL_BOUNCE, SPIN_READY, readout_branches
 
-IDEAL = _kraus(CavityParams(1, 1, 1), ideal=True)   # the compiled gate with ideal bounces
+IDEAL = _kraus(IDEAL_BOUNCE)   # the compiled gate with ideal bounces
 
 
 def test_basis_embedding_three_photons():
@@ -169,7 +168,7 @@ def test_apply_rows_names_a_bad_bit_list(bits):
 
 def test_cnot_rows_names_equal_control_and_target():
     with pytest.raises(ValueError, match="distinct"):
-        cnot_rows(ket("RLR")[None], 1, 1, IDEAL, forced_spin=Spin.PLUS)
+        cnot_rows(ket("RLR")[None], 1, 1, IDEAL, forced_spin=0)
 
 
 def test_spin_measurement_probabilities_half(rng):
@@ -178,9 +177,9 @@ def test_spin_measurement_probabilities_half(rng):
     c = c / np.linalg.norm(c)
     # oracle: direct amplitude sums of the element-by-element replay at each readout
     direct = [float(np.sum(np.abs(branch) ** 2)) for branch in readout_branches(c, 2, 1, IDEAL_BOUNCE)]
-    for spin in (Spin.PLUS, Spin.MINUS):
+    for spin in (0, 1):
         _, _, chosen, _ = cnot_rows(c[None], 2, 1, IDEAL, forced_spin=spin)
-        assert abs(chosen[0] - direct[spin.value]) < 1e-12
+        assert abs(chosen[0] - direct[spin]) < 1e-12
         assert abs(chosen[0] - 0.5) < 1e-12
 
 
@@ -194,7 +193,7 @@ def test_eigenstate_measurement_certain(rng):
 def test_forced_minus_collapse_keeps_minus_branch(rng):
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c = c / np.linalg.norm(c)
-    out, _, _, _ = cnot_rows(c[None], 2, 1, IDEAL, forced_spin=Spin.MINUS)
+    out, _, _, _ = cnot_rows(c[None], 2, 1, IDEAL, forced_spin=1)
     # the minus branch alpha|LR>+beta|RL>+gamma|RR>+delta|LL>, target flipped back by the feed-forward
     want = expected_vector(2, {"RR": c[0], "LL": c[1], "LR": c[2], "RL": c[3]})
     np.testing.assert_allclose(out[0], want, atol=1e-12)
@@ -202,7 +201,7 @@ def test_forced_minus_collapse_keeps_minus_branch(rng):
 
 def test_forced_impossible_outcome():
     with pytest.raises(ValueError, match="impossible outcome"):
-        choose_branch([[1.0], [0.0]], forced=Spin.MINUS)
+        choose_branch([[1.0], [0.0]], forced=1)
 
 
 def test_measure_requires_rng_or_forced():
@@ -258,7 +257,7 @@ def test_measurement_completeness(state, data):
     if row_photons(state) < 2:
         return
     control, target = data.draw(st.permutations(range(1, row_photons(state) + 1)))[:2]
-    _, _, _, kept = cnot_rows(state[None], control, target, IDEAL, forced_spin=Spin.PLUS)
+    _, _, _, kept = cnot_rows(state[None], control, target, IDEAL, forced_spin=0)
     assert abs(kept[0] - 1.0) < 1e-12
 
 
