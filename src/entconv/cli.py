@@ -30,7 +30,7 @@ from .protocols import (
     run_protocol,
     success_series,
 )
-from .qstate import row_photons
+from .qstate import label, row_photons
 
 CURVE_TAGS = (1, 3, 5)
 CURVE_SAMPLES = 1000
@@ -42,12 +42,8 @@ FLAG_FIELDS = {"seed": "seed", "trials": "trials", "out": "output.path", "format
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
+    if isinstance(value, float):   # numpy's float64 too
+        return f"{value:.12g}"
     return "" if value is None else str(value)
 
 
@@ -63,7 +59,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -101,12 +97,8 @@ def _check_jobs(args) -> None:
 
 def _state_terms(amps) -> list[dict]:
     n = row_photons(amps)
-    terms = []
-    for idx in np.flatnonzero(np.abs(amps) > 1e-12):
-        label = "".join("RL"[(int(idx) >> (n - i)) & 1] for i in range(1, n + 1))
-        amp = amps[int(idx)]
-        terms.append({"term": label, "amplitude": [amp.real, amp.imag]})
-    return terms
+    return [{"term": label(int(i), n), "amplitude": [amps[i].real, amps[i].imag]}
+            for i in np.flatnonzero(np.abs(amps) > 1e-12)]
 
 
 def cmd_run(args) -> int:

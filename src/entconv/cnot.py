@@ -14,7 +14,7 @@ import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
 from .optics import CNOT, HWP, QWP, SPIN_HADAMARD
-from .qstate import NORM_TOL, apply_rows, choose_branch, row_inner, row_norms2, row_photons
+from .qstate import NORM_TOL, apply_rows, choose_branch, row_inner, row_norms2
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -64,8 +64,7 @@ def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rn
     readouts, the weight of each chosen branch and each row's squared norm
     before readout.
     """
-    n = row_photons(rows)
-    branches = apply_rows(rows, (n - control, n - target), kraus)   # [s, row, basis]
+    branches = apply_rows(rows, (control, target), kraus)   # [s, row, basis]
     probs = row_norms2(branches)
     k = choose_branch(probs, rng, forced_spin)
     each = np.arange(len(rows))
@@ -80,12 +79,12 @@ def _fidelities(params: CavityParams, inputs: np.ndarray) -> np.ndarray:
     target photon 1, the layout the gate benchmark is defined for.  A branch
     with no weight left raises.
     """
-    branches = apply_rows(inputs, (0, 1), _kraus(spin_photon_map(params)))
+    branches = apply_rows(inputs, (2, 1), _kraus(spin_photon_map(params)))
     probs = row_norms2(branches)
     if np.any(probs <= NORM_TOL**2):
         raise ValueError("branch extinguished")
     post = branches / np.sqrt(probs)[..., None]
-    return np.abs(row_inner(post, apply_rows(inputs, (0, 1), CNOT))) ** 2
+    return np.abs(row_inner(post, apply_rows(inputs, (2, 1), CNOT))) ** 2
 
 
 def _input_rows(input_mode: str) -> np.ndarray:

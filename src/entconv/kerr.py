@@ -23,11 +23,11 @@ MIN_MEAN_GAP = 1e-9
 
 
 def _tag_branches(rows: np.ndarray) -> np.ndarray:
-    """Each row split into one branch per tag 0..n (axis -2); tag k keeps the basis states with k L photons."""
+    """Each row split into one branch per tag 0..n, tags in front of the rows; tag k keeps the basis states with k L photons."""
     n = row_photons(rows)
     idx = np.arange(1 << n)
     counts = sum((idx >> b) & 1 for b in range(n))   # L photons of each basis state
-    return np.where(counts == np.arange(n + 1)[:, None], rows[..., None, :], 0.0)
+    return np.where(counts == np.arange(n + 1).reshape((-1,) + (1,) * rows.ndim), rows, 0.0)
 
 
 def quadrature_mean(alpha: float, theta: float, k: int) -> float:
@@ -104,18 +104,18 @@ def read_rows(rows: np.ndarray, model: HomodyneModel | None, rng=None, forced_ta
     true and the classified tag.  Returns the classified tags, the true tags
     and the rows collapsed onto their renormalized true branch.
     """
-    branches = _tag_branches(rows)   # [row, tag, basis]
+    branches = _tag_branches(rows)   # [tag, row, basis]
     weights = row_norms2(branches)
-    tags = range(weights.shape[1])
-    if forced_tag is not None and not (forced_tag in tags and np.all(weights[:, int(forced_tag)] > NORM_TOL**2)):
+    tags = range(len(weights))
+    if forced_tag is not None and not (forced_tag in tags and np.all(weights[int(forced_tag)] > NORM_TOL**2)):
         raise ValueError("forced tag absent")
-    true = choose_branch(weights.T, rng, forced_tag)
+    true = choose_branch(weights, rng, forced_tag)
     classified = true
     if forced_tag is None and model is not None:
         means = np.array([quadrature_mean(model.alpha, model.theta, k) for k in tags])
         classified = model.classify(rng.normal(means[true], 1.0))
     each = np.arange(len(rows))
-    return classified, true, branches[each, true] / np.sqrt(weights[each, true])[:, None]
+    return classified, true, branches[true, each] / np.sqrt(weights[true, each])[:, None]
 
 
 def error_probability(x_d: float) -> float:

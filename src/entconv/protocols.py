@@ -152,8 +152,7 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
 
 
 def _ideal_cnot(rows, control, target):
-    n = row_photons(rows)
-    return apply_rows(rows, (n - control, n - target), CNOT), 1.0, None
+    return apply_rows(rows, (control, target), CNOT), 1.0, None
 
 
 def _realistic_cnot(params: CavityParams, rng, forced_spins):
@@ -176,7 +175,6 @@ def _run_gates(rows, elements, cnot):
     readout (None for an ideal gate).  Returns the rows, the product of the
     kept norms and the list of readouts.
     """
-    n = row_photons(rows)
     norm_factor = 1.0
     readouts = []
     for el in elements:
@@ -187,7 +185,7 @@ def _run_gates(rows, elements, cnot):
             if readout is not None:
                 readouts.append(readout)
         elif kind in ("hwp", "qwp"):
-            rows = apply_rows(rows, (n - el[1],), (HWP if kind == "hwp" else QWP).T)
+            rows = apply_rows(rows, (el[1],), (HWP if kind == "hwp" else QWP).T)
         else:
             raise ValueError(f"unknown circuit element {el!r}")
     return rows, norm_factor, readouts
@@ -362,7 +360,8 @@ def _ideal_gate_table(spec: ProtocolSpec):
         if not len(rows):
             break
         rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), _ideal_cnot)
-        branches = _tag_branches(rows)   # [row, tag, basis]
+        # a row-major copy, so that numpy sums the weights over rows one row at a time, not pairwise
+        branches = np.ascontiguousarray(_tag_branches(rows).swapaxes(0, 1))   # [row, tag, basis]
         for tag, p in zip(read_as, row_norms2(branches).sum(axis=0) @ confusion):
             if tag in success:
                 cells[(success[tag], m)] += float(p)
@@ -381,7 +380,7 @@ def ideal_tags(n_photons: int) -> frozenset[int]:
     Read off the first round: recovery reproduces its tags.
     """
     rows, *_ = _run_gates(conversion_input(n_photons)[None], circuit_wiring(n_photons), _ideal_cnot)
-    return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[0]))
+    return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[:, 0]))
 
 
 def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:

@@ -2,7 +2,9 @@
 
 A register holds up to eight polarization qubits.  The basis index
 convention is fixed package-wide: photon 1 occupies the most significant bit.
-R maps to bit value 0, L to bit value 1.
+R maps to bit value 0, L to bit value 1.  This module alone maps photons to
+bits: ``ket`` and ``label`` turn strings into indices and back, and
+``apply_rows`` takes photon numbers.
 
 A state is a flat amplitude row of length 2**n, and every state the library
 hands out is read-only.  Normalization happens only at readout collapse, so
@@ -39,6 +41,11 @@ def ket(pol_string: str) -> np.ndarray:
     return frozen(row)
 
 
+def label(index: int, n: int) -> str:
+    """Polarization string of basis index ``index`` of an n-photon row: the inverse of ``ket``."""
+    return format(index, f"0{n}b").replace("0", "R").replace("1", "L")
+
+
 # Row forms: ``amps`` holds one amplitude vector per row, shape (..., dim), so
 # a batch of trials runs as one array; a single state takes the same arithmetic.
 
@@ -49,24 +56,25 @@ def row_photons(amps: np.ndarray) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _row_axes(n: int, bits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order moving ``bits`` of a (1, rows, 2, ..., 2) tensor last (axis n + 1 - b holds bit b); its inverse."""
-    if len(set(bits)) != len(bits) or not set(bits) <= set(range(n)):
-        raise ValueError(f"bits {bits} must be distinct and within 0..{n - 1}")
-    order = (0, 1) + tuple(n + 1 - b for b in reversed(range(n)) if b not in bits) + tuple(n + 1 - b for b in bits)
+def _row_axes(n: int, photons: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order moving ``photons`` of a (1, rows, 2, ..., 2) tensor last (axis p + 1 holds photon p); its inverse."""
+    if len(set(photons)) != len(photons) or not set(photons) <= set(range(1, n + 1)):
+        raise ValueError(f"photons {photons} must be distinct and within 1..{n}")
+    order = (0, 1) + tuple(p + 1 for p in range(1, n + 1) if p not in photons) + tuple(p + 1 for p in photons)
     return order, tuple(np.argsort(order))
 
 
-def apply_rows(amps: np.ndarray, bits, op: np.ndarray) -> np.ndarray:
-    """Apply ``op``, shape (..., 2**k, 2**k), to basis bits ``bits`` of every row: shape op.shape[:-2] + amps.shape.
+def apply_rows(amps: np.ndarray, photons, op: np.ndarray) -> np.ndarray:
+    """Apply ``op``, shape (..., 2**k, 2**k), to photons ``photons`` of every row: shape op.shape[:-2] + amps.shape.
 
-    The first listed bit is the most significant bit of ``op``'s index.  Each
+    Photons are numbered from 1, as ``ket`` strings are read.  The first
+    listed photon is the most significant bit of ``op``'s index.  Each
     row multiplies ``op`` from the left, so a map ``m`` that acts on column
     vectors is passed as ``m.T``.  The leading axes of ``op`` (readouts, grid
     points) come out in front of the rows.
     """
     n = row_photons(amps)
-    order, back = _row_axes(n, tuple(bits))
+    order, back = _row_axes(n, tuple(photons))
     psi = amps.reshape((1, -1) + (2,) * n).transpose(order)
     out = (psi.reshape(-1, op.shape[-1]) @ op).reshape((-1,) + psi.shape[1:])   # leading axes of op flattened
     return out.transpose(back).reshape(op.shape[:-2] + amps.shape)

@@ -1,8 +1,12 @@
 """The runtime package stands alone: it imports nothing from the test tree, the
 spin-register primitives live only in the test oracle, and amplitude rows are
-the only state type."""
+the only state type.  Importing the CLI leaves ``numpy.random`` to the
+commands that draw."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import entconv
@@ -44,3 +48,12 @@ def test_spin_register_names_are_gone():
 def test_state_wrappers_are_gone():
     for module in (entconv, qstate, cnot):
         assert [name for name in STATE_WRAPPERS if hasattr(module, name)] == [], module.__name__
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # only run and montecarlo draw; every other command would pay 13–18 ms for the import
+    src = str(Path(entconv.__file__).resolve().parent.parent)
+    code = "import sys, entconv.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

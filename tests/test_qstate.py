@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from entconv.cnot import _kraus, cnot_rows
 from entconv.kerr import read_rows
 from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
-from entconv.qstate import apply_rows, choose_branch, ket, row_inner, row_norms2, row_photons
+from entconv.qstate import apply_rows, choose_branch, ket, label, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import basis_index, expected_vector, uniform_vector
@@ -82,42 +82,44 @@ def test_identity_map_leaves_state():
 
 
 def test_x_map_flips_photon2():
-    out = apply_rows(ket("RLR"), (1,), HWP.T)
+    out = apply_rows(ket("RLR"), (2,), HWP.T)
     np.testing.assert_allclose(out, expected_vector(3, {"RRR": 1.0}), atol=1e-15)
 
 
 def test_hadamard_twice_on_spin_is_identity():
-    # apply_rows acts on any bit of a row, the spin slot of an oracle register too
+    # apply_rows acts on any slot of a row, the spin of an oracle register too: it comes after the photons
     s = np.kron(ket("RL"), [0.6, 0.8])
-    out = apply_rows(apply_rows(s, (0,), SPIN_HADAMARD.T), (0,), SPIN_HADAMARD.T)
+    out = apply_rows(apply_rows(s, (3,), SPIN_HADAMARD.T), (3,), SPIN_HADAMARD.T)
     np.testing.assert_allclose(out, s, atol=1e-12)
 
 
 def test_controlled_off_branch_untouched():
-    out = apply_rows(ket("LRL"), (1, 0), CNOT)
+    out = apply_rows(ket("LRL"), (2, 3), CNOT)
     np.testing.assert_array_equal(out, ket("LRL"))
 
 
 def test_controlled_flip_when_control_l():
-    out = apply_rows(ket("RLR"), (1, 0), CNOT)
+    out = apply_rows(ket("RLR"), (2, 3), CNOT)
     np.testing.assert_allclose(out, expected_vector(3, {"RLL": 1.0}), atol=1e-15)
 
 
 def test_controlled_involution():
     s = expected_vector(3, {"RLR": 1.0, "LLL": 0.5, "RRL": -0.25j})
     s /= np.linalg.norm(s)
-    out = apply_rows(apply_rows(s, (2, 0), CNOT), (2, 0), CNOT)
+    out = apply_rows(apply_rows(s, (1, 3), CNOT), (1, 3), CNOT)
     np.testing.assert_allclose(out, s, atol=1e-12)
 
 
-def dense_row_operator(n, bits, op):
-    """The 2**n x 2**n matrix that a row multiplies to apply the 2**k x 2**k ``op`` on ``bits``.
+def dense_row_operator(n, photons, op):
+    """The 2**n x 2**n matrix that a row multiplies to apply the 2**k x 2**k ``op`` on ``photons``.
 
-    ``np.kron(op, I)`` acts on an index whose top k bits are ``bits`` in
-    order and whose low bits are the other bits from high to low; ``perm``
-    takes each basis index to that layout.
+    Photon p is bit n - p of a basis index.  ``np.kron(op, I)`` acts on an
+    index whose top k bits are those of ``photons`` in order and whose low
+    bits are the other bits from high to low; ``perm`` takes each basis
+    index to that layout.
     """
-    order = list(bits) + [b for b in reversed(range(n)) if b not in bits]
+    bits = [n - p for p in photons]
+    order = bits + [b for b in reversed(range(n)) if b not in bits]
     perm = [sum(((i >> b) & 1) << (n - 1 - pos) for pos, b in enumerate(order)) for i in range(1 << n)]
     return np.kron(op, np.eye(1 << (n - len(bits))))[np.ix_(perm, perm)]
 
@@ -125,23 +127,23 @@ def dense_row_operator(n, bits, op):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_apply_rows_matches_the_dense_operator(n):
     rng = np.random.default_rng(n)
-    choices = [bits for k in (1, 2) for bits in itertools.permutations(range(n), k)]
-    for bits, lead, trials in itertools.product(choices, [(), (2,), (3, 2)], [1, 7]):
-        dim = 1 << len(bits)
+    choices = [photons for k in (1, 2) for photons in itertools.permutations(range(1, n + 1), k)]
+    for photons, lead, trials in itertools.product(choices, [(), (2,), (3, 2)], [1, 7]):
+        dim = 1 << len(photons)
         op = rng.normal(size=lead + (dim, dim, 2)) @ [1, 1j]
         rows = rng.normal(size=(trials, 1 << n, 2)) @ [1, 1j]
         dense = np.zeros(lead + (1 << n, 1 << n), complex)
         for idx in np.ndindex(*lead):
-            dense[idx] = dense_row_operator(n, bits, op[idx])
-        got = apply_rows(rows, bits, op)
+            dense[idx] = dense_row_operator(n, photons, op[idx])
+        got = apply_rows(rows, photons, op)
         assert got.shape == lead + rows.shape
-        assert np.max(np.abs(got - rows @ dense)) <= 1e-13, (bits, lead, trials)
+        assert np.max(np.abs(got - rows @ dense)) <= 1e-13, (photons, lead, trials)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cnot_constant_is_the_controlled_flip_on_every_basis_state(n):
     for (control, target), index in itertools.product(itertools.permutations(range(1, n + 1), 2), range(1 << n)):
-        row = apply_rows(np.eye(1 << n)[index][None], (n - control, n - target), CNOT)[0]
+        row = apply_rows(np.eye(1 << n)[index][None], (control, target), CNOT)[0]
         flipped = index ^ (1 << (n - target)) if (index >> (n - control)) & 1 else index
         assert np.array_equal(row, np.eye(1 << n)[flipped])
 
@@ -160,10 +162,28 @@ def test_inner_rebuilt_four_term_state():
     assert abs(row_inner(uniform_vector(3, terms), uniform_vector(3, terms)) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("bits", [(1, 1), (3,), (-1,), (0, 3)])
+@pytest.mark.parametrize("bits", [(2, 2), (4,), (0,), (1, 4)])
 def test_apply_rows_names_a_bad_bit_list(bits):
-    with pytest.raises(ValueError, match=r"distinct and within 0\.\.2"):
+    # the positions of a row are photon numbers: 1..n, each at most once
+    with pytest.raises(ValueError, match=r"photons .* distinct and within 1\.\.3"):
         apply_rows(ket("RLR"), bits, np.eye(1 << len(bits)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_apply_rows_is_addressed_by_photon(n):
+    # photon p is the p-th character of a ket string
+    for photons in ((0,), (n + 1,), (2, 2)):
+        with pytest.raises(ValueError, match="photons"):
+            apply_rows(ket("R" * n), photons, np.eye(1 << len(photons)))
+    for s, p in itertools.product(map("".join, itertools.product("RL", repeat=n)), range(1, n + 1)):
+        flipped = s[:p - 1] + "RL"[s[p - 1] == "R"] + s[p:]
+        np.testing.assert_array_equal(apply_rows(ket(s)[None], (p,), HWP.T), ket(flipped)[None])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_label_inverts_ket(n):
+    for index in range(1 << n):
+        assert np.flatnonzero(ket(label(index, n))).tolist() == [index]
 
 
 def test_cnot_rows_names_equal_control_and_target():
@@ -246,8 +266,8 @@ def states(max_photons=3):
 
 @given(states(), unitaries(), st.data())
 def test_unitary_preserves_norm(state, u, data):
-    bit = data.draw(st.integers(0, row_photons(state) - 1))
-    out = apply_rows(state, (bit,), u.T)
+    photon = data.draw(st.integers(1, row_photons(state)))
+    out = apply_rows(state, (photon,), u.T)
     assert abs(row_norms2(out) - 1.0) < 1e-12
 
 
@@ -276,7 +296,7 @@ def test_collapse_idempotence(state, data):
 def test_disjoint_single_qubit_maps_commute(state, u1, u2, data):
     if row_photons(state) < 2:
         return
-    i, j = data.draw(st.permutations(range(row_photons(state))))[:2]
+    i, j = data.draw(st.permutations(range(1, row_photons(state) + 1)))[:2]
     a = apply_rows(apply_rows(state, (i,), u1.T), (j,), u2.T)
     b = apply_rows(apply_rows(state, (j,), u2.T), (i,), u1.T)
     np.testing.assert_allclose(a, b, atol=1e-12)
