@@ -14,7 +14,7 @@ import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
 from .optics import CNOT, HWP, QWP, SPIN_HADAMARD
-from .qstate import NORM_TOL, apply_rows, choose_branch, row_inner, row_norms2
+from .qstate import NORM_TOL, apply_rows, row_inner, row_norms2
 
 SPIN_READY = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -54,22 +54,6 @@ def _kraus(f: np.ndarray) -> np.ndarray:
     k = (pairs.reshape(lead + (2, 8)) @ _GATE_ELEMENTS).reshape(lead + (2, 2, 2, 2))   # [c, s, a, t]
     k = np.moveaxis(k, (-3, -1, -4, -2), (-4, -3, -2, -1))   # [s, t, c, a]
     return (k[..., :, None, :, :, :] * np.eye(2)[:, None, :, None]).reshape(lead + (2, 4, 4))
-
-
-def cnot_rows(rows: np.ndarray, control: int, target: int, kraus: np.ndarray, rng=None, forced_spin=None):
-    """Apply a compiled CNOT to every row of a batch of photons-only amplitude rows.
-
-    Each row draws its own readout ``s`` from its ``|K_s psi|^2`` with
-    ``choose_branch`` and is renormalized.  Returns the output rows, the
-    readouts, the weight of each chosen branch and each row's squared norm
-    before readout.
-    """
-    branches = apply_rows(rows, (control, target), kraus)   # [s, row, basis]
-    probs = row_norms2(branches)
-    k = choose_branch(probs, rng, forced_spin)
-    each = np.arange(len(rows))
-    chosen = probs[k, each]
-    return branches[k, each] / np.sqrt(chosen)[:, None], k, chosen, probs[0] + probs[1]
 
 
 def _fidelities(params: CavityParams, inputs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import NORM_TOL, choose_branch, row_norms2, row_photons
+from .qstate import collapse, row_photons
 
 MIN_MEAN_GAP = 1e-9
 
@@ -94,8 +94,8 @@ def read_rows(rows: np.ndarray, model: HomodyneModel | None, rng=None, forced_ta
     """Tag and read out every row of a batch of photons-only amplitude rows.
 
     The true tag of each row is drawn by its branch weights with
-    ``choose_branch``.  Without a ``model`` the readout is ideal and reports
-    the true tag.  With one, the readout is gaussian: it then draws one
+    ``collapse``.  Without a ``model`` the readout is ideal and reports the
+    true tag.  With one, the readout is gaussian: it then draws one
     quadrature per row from the true tag's Gaussian and classifies it with
     ``model``.  The receiver is fixed: every row is classified by the one
     ``model``, whatever tags the row happens to hold, so a tag of vanishing
@@ -104,18 +104,11 @@ def read_rows(rows: np.ndarray, model: HomodyneModel | None, rng=None, forced_ta
     true and the classified tag.  Returns the classified tags, the true tags
     and the rows collapsed onto their renormalized true branch.
     """
-    branches = _tag_branches(rows)   # [tag, row, basis]
-    weights = row_norms2(branches)
-    tags = range(len(weights))
-    if forced_tag is not None and not (forced_tag in tags and np.all(weights[int(forced_tag)] > NORM_TOL**2)):
-        raise ValueError("forced tag absent")
-    true = choose_branch(weights, rng, forced_tag)
-    classified = true
-    if forced_tag is None and model is not None:
-        means = np.array([quadrature_mean(model.alpha, model.theta, k) for k in tags])
-        classified = model.classify(rng.normal(means[true], 1.0))
-    each = np.arange(len(rows))
-    return classified, true, branches[true, each] / np.sqrt(weights[true, each])[:, None]
+    true, collapsed, weights = collapse(_tag_branches(rows), rng, forced_tag)
+    if forced_tag is not None or model is None:
+        return true, true, collapsed
+    means = np.array([quadrature_mean(model.alpha, model.theta, k) for k in range(len(weights))])
+    return model.classify(rng.normal(means[true], 1.0)), true, collapsed
 
 
 def error_probability(x_d: float) -> float:

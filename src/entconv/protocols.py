@@ -11,25 +11,18 @@ failure branch is recovered and re-enters the tagging suffix.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .cavity import CavityParams, spin_photon_map
-from .cnot import (
-    BENCHMARK_G,
-    BENCHMARK_GAMMA_TOTAL,
-    BENCHMARK_KAPPA,
-    _kraus,
-    cnot_rows,
-)
+from .cnot import BENCHMARK_G, BENCHMARK_GAMMA_TOTAL, BENCHMARK_KAPPA, _kraus
 from .kerr import HomodyneModel, _tag_branches, read_rows
 from .optics import CNOT, HWP, QWP
-from .qstate import apply_rows, frozen, ket, row_inner, row_norms2, row_photons
+from .qstate import apply_rows, collapse, frozen, ket, row_inner, row_norms2, row_photons
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -151,43 +144,30 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
     return _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
 
 
-def _ideal_cnot(rows, control, target):
-    return apply_rows(rows, (control, target), CNOT), 1.0, None
+def _run_gates(rows, elements, gate, rng=None, spins=iter(())):
+    """Apply an element list to a batch of amplitude rows, shape (trials, 2**n).
 
-
-def _realistic_cnot(params: CavityParams, rng, forced_spins):
-    """The compiled realistic CNOT on a batch, taking its readouts from ``forced_spins`` in turn if given."""
-    kraus = _kraus(spin_photon_map(params))
-    spin_iter = iter(forced_spins) if forced_spins is not None else itertools.repeat(None)
-
-    def cnot(rows, control, target):
-        rows, readouts, _, kept = cnot_rows(rows, control, target, kraus, rng, next(spin_iter))
-        return rows, kept, readouts
-
-    return cnot
-
-
-def _run_gates(rows, elements, cnot):
-    """Apply the gates of an element list to a batch of amplitude rows.
-
-    ``rows`` has shape (trials, 2**n); ``cnot(rows, control, target)``
-    returns the output rows, the squared norm each row kept and each row's
-    readout (None for an ideal gate).  Returns the rows, the product of the
-    kept norms and the list of readouts.
+    Every element goes through ``apply_rows``: a plate as its transposed
+    matrix, a CNOT as ``gate`` over (control, target).  ``gate`` is
+    ``optics.CNOT`` or a realistic Kraus pair (``cnot._kraus``); an output
+    with a leading readout axis is measured with ``collapse``, each readout
+    forced by the next of ``spins`` while they last and drawn from ``rng``
+    after.  Returns the rows, the product of the squared norms each row kept
+    before its readouts and the list of readouts.
     """
+    plates = {"hwp": HWP.T, "qwp": QWP.T}
     norm_factor = 1.0
     readouts = []
     for el in elements:
-        kind = el[0]
-        if kind == "cnot":
-            rows, kept, readout = cnot(rows, el[1], el[2])
-            norm_factor = norm_factor * kept
-            if readout is not None:
-                readouts.append(readout)
-        elif kind in ("hwp", "qwp"):
-            rows = apply_rows(rows, (el[1],), (HWP if kind == "hwp" else QWP).T)
-        else:
+        op = gate if el[0] == "cnot" else plates.get(el[0])
+        if op is None:
             raise ValueError(f"unknown circuit element {el!r}")
+        out = apply_rows(rows, el[1:], op)
+        if out.ndim > rows.ndim:   # a measured gate: one branch per readout in front
+            readout, out, weights = collapse(out, rng, next(spins, None))
+            norm_factor = norm_factor * weights.sum(axis=0)
+            readouts.append(readout)
+        rows = out
     return rows, norm_factor, readouts
 
 
@@ -201,19 +181,15 @@ def run_protocol(
 
     ``forced_tags`` (one per iteration) and ``forced_spins`` (one per
     realistic gate) pin the stochastic choices for branch-by-branch analysis;
-    otherwise outcomes are sampled from ``rng``.  Control flow follows the
-    classified tag, so a gaussian-mode misclassification steers the protocol
-    down the wrong arm while the state keeps the true branch; such events are
-    counted on the run record, and the spin outcome of every realistic gate is
-    recorded in ``spin_outcomes``.
+    otherwise outcomes are sampled from ``rng``.  A forced sequence shorter
+    than the run pins the first choices only: the rest are drawn from
+    ``rng``, and without one the call raises ``ValueError``.  Control flow
+    follows the classified tag, so a gaussian-mode misclassification steers
+    the protocol down the wrong arm while the state keeps the true branch;
+    such events are counted on the run record, and the spin outcome of every
+    realistic gate is recorded in ``spin_outcomes``.
     """
-    cnot = _ideal_cnot if spec.gate_mode == "ideal" else _realistic_cnot(spec.params, rng, forced_spins)
-    return _single_run(spec, cnot, rng, forced_tags)
-
-
-def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags) -> ProtocolRun:
-    """A batch of one as a run record."""
-    outcome, rounds, final, survival, history = _run_rounds(spec, 1, cnot, rng, forced_tags)
+    outcome, rounds, final, survival, history = _run_rounds(spec, 1, rng, forced_tags, forced_spins)
     tags = tuple(int(tags[0]) for _, tags, _, _ in history)
     true_tags = tuple(int(true[0]) for _, _, true, _ in history)
     misses = sum(t != k for t, k in zip(tags, true_tags))
@@ -223,7 +199,7 @@ def _single_run(spec: ProtocolSpec, cnot, rng, forced_tags) -> ProtocolRun:
     )
 
 
-def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
+def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_spins=None):
     """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
 
     A trial leaves the batch when its classified tag declares an outcome;
@@ -232,7 +208,8 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     trial by trial within each gate and each readout, so a batch of one
     draws as a single run does.  Gaussian readout classifies every round of
     every trial with one receiver, the thresholds between the tags the ideal
-    circuit produces.  Returns, per trial, the outcome class,
+    circuit produces.  ``forced_tags`` and ``forced_spins`` pin readouts in
+    turn, as ``run_protocol`` states.  Returns, per trial, the outcome class,
     rounds used, final amplitude row and product of kept gate norms, and per
     round the trials still in the batch, their classified and true tags and
     their gate readouts.
@@ -245,7 +222,9 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
     final = np.empty_like(rows)
     survival = np.ones(trials)
     history = []
-    tag_iter = iter(forced_tags) if forced_tags is not None else itertools.repeat(None)
+    gate = CNOT if spec.gate_mode == "ideal" else _kraus(spin_photon_map(spec.params))
+    tag_iter = iter(forced_tags if forced_tags is not None else ())
+    spin_iter = iter(forced_spins if forced_spins is not None else ())
     success = _SUCCESS_TAGS[n]
     declares = np.array([k in success for k in range(n + 1)])   # by classified tag
     receiver = None   # ideal readout reads the true tag and needs no thresholds
@@ -253,9 +232,9 @@ def _run_rounds(spec: ProtocolSpec, trials: int, cnot, rng, forced_tags):
         receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(n))
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
-        rows, norm_factor, readouts = _run_gates(rows, elements, cnot)
+        rows, norm_factor, readouts = _run_gates(rows, elements, gate, rng, spin_iter)
         survival[live] *= norm_factor
-        tags, true, rows = read_rows(rows, receiver, rng, next(tag_iter))
+        tags, true, rows = read_rows(rows, receiver, rng, next(tag_iter, None))
         history.append((live, tags, true, readouts))
         done = declares[tags]
         if n == 4 and spec.standardize_flipped:   # HWP on every photon flips every bit
@@ -359,7 +338,7 @@ def _ideal_gate_table(spec: ProtocolSpec):
     for m in range(1, rounds + 1):
         if not len(rows):
             break
-        rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), _ideal_cnot)
+        rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), CNOT)
         # a row-major copy, so that numpy sums the weights over rows one row at a time, not pairwise
         branches = np.ascontiguousarray(_tag_branches(rows).swapaxes(0, 1))   # [row, tag, basis]
         for tag, p in zip(read_as, row_norms2(branches).sum(axis=0) @ confusion):
@@ -379,7 +358,7 @@ def ideal_tags(n_photons: int) -> frozenset[int]:
 
     Read off the first round: recovery reproduces its tags.
     """
-    rows, *_ = _run_gates(conversion_input(n_photons)[None], circuit_wiring(n_photons), _ideal_cnot)
+    rows, *_ = _run_gates(conversion_input(n_photons)[None], circuit_wiring(n_photons), CNOT)
     return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[:, 0]))
 
 
@@ -401,9 +380,8 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> Mo
         counts = rng.multinomial(trials, list(cells.values()))
         return MonteCarloResult(trials, {cell: int(c) for cell, c in zip(cells, counts) if c})
     tally: Counter = Counter()
-    cnot = _realistic_cnot(spec.params, rng, None)
     for start in range(0, trials, _MC_CHUNK):
-        outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), cnot, rng, None)
+        outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), rng)
         tally.update(zip(outcome.tolist(), rounds.tolist()))
     return MonteCarloResult(trials, dict(tally))
 
@@ -419,7 +397,7 @@ def fidelity_vs_ideal(spec: ProtocolSpec, run: ProtocolRun) -> float | None:
     """
     if spec.gate_mode == "ideal" or run.misclassification_events or not set(run.true_tags) <= ideal_tags(spec.n_photons):
         return None
-    ideal_run = _single_run(spec, _ideal_cnot, None, run.true_tags)
+    ideal_run = run_protocol(replace(spec, gate_mode="ideal"), forced_tags=run.true_tags)
     return abs(complex(row_inner(run.final_state, ideal_run.final_state))) ** 2
 
 

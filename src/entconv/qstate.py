@@ -117,3 +117,16 @@ def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) ->
         if np.take_along_axis(empty, k[None], 0).any():
             raise ValueError("impossible outcome")
     return k
+
+
+def collapse(branches: np.ndarray, rng: np.random.Generator | None = None, forced=None):
+    """Read out every row of ``branches``, shape (m, rows, dim), the unnormalized branches in front.
+
+    ``choose_branch`` picks each row's branch from its weights.  Returns the
+    chosen branch index of each row, each row's chosen branch renormalized
+    and the weight of every branch, shape (m, rows).
+    """
+    weights = row_norms2(branches)
+    k = choose_branch(weights, rng, forced)
+    each = np.arange(branches.shape[1])
+    return k, branches[k, each] / np.sqrt(weights[k, each])[:, None], weights

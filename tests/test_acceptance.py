@@ -14,7 +14,7 @@ import pytest
 
 from entconv.cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from entconv.cli import main
-from entconv.cnot import _fidelities, _kraus, benchmark_report, cnot_rows
+from entconv.cnot import _fidelities, _kraus, benchmark_report
 from entconv.kerr import HomodyneModel, error_probability, peak_distances, quadrature_mean, read_rows
 from entconv.protocols import (
     ProtocolSpec,
@@ -24,10 +24,10 @@ from entconv.protocols import (
     monte_carlo,
     run_protocol,
     success_series,
-    _ideal_cnot,
     _run_gates,
 )
-from entconv.qstate import ket
+from entconv.optics import CNOT
+from entconv.qstate import apply_rows, collapse, ket
 
 from conftest import tag_split, uniform_vector
 from oracle import IDEAL_BOUNCE
@@ -66,7 +66,7 @@ def _verdict(number: int, text: str) -> None:
 def test_criterion_1_state_evolution_oracles():
     t0 = time.perf_counter()
     for n in (3, 4, 5):
-        rows, *_ = _run_gates(conversion_input(n)[None], circuit_wiring(n), _ideal_cnot)
+        rows, *_ = _run_gates(conversion_input(n)[None], circuit_wiring(n), CNOT)
         state = rows[0]
         np.testing.assert_allclose(state, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
         _, weights = tag_split(state)
@@ -148,7 +148,7 @@ def test_criterion_3_reflection_physics(rng):
 
 def test_criterion_4_cnot_contract(rng):
     for s, want in (("RR", "RR"), ("RL", "LL"), ("LR", "LR"), ("LL", "RL")):
-        out, *_ = _ideal_cnot(ket(s), 2, 1)
+        out = apply_rows(ket(s), (2, 1), CNOT)
         assert abs(out[int(np.argmax(np.abs(out)))] - 1.0) < 1e-12
         got = int(np.argmax(np.abs(out)))
         assert got == (("RL".index(want[0]) << 1) | "RL".index(want[1]))
@@ -158,10 +158,10 @@ def test_criterion_4_cnot_contract(rng):
         a, b, g, d = state
         want_vec = np.array([a, d, g, b])  # alpha|RR> + delta|RL> + gamma|LR> + beta|LL>
         for forced in (0, 1):
-            rows, readouts, _, _ = cnot_rows(state[None], 2, 1, _kraus(IDEAL_BOUNCE), forced_spin=forced)
+            readouts, rows, _ = collapse(apply_rows(state[None], (2, 1), _kraus(IDEAL_BOUNCE)), forced=forced)
             np.testing.assert_allclose(rows[0], want_vec, atol=1e-12)
             assert readouts[0] == forced
-        again = _ideal_cnot(_ideal_cnot(state, 2, 1)[0], 2, 1)[0]
+        again = apply_rows(apply_rows(state, (2, 1), CNOT), (2, 1), CNOT)
         np.testing.assert_allclose(again, state, atol=1e-12)
     _verdict(4, "both readout branches with feed-forward are exact; involution and truth table verified")
 
@@ -179,8 +179,9 @@ def test_criterion_5_fidelity_surface():
                         f = float(np.mean(_fidelities(params, basis)[outcome]))
                     else:
                         uniform = uniform_vector(2, ["RR", "RL", "LR", "LL"])
-                        rows, *_ = cnot_rows(uniform[None], 2, 1, _kraus(spin_photon_map(params)), forced_spin=outcome)
-                        f = abs(np.vdot(rows[0], _ideal_cnot(uniform, 2, 1)[0])) ** 2
+                        kraus = _kraus(spin_photon_map(params))
+                        _, rows, _ = collapse(apply_rows(uniform[None], (2, 1), kraus), forced=outcome)
+                        f = abs(np.vdot(rows[0], apply_rows(uniform, (2, 1), CNOT))) ** 2
                     surface[(round(float(gk), 9), round(float(gg), 9), outcome)] = f
         for outcome in (0, 1):
             for i, gk in enumerate(grid):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconv.cavity import CavityParams, spin_photon_map
-from entconv.cnot import _fidelities, _kraus, benchmark_report, cnot_rows, fidelity_grid
-from entconv.protocols import _ideal_cnot
-from entconv.qstate import ket
+from entconv.cnot import _fidelities, _kraus, benchmark_report, fidelity_grid
+from entconv.optics import CNOT
+from entconv.qstate import apply_rows, collapse, ket
 
 from conftest import expected_vector, uniform_vector
 from oracle import IDEAL_BOUNCE, readout_branches, replay_cnot
@@ -36,7 +36,7 @@ def flip_target_matrix(n, control, target):
 
 def cnot_ideal(state, control, target):
     """The runtime's ideal gate, the controlled flip, on one row."""
-    return _ideal_cnot(state, control, target)[0]
+    return apply_rows(state, (control, target), CNOT)
 
 
 def test_truth_table_exhaustive():
@@ -75,8 +75,8 @@ def test_involution(rng):
 
 def compiled_cnot(state, control, target, factors, rng=None, forced=None):
     """The gate compiled from the bounce diagonal ``factors`` on a batch of one: row, readout, chosen weight, norm."""
-    rows, readouts, chosen, kept = cnot_rows(state[None], control, target, _kraus(factors), rng, forced)
-    return rows[0], int(readouts[0]), float(chosen[0]), float(kept[0])
+    readouts, rows, weights = collapse(apply_rows(state[None], (control, target), _kraus(factors)), rng, forced)
+    return rows[0], int(readouts[0]), float(weights[readouts[0], 0]), float(weights.sum(axis=0)[0])
 
 
 def test_feed_forward_determinism(rng):
@@ -139,7 +139,8 @@ def test_compiled_gate_on_a_batch_matches_each_row():
     rows = gen.normal(size=(30, 32)) + 1j * gen.normal(size=(30, 32))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     for spin in (0, 1):
-        out, readouts, chosen, kept = cnot_rows(rows, 4, 2, _kraus(factors), forced_spin=spin)
+        readouts, out, weights = collapse(apply_rows(rows, (4, 2), _kraus(factors)), forced=spin)
+        chosen, kept = weights[spin], weights.sum(axis=0)
         assert set(readouts) == {spin}
         for i, row in enumerate(rows):
             one, _, one_chosen, one_kept = compiled_cnot(row, 4, 2, factors, forced=spin)

@@ -130,7 +130,7 @@ def test_single_branch_certain(rng):
 
 def test_forced_tag_absent():
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0, 1))
-    with pytest.raises(ValueError, match="forced tag absent"):
+    with pytest.raises(ValueError, match="impossible outcome"):
         read_rows(ket("RRR")[None], model, forced_tag=1)
 
 

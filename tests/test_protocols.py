@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entconv.cavity import CavityParams
+from entconv.cavity import CavityParams, spin_photon_map
+from entconv.cnot import _kraus
 from entconv.kerr import HomodyneModel, read_rows
 from entconv.protocols import (
     ProtocolSpec,
@@ -21,15 +22,15 @@ from entconv.protocols import (
     recovery_sequence,
     run_protocol,
     success_series,
-    _ideal_cnot,
     _ideal_gate_table,
-    _realistic_cnot,
     _run_gates,
     _run_rounds,
 )
+from entconv.optics import CNOT
 from entconv.qstate import ket
 
 from conftest import expected_vector, tag_split, uniform_vector
+from oracle import IDEAL_BOUNCE
 
 # hand-expanded pre-tag term lists for the three circuits
 PRE_TAG_TERMS = {
@@ -49,7 +50,7 @@ DICKE5_TERMS = "LLRRL LLRLR RLRLL LLLRR RLLRL RLLLR LRRLL LRLRL LRLLR RRLLL".spl
 
 
 def pre_tag_state(n):
-    rows, *_ = _run_gates(conversion_input(n)[None], circuit_wiring(n), _ideal_cnot)
+    rows, *_ = _run_gates(conversion_input(n)[None], circuit_wiring(n), CNOT)
     return rows[0]
 
 
@@ -101,13 +102,13 @@ def test_partition_branches_hold_expected_terms():
 
 
 def test_recovery_three_elements_on_all_l():
-    rows, *_ = _run_gates(ket("LLL")[None], recovery_sequence(3)[:3], _ideal_cnot)
+    rows, *_ = _run_gates(ket("LLL")[None], recovery_sequence(3)[:3], CNOT)
     state = rows[0]
     np.testing.assert_allclose(state, uniform_vector(3, ["RLL", "LRL"]), atol=1e-12)
 
 
 def test_recovery_five_photons_on_all_l():
-    rows, *_ = _run_gates(ket("LLLLL")[None], recovery_sequence(5)[:3], _ideal_cnot)
+    rows, *_ = _run_gates(ket("LLLLL")[None], recovery_sequence(5)[:3], CNOT)
     state = rows[0]
     np.testing.assert_allclose(state, uniform_vector(5, ["RLLLL", "LRLLL"]), atol=1e-12)
 
@@ -117,11 +118,57 @@ def test_recovery_fixed_point(n):
     state1 = pre_tag_state(n)
     branches1, _ = tag_split(state1)
     _, _, retry = read_rows(state1[None], None, forced_tag=max(branches1))
-    rows2, *_ = _run_gates(retry, recovery_sequence(n), _ideal_cnot)
+    rows2, *_ = _run_gates(retry, recovery_sequence(n), CNOT)
     branches2, _ = tag_split(rows2[0])
     assert tuple(branches1) == tuple(branches2)
     for tag in branches1:
         np.testing.assert_allclose(branches1[tag], branches2[tag], atol=1e-12)
+
+
+@pytest.mark.parametrize("spin", [0, 1])
+@pytest.mark.parametrize(
+    "n,elements",
+    [(3, circuit_wiring(3)), (4, circuit_wiring(4)), (5, circuit_wiring(5)),
+     (3, recovery_sequence(3)), (5, recovery_sequence(5))],
+    ids=["wiring3", "wiring4", "wiring5", "recovery3", "recovery5"],
+)
+def test_ideal_bounce_kraus_pair_runs_as_the_controlled_flip(n, elements, spin):
+    # the measured gate with ideal bounces and either readout is the one permutation optics.CNOT
+    gen = np.random.default_rng(n)
+    rows = gen.normal(size=(6, 1 << n)) + 1j * gen.normal(size=(6, 1 << n))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    want, _, _ = _run_gates(rows, elements, CNOT)
+    got, kept, readouts = _run_gates(rows, elements, _kraus(IDEAL_BOUNCE), None, itertools.repeat(spin))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kept, 1.0, rtol=0, atol=1e-12)
+    assert len(readouts) == sum(el[0] == "cnot" for el in elements)
+    assert all((r == spin).all() for r in readouts)
+
+
+def test_unknown_circuit_element_is_named():
+    with pytest.raises(ValueError, match="unknown circuit element.*swap"):
+        _run_gates(ket("RLR")[None], (("hwp", 1), ("swap", 1, 2)), CNOT)
+
+
+@pytest.mark.parametrize(
+    "spec,forced",
+    [
+        (ProtocolSpec(n_photons=3, max_iterations=4), {"forced_tags": (3,)}),
+        (ProtocolSpec(n_photons=3, gate_mode="realistic"), {"forced_tags": (1,), "forced_spins": (0,)}),
+    ],
+    ids=["ideal_tags", "realistic_tags_and_spins"],
+)
+def test_short_forced_sequences_pin_only_the_first_draws(spec, forced):
+    # the draws past a forced sequence come from rng; with no rng the run
+    # raises a ValueError, never a StopIteration that would end a caller's loop
+    with pytest.raises(ValueError, match="rng required"):
+        run_protocol(spec, **forced)
+    for seed in range(20):
+        run = run_protocol(spec, np.random.default_rng(seed), **forced)
+        assert run.true_tags[:1] == forced["forced_tags"]
+        assert run.spin_outcomes[:len(forced.get("forced_spins", ()))] == forced.get("forced_spins", ())
+        again = run_protocol(spec, forced_tags=run.true_tags, forced_spins=run.spin_outcomes)
+        assert (again.outcome_class, again.iterations_used) == (run.outcome_class, run.iterations_used)
 
 
 def test_no_recovery_path_for_four_photons():
@@ -281,7 +328,7 @@ def test_batched_ideal_trajectories_agree_with_table():
     # the table the ensemble draws from against batched ideal-gate trajectories
     spec = ProtocolSpec(n_photons=3, max_iterations=4)
     trials = 4000
-    outcome, rounds, *_ = _run_rounds(spec, trials, _ideal_cnot, np.random.default_rng(np.random.SeedSequence(7)), None)
+    outcome, rounds, *_ = _run_rounds(spec, trials, np.random.default_rng(np.random.SeedSequence(7)))
     sampled = Counter(zip(outcome.tolist(), rounds.tolist()))
     cells = _ideal_gate_table(spec)
     assert set(sampled) <= set(cells)
@@ -337,9 +384,7 @@ def test_batch_rows_replay_as_single_runs():
     spec = ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK)
     rng = np.random.default_rng(np.random.SeedSequence(23))
     trials = 200
-    outcome, rounds, final, survival, history = _run_rounds(
-        spec, trials, _realistic_cnot(spec.params, rng, None), rng, None
-    )
+    outcome, rounds, final, survival, history = _run_rounds(spec, trials, rng)
     trial_tags = [[] for _ in range(trials)]
     trial_spins = [[] for _ in range(trials)]
     for round_index, (live, _, true, readouts) in enumerate(history):
@@ -387,7 +432,7 @@ def test_gaussian_readout_is_continuous_in_leaked_weight(n):
                         params=CavityParams(g=0.3, kappa=26.0, gamma=0.0004))
     rng = np.random.default_rng(np.random.SeedSequence(25))
     start = np.repeat(conversion_input(n)[None], 2000, axis=0)
-    rows, *_ = _run_gates(start, circuit_wiring(n), _realistic_cnot(spec.params, rng, None))
+    rows, *_ = _run_gates(start, circuit_wiring(n), _kraus(spin_photon_map(spec.params)), rng)
     leaked = ~np.isin([bin(i).count("1") for i in range(1 << n)], sorted(ideal_tags(n)))
     noise = leaked & (np.abs(rows) < 1e-15)
     assert noise.any()

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.cnot import _kraus, cnot_rows
+from entconv.cnot import _kraus
 from entconv.kerr import read_rows
 from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
-from entconv.qstate import apply_rows, choose_branch, ket, label, row_inner, row_norms2, row_photons
+from entconv.qstate import apply_rows, choose_branch, collapse, ket, label, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import basis_index, expected_vector, uniform_vector
@@ -186,9 +186,9 @@ def test_label_inverts_ket(n):
         assert np.flatnonzero(ket(label(index, n))).tolist() == [index]
 
 
-def test_cnot_rows_names_equal_control_and_target():
+def test_gate_names_equal_control_and_target():
     with pytest.raises(ValueError, match="distinct"):
-        cnot_rows(ket("RLR")[None], 1, 1, IDEAL, forced_spin=0)
+        apply_rows(ket("RLR")[None], (1, 1), IDEAL)
 
 
 def test_spin_measurement_probabilities_half(rng):
@@ -198,7 +198,8 @@ def test_spin_measurement_probabilities_half(rng):
     # oracle: direct amplitude sums of the element-by-element replay at each readout
     direct = [float(np.sum(np.abs(branch) ** 2)) for branch in readout_branches(c, 2, 1, IDEAL_BOUNCE)]
     for spin in (0, 1):
-        _, _, chosen, _ = cnot_rows(c[None], 2, 1, IDEAL, forced_spin=spin)
+        _, _, weights = collapse(apply_rows(c[None], (2, 1), IDEAL), forced=spin)
+        chosen = weights[spin]
         assert abs(chosen[0] - direct[spin]) < 1e-12
         assert abs(chosen[0] - 0.5) < 1e-12
 
@@ -213,7 +214,7 @@ def test_eigenstate_measurement_certain(rng):
 def test_forced_minus_collapse_keeps_minus_branch(rng):
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c = c / np.linalg.norm(c)
-    out, _, _, _ = cnot_rows(c[None], 2, 1, IDEAL, forced_spin=1)
+    _, out, _ = collapse(apply_rows(c[None], (2, 1), IDEAL), forced=1)
     # the minus branch alpha|LR>+beta|RL>+gamma|RR>+delta|LL>, target flipped back by the feed-forward
     want = expected_vector(2, {"RR": c[0], "LL": c[1], "LR": c[2], "RL": c[3]})
     np.testing.assert_allclose(out[0], want, atol=1e-12)
@@ -277,7 +278,8 @@ def test_measurement_completeness(state, data):
     if row_photons(state) < 2:
         return
     control, target = data.draw(st.permutations(range(1, row_photons(state) + 1)))[:2]
-    _, _, _, kept = cnot_rows(state[None], control, target, IDEAL, forced_spin=0)
+    _, _, weights = collapse(apply_rows(state[None], (control, target), IDEAL), forced=0)
+    kept = weights.sum(axis=0)
     assert abs(kept[0] - 1.0) < 1e-12
 
 
