@@ -9,9 +9,9 @@ configuration error, 3 runtime error.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -36,9 +36,6 @@ CURVE_TAGS = (1, 3, 5)
 CURVE_SAMPLES = 1000
 CURVE_MARGIN = 6.0
 CURVE_MAX_STEP = 0.25   # a unit-width peak midway between two samples still prints within 1 % of its height
-# the config field each flag is written over before the document is checked
-FLAG_FIELDS = {"seed": "seed", "trials": "trials", "out": "output.path", "format": "output.format",
-               "n": "protocol.n_photons", "rounds": "protocol.max_iterations"}
 
 
 def _fmt(value) -> str:
@@ -89,9 +86,9 @@ def _require_seed(config: RunConfig) -> int:
     return config.seed
 
 
-def _check_jobs(args) -> None:
+def _check_jobs(flags: dict) -> None:
     """``--jobs`` is accepted for compatibility and changes nothing, but must be >= 1."""
-    if args.jobs is not None and args.jobs < 1:
+    if flags.get("jobs", 1) < 1:
         raise ConfigError("jobs must be >= 1")
 
 
@@ -101,8 +98,7 @@ def _state_terms(amps) -> list[dict]:
             for i in np.flatnonzero(np.abs(amps) > 1e-12)]
 
 
-def cmd_run(args) -> int:
-    config = args._config
+def cmd_run(config: RunConfig, flags: dict) -> int:
     spec = _require_protocol(config)
     seed = _require_seed(config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -145,12 +141,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_montecarlo(args) -> int:
-    config = args._config
+def cmd_montecarlo(config: RunConfig, flags: dict) -> int:
     spec = _require_protocol(config)
     seed = _require_seed(config)
     trials = config.trials
-    _check_jobs(args)
+    _check_jobs(flags)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     result = monte_carlo(spec, trials, rng)
     header = ["outcome_class", "iterations", "count", "frequency"]
@@ -162,23 +157,21 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def cmd_sweep_fidelity(args) -> int:
-    config = args._config
+def cmd_sweep_fidelity(config: RunConfig, flags: dict) -> int:
     if config.sweep is None:
         raise ConfigError("sweep-fidelity needs a sweep grid in the config")
     grid = config.sweep
     gks = [float(x) for x in np.linspace(*grid.g_over_kappa, grid.steps)]
     ggs = [float(x) for x in np.linspace(*grid.g_over_gamma, grid.steps)]
-    _check_jobs(args)
-    fidelities = fidelity_grid(gks, ggs, args.input.replace("-", "_")).reshape(-1).tolist()
+    _check_jobs(flags)
+    fidelities = fidelity_grid(gks, ggs, flags.get("input", "uniform").replace("-", "_")).reshape(-1).tolist()
     cells = itertools.product(gks, ggs, ("plus", "minus"))   # the grid's axis order
     rows = [[gk, gg, outcome, fidelity] for (gk, gg, outcome), fidelity in zip(cells, fidelities)]
     _emit_table(config, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
     return 0
 
 
-def cmd_homodyne_curves(args) -> int:
-    config = args._config
+def cmd_homodyne_curves(config: RunConfig, flags: dict) -> int:
     alpha = config.protocol.alpha if config.protocol is not None else PROBE_ALPHA
     theta = config.protocol.theta if config.protocol is not None else PROBE_THETA
     model = HomodyneModel.for_tags(alpha, theta, CURVE_TAGS)   # rejects overflowing or coinciding means
@@ -202,8 +195,7 @@ def cmd_homodyne_curves(args) -> int:
     return 0
 
 
-def cmd_success_table(args) -> int:
-    config = args._config
+def cmd_success_table(config: RunConfig, flags: dict) -> int:
     spec = _require_protocol(config)
     n = spec.n_photons
     table = success_series(n, spec.max_iterations)
@@ -219,56 +211,82 @@ def cmd_success_table(args) -> int:
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="JSON run configuration (see config_schema.json)")
-    sub.add_argument("--out", metavar="PATH", help="output file (default: stdout or config output.path)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format (written over config output.format)")
+USAGE = """\
+usage: entconv run             --config config.json [--seed N] [--out PATH] [--format csv|json]
+       entconv montecarlo      --config config.json [--seed N] [--trials N] [--jobs N] [--out PATH] [--format csv|json]
+       entconv sweep-fidelity  --config config.json [--input uniform|basis-average] [--jobs N] [--out PATH] [--format csv|json]
+       entconv homodyne-curves [--config config.json] [--out PATH] [--format csv|json]
+       entconv success-table   [--config config.json] --n 3 --rounds 4 [--out PATH] [--format csv|json]
+"""
+# each flag: the kind of value it takes (int, str or the tuple of its choices) and the config
+# field it is written over before the document is checked (None: the command reads it itself)
+FLAGS = {"config": (str, None), "seed": (int, "seed"), "trials": (int, "trials"), "out": (str, "output.path"),
+         "format": (("csv", "json"), "output.format"), "n": (int, "protocol.n_photons"),
+         "rounds": (int, "protocol.max_iterations"), "jobs": (int, None), "input": (("uniform", "basis-average"), None)}
+_COMMON = ("config", "out", "format")
+# each command: its handler and the only flags it takes
+COMMANDS = {
+    "run": (cmd_run, {*_COMMON, "seed"}),
+    "montecarlo": (cmd_montecarlo, {*_COMMON, "seed", "trials", "jobs"}),
+    "sweep-fidelity": (cmd_sweep_fidelity, {*_COMMON, "input", "jobs"}),
+    "homodyne-curves": (cmd_homodyne_curves, {*_COMMON}),
+    "success-table": (cmd_success_table, {*_COMMON, "n", "rounds"}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")   # the one flag-like token that is still a value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="entconv", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """A command line that names no command, a flag the command does not take, or a malformed value."""
 
-    run_p = commands.add_parser("run", help="execute one protocol run and report it")
-    run_p.set_defaults(handler=cmd_run)
 
-    mc_p = commands.add_parser("montecarlo", help="outcome frequencies over seeded trials")
-    mc_p.add_argument("--trials", type=int, help="trial count for ensembles (written over config trials)")
-    mc_p.set_defaults(handler=cmd_montecarlo)
-
-    sweep_p = commands.add_parser("sweep-fidelity", help="gate fidelity over a coupling-ratio grid")
-    sweep_p.add_argument("--input", choices=("uniform", "basis-average"), default="uniform",
-                         help="gate input convention for the fidelity")
-    sweep_p.set_defaults(handler=cmd_sweep_fidelity)
-
-    curves_p = commands.add_parser("homodyne-curves", help="quadrature distributions and error summary")
-    curves_p.set_defaults(handler=cmd_homodyne_curves)
-
-    table_p = commands.add_parser("success-table", help="closed-form success probabilities per round")
-    table_p.add_argument("--n", type=int, help="photon number (3, 4 or 5)")
-    table_p.add_argument("--rounds", type=int, help="number of recovery rounds to tabulate")
-    table_p.set_defaults(handler=cmd_success_table)
-
-    # each command takes only the flags it reads
-    for sub in (run_p, mc_p):
-        sub.add_argument("--seed", type=int, help="seed for stochastic runs (written over config seed)")
-    for sub in (mc_p, sweep_p):
-        sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect (must be >= 1)")
-    for sub in (run_p, mc_p, sweep_p, curves_p, table_p):
-        _add_common_flags(sub)
-    return parser
+def _parse(argv) -> tuple | None:
+    """The handler and flag values of a command line (the last of a repeated flag wins); None asks for help."""
+    if not argv:
+        raise UsageError("a command is required")
+    if argv[0] in _HELP:
+        return None
+    if argv[0] not in COMMANDS:
+        raise UsageError(f"invalid choice: {argv[0]!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    handler, accepted = COMMANDS[argv[0]]
+    flags = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return None
+        name, inline, value = token.partition("=")
+        flag = name[2:] if name.startswith("--") else None
+        if flag not in accepted:
+            raise UsageError(f"unrecognized arguments: {token}")
+        if not inline:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                raise UsageError(f"argument {name}: expected one argument")
+        kind = FLAGS[flag][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {name}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        flags[flag] = value
+    return handler, flags
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as err:
+        sys.stderr.write(f"{USAGE}entconv: error: {err}\n")
+        return 2
+    if parsed is None:
+        sys.stdout.write(USAGE)
+        return 0
+    handler, flags = parsed
+    fields = {FLAGS[flag][1]: value for flag, value in flags.items() if FLAGS[flag][1] is not None}
     try:
-        flags = {field: getattr(args, flag, None) for flag, field in FLAG_FIELDS.items()}
-        args._config = load_config(args.config, flags)
-        return args.handler(args)
+        return handler(load_config(flags.get("config"), fields), flags)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.cli import main
+from entconv.cli import USAGE, main
 from entconv.config import (
     ConfigError,
     config_from_dict,
@@ -503,9 +503,62 @@ def test_unwritable_out_is_runtime_error(tmp_path, capsys):
     assert err.startswith("runtime error: cannot write output") and err.count("\n") == 1
 
 
-def test_unknown_command_exits_two(capsys):
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "a command is required"),
+        (["frobnicate", "--config", "CONFIG", "--out", "out"], "invalid choice: 'frobnicate'"),
+        (["run", "--config", "CONFIG", "--out", "out", "stray"], "unrecognized arguments: stray"),
+        (["run", "--config", "CONFIG", "--out", "out", "--seed"], "argument --seed: expected one argument"),
+        # a value that begins with "-" and is no negative number is the next flag, not a path
+        (["run", "--config", "CONFIG", "--out", "--seed", "1"], "argument --out: expected one argument"),
+        (["run", "--config", "CONFIG", "--out", "out", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["run", "--config", "CONFIG", "--out", "out", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["sweep-fidelity", "--config", "CONFIG", "--out", "out", "--input", "diagonal"],
+         "argument --input: invalid choice: 'diagonal'"),
+        # flags are spelled in full: argparse used to read --conf as --config
+        (["run", "--conf", "CONFIG", "--out", "out"], "unrecognized arguments: --conf"),
+    ],
+    ids=["no_command", "frobnicate", "stray", "seed_last", "out_then_flag", "seed_x", "format_xml", "input_diagonal",
+         "conf"],
+)
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    config = make_config(tmp_path, full_config())
+    assert main([config if token == "CONFIG" else token for token in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{USAGE}entconv: error: {message}")
+    assert err.count("\n") == USAGE.count("\n") + 1   # one error line, no traceback
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_flags_take_the_spellings_argparse_took(tmp_path):
+    config = make_config(tmp_path, full_config())
+    out = tmp_path / "run.json"
+
+    def run(*flags):
+        assert main(["run", "--config", config, *flags]) == 0
+        return out.read_bytes()
+
+    five = run("--seed", "5", "--out", str(out))
+    assert run(f"--out={out}", "--seed=5") == five
+    assert run("--out", str(out), "--seed", "1", "--seed", "5") == five   # the last value wins
+    assert run("--out", str(out), "--seed", " +0_5 ") == five   # int() reads what argparse's type=int read
+    assert run("--out", str(out), "--seed", "1") != five
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "--help"], ["sweep-fidelity", "--config", "x", "-h"]],
+                         ids=["h", "help", "run_help", "sweep_h"])
+def test_help_prints_the_usage_text(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (USAGE, "")
+
+
+def test_readme_cli_block_is_the_usage_text():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    assert [line.strip() for line in block.splitlines()] == \
+        [line.removeprefix("usage:").strip() for line in USAGE.splitlines()]
 
 
 def test_json_format_flag(tmp_path):

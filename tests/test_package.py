@@ -1,9 +1,11 @@
 """The runtime package stands alone: it imports nothing from the test tree, the
 spin-register primitives live only in the test oracle, and amplitude rows are
 the only state type.  Importing the CLI leaves ``numpy.random`` to the
-commands that draw."""
+commands that draw, and a command line is read without an argument parser
+library."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -50,10 +52,26 @@ def test_state_wrappers_are_gone():
         assert [name for name in STATE_WRAPPERS if hasattr(module, name)] == [], module.__name__
 
 
-def test_importing_the_cli_leaves_numpy_random_unimported():
-    # only run and montecarlo draw; every other command would pay 13–18 ms for the import
+def _fresh_interpreter(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports this entconv."""
     src = str(Path(entconv.__file__).resolve().parent.parent)
-    code = "import sys, entconv.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # only run and montecarlo draw; every other command would pay 13–18 ms for the import
+    code = "import sys, entconv.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_commands_load_no_argument_parser(tmp_path):
+    # argparse's first message lookup imported gettext and locale: ~8 ms of every call
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"sweep": {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0], "steps": 2}}))
+    code = ("import os, sys; from entconv.cli import main; "
+            "codes = (main(['success-table', '--n', '3', '--rounds', '2', '--out', os.devnull]), "
+            f"main(['sweep-fidelity', '--config', {str(config)!r}, '--out', os.devnull])); "
+            "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    assert _fresh_interpreter(code) == "(0, 0) []"
