@@ -9,21 +9,21 @@ multiply per-gate fidelities over the gate count of each conversion scenario,
 quoted under both recovery re-entry conventions.
 """
 
-from entconv.cnot import benchmark_report
-from entconv.protocols import composite_fidelity_report
+from entconv.cnot import BENCHMARK_TOLERANCE_PP, benchmark_report
+from entconv.protocols import COMPOSITE_GATE_FIDELITY, composite_fidelity_report
 
 
 def main() -> None:
-    print("reference-point gate fidelity (tolerance 0.5 pp)")
+    print(f"reference-point gate fidelity (tolerance {BENCHMARK_TOLERANCE_PP} pp)")
     print(f"{'convention':44s} {'fidelity':>10s} {'target':>7s} {'dev pp':>7s}  verdict")
     for key, row in sorted(benchmark_report().items()):
         verdict = "matched" if row["matched"] else "deviates"
         print(f"{key:44s} {row['fidelity']:10.6f} {row['target']:7.3f} {row['deviation_pp']:7.3f}  {verdict}")
 
     print()
-    print("composite products at per-gate fidelity 0.996")
+    print(f"composite products at per-gate fidelity {COMPOSITE_GATE_FIDELITY}")
     print(f"{'scenario':24s} {'gates(suffix/full)':>18s} {'suffix':>9s} {'full':>9s} {'reference':>10s}")
-    for row in composite_fidelity_report(0.996):
+    for row in composite_fidelity_report():
         gates = f"{row['suffix_gates']}/{row['full_gates']}"
         print(
             f"{row['label']:24s} {gates:>18s} {row['product_suffix']:9.4f} "

@@ -7,7 +7,6 @@ from .cnot import benchmark_report, fidelity_grid
 from .config import ConfigError, OutputSpec, RunConfig, SweepGrid, config_from_dict, config_to_dict, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
 from .protocols import (
-    MonteCarloResult,
     ProtocolRun,
     ProtocolSpec,
     StateClass,

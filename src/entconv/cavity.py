@@ -44,11 +44,11 @@ class CavityParams:
             raise ValueError("g must be nonnegative")
 
     @classmethod
-    def from_ratios(cls, g_over_kappa: float, g_over_gamma: float, g: float = 1.0) -> "CavityParams":
-        """Resonant parameter set realizing the given coupling ratios (arrays give a grid)."""
+    def from_ratios(cls, g_over_kappa: float, g_over_gamma: float) -> "CavityParams":
+        """Resonant parameter set at g = 1 realizing the given coupling ratios (arrays give a grid)."""
         if np.any(np.less_equal(g_over_kappa, 0)) or np.any(np.less_equal(g_over_gamma, 0)):
             raise ValueError("coupling ratios must be positive")
-        return cls(g=g, kappa=g / g_over_kappa, gamma=g / g_over_gamma)
+        return cls(g=1.0, kappa=1.0 / g_over_kappa, gamma=1.0 / g_over_gamma)
 
 
 def _quotient(a, b, c, d) -> np.ndarray:

@@ -147,11 +147,11 @@ def cmd_montecarlo(config: RunConfig, flags: dict) -> int:
     trials = config.trials
     _check_jobs(flags)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    result = monte_carlo(spec, trials, rng)
+    counts = monte_carlo(spec, trials, rng)
     header = ["outcome_class", "iterations", "count", "frequency"]
     rows = [
         [cls, iters, count, count / trials]
-        for (cls, iters), count in sorted(result.counts.items())
+        for (cls, iters), count in sorted(counts.items())
     ]
     _emit_table(config, header, rows)
     return 0

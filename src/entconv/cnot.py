@@ -25,6 +25,7 @@ BENCHMARK_KAPPA = 26.0
 BENCHMARK_GAMMA_TOTAL = 0.013
 BENCHMARK_GAMMA_ZPL = 0.0004
 TARGET_FIDELITY = {"plus": 0.996, "minus": 0.995}
+BENCHMARK_TOLERANCE_PP = 0.5   # largest deviation from a target, in percentage points, that matches it
 
 
 # K[c, (s, a, t)] = f[c, u] f[b, v] @ this over (u, b, v), f the bounce factors
@@ -92,13 +93,13 @@ def fidelity_grid(gk_values, gg_values, input_mode: str = "uniform") -> np.ndarr
     return _fidelities(params, _input_rows(input_mode)).mean(axis=-1)
 
 
-def benchmark_report(tolerance_pp: float = 0.5) -> dict[str, dict]:
+def benchmark_report() -> dict[str, dict]:
     """Gate fidelity at the reference parameter set, all convention combinations.
 
     The decay rate is evaluated in both readings and the fidelity under both
     input conventions; each entry records the deviation from the target
     fidelities (99.6% plus / 99.5% minus) in percentage points and whether it
-    falls within ``tolerance_pp``.
+    falls within ``BENCHMARK_TOLERANCE_PP``.
     """
     report = {}
     for gamma_label, gamma in (("gamma_total", BENCHMARK_GAMMA_TOTAL), ("gamma_zpl", BENCHMARK_GAMMA_ZPL)):
@@ -116,6 +117,6 @@ def benchmark_report(tolerance_pp: float = 0.5) -> dict[str, dict]:
                     "fidelity": fidelity,
                     "target": target,
                     "deviation_pp": deviation_pp,
-                    "matched": deviation_pp <= tolerance_pp,
+                    "matched": deviation_pp <= BENCHMARK_TOLERANCE_PP,
                 }
     return report

@@ -146,12 +146,12 @@ def load_config(path: str | Path | None, flags: dict | None = None) -> RunConfig
     data = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as err:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config: {err}") from err
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:   # ValueError also for an integer past int()'s digit limit
             raise ConfigError(f"malformed config JSON: {err}") from err
     for field_path, value in (flags or {}).items():
         if value is not None:

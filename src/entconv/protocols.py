@@ -40,6 +40,9 @@ MAX_ITERATIONS = 1000
 
 _RECOVERY_PREFIX = (("hwp", 2), ("qwp", 2), ("cnot", 2, 1))
 
+_CLASSIFY_TOL = 1e-9              # support and equal-weight tolerance of classify_state
+COMPOSITE_GATE_FIDELITY = 0.996   # the per-gate fidelity the paper's conversion fidelities are products of
+
 
 def _default_params() -> CavityParams:
     return CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=BENCHMARK_GAMMA_TOTAL)
@@ -86,12 +89,10 @@ class ProtocolRun:
 
 @dataclass(frozen=True)
 class SuccessSeries:
-    """Closed-form per-round and cumulative success probabilities."""
+    """Closed-form per-round success probabilities and their limit over unbounded rounds."""
 
-    n_photons: int
     outcome_class: str
     per_round: tuple[float, ...]
-    cumulative: float
     limit: float
 
 
@@ -105,7 +106,6 @@ class StateClass:
     """
 
     kind: str                          # "W" | "W_flipped" | "Dicke" | "GHZ_like" | "other"
-    n_photons: int
     l_excitations: int | None = None
     r_excitations: int | None = None
 
@@ -252,32 +252,32 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     return outcome, rounds, final, survival, history
 
 
-def classify_state(amps: np.ndarray, tol: float = 1e-9) -> StateClass:
+def classify_state(amps: np.ndarray) -> StateClass:
     """Classify a normalized amplitude row by its basis support pattern."""
     n = row_photons(amps)
-    support = np.flatnonzero(np.abs(amps) > tol)
+    support = np.flatnonzero(np.abs(amps) > _CLASSIFY_TOL)
     if support.size == 0:
-        return StateClass("other", n)
+        return StateClass("other")
     mags = np.abs(amps[support])
-    equal_mags = bool(np.all(np.abs(mags - 1.0 / math.sqrt(support.size)) <= tol))
+    equal_mags = bool(np.all(np.abs(mags - 1.0 / math.sqrt(support.size)) <= _CLASSIFY_TOL))
     l_counts = np.array([bin(int(i)).count("1") for i in support])
-    phases_uniform = bool(np.all(np.abs(amps[support] / amps[support[0]] - 1.0) <= tol))
+    phases_uniform = bool(np.all(np.abs(amps[support] / amps[support[0]] - 1.0) <= _CLASSIFY_TOL))
     if equal_mags and np.all(l_counts == l_counts[0]):
         c = int(l_counts[0])
         if support.size == math.comb(n, c):
             if c == 1 and phases_uniform:
-                return StateClass("W", n, l_excitations=1, r_excitations=n - 1)
+                return StateClass("W", l_excitations=1, r_excitations=n - 1)
             if c == n - 1 and phases_uniform:
-                return StateClass("W_flipped", n, l_excitations=n - 1, r_excitations=1)
+                return StateClass("W_flipped", l_excitations=n - 1, r_excitations=1)
             if 2 <= c <= n - 2:
-                return StateClass("Dicke", n, l_excitations=c, r_excitations=n - c)
+                return StateClass("Dicke", l_excitations=c, r_excitations=n - c)
     if support.size == 2 and equal_mags and (int(support[0]) ^ int(support[1])) == len(amps) - 1:
-        return StateClass("GHZ_like", n)
-    return StateClass("other", n)
+        return StateClass("GHZ_like")
+    return StateClass("other")
 
 
 def success_series(n_photons: int, rounds: int) -> list[SuccessSeries]:
-    """Closed-form conversion probabilities per round, with cumulative sums and limits."""
+    """Closed-form conversion probabilities per round, with their limits."""
     _check_photons(n_photons)
     if not 1 <= rounds <= MAX_ITERATIONS:
         raise ValueError(f"rounds must be between 1 and {MAX_ITERATIONS}")
@@ -291,26 +291,9 @@ def success_series(n_photons: int, rounds: int) -> list[SuccessSeries]:
             ("Dicke", [Fraction(10, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(2, 3)),
         ]
     return [
-        SuccessSeries(n_photons, label, tuple(float(p) for p in per), float(sum(per)), float(lim))
+        SuccessSeries(label, tuple(float(p) for p in per), float(lim))
         for label, per, lim in raw
     ]
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    """Outcome frequencies of a seeded trial ensemble."""
-
-    trials: int
-    counts: dict[tuple[str, int], int]   # (outcome_class, iterations_used) -> count
-
-    def class_counts(self) -> dict[str, int]:
-        totals: Counter = Counter()
-        for (cls, _), c in self.counts.items():
-            totals[cls] += c
-        return dict(totals)
-
-    def class_frequency(self, outcome_class: str) -> float:
-        return self.class_counts().get(outcome_class, 0) / self.trials
 
 
 def _ideal_gate_table(spec: ProtocolSpec):
@@ -362,8 +345,8 @@ def ideal_tags(n_photons: int) -> frozenset[int]:
     return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[:, 0]))
 
 
-def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> MonteCarloResult:
-    """Empirical outcome frequencies over seeded trials.
+def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> dict[tuple[str, int], int]:
+    """Trial counts by (outcome class, rounds used) over seeded trials; only cells with a trial appear.
 
     Ideal-gate ensembles, with either readout, draw all trials at once from
     one multinomial over the exact (class, round) probabilities of
@@ -378,12 +361,12 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> Mo
     if spec.gate_mode == "ideal":
         cells = _ideal_gate_table(spec)
         counts = rng.multinomial(trials, list(cells.values()))
-        return MonteCarloResult(trials, {cell: int(c) for cell, c in zip(cells, counts) if c})
+        return {cell: int(c) for cell, c in zip(cells, counts) if c}
     tally: Counter = Counter()
     for start in range(0, trials, _MC_CHUNK):
         outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), rng)
         tally.update(zip(outcome.tolist(), rounds.tolist()))
-    return MonteCarloResult(trials, dict(tally))
+    return dict(tally)
 
 
 def fidelity_vs_ideal(spec: ProtocolSpec, run: ProtocolRun) -> float | None:
@@ -405,8 +388,8 @@ def _cnot_count(elements) -> int:
     return sum(el[0] == "cnot" for el in elements)
 
 
-def composite_fidelity_report(gate_fidelity: float = 0.996) -> list[dict]:
-    """Products of per-gate fidelities for each conversion scenario.
+def composite_fidelity_report() -> list[dict]:
+    """Products of the per-gate fidelity COMPOSITE_GATE_FIDELITY for each conversion scenario.
 
     Iterated rounds are counted under both re-entry conventions: suffix
     re-entry (recovery gate plus the tagging suffix, what ``run_protocol``
@@ -427,5 +410,6 @@ def composite_fidelity_report(gate_fidelity: float = 0.996) -> list[dict]:
         suffix = first + (rounds - 1) * retry
         full = first + (rounds - 1) * (_cnot_count(_RECOVERY_PREFIX) + first)
         rows.append({"label": label, "suffix_gates": suffix, "full_gates": full, "reference": reference,
-                     "product_suffix": gate_fidelity ** suffix, "product_full": gate_fidelity ** full})
+                     "product_suffix": COMPOSITE_GATE_FIDELITY ** suffix,
+                     "product_full": COMPOSITE_GATE_FIDELITY ** full})
     return rows

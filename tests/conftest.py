@@ -41,6 +41,11 @@ def uniform_vector(n_photons: int, terms: list[str]) -> np.ndarray:
     return expected_vector(n_photons, {t: amp for t in terms})
 
 
+def class_frequency(counts: dict, outcome_class: str, trials: int) -> float:
+    """Share of ``trials`` that a ``monte_carlo`` count table books under ``outcome_class``, in any round."""
+    return sum(c for (cls, _), c in counts.items() if cls == outcome_class) / trials
+
+
 def tag_split(row):
     """Unnormalized branch and weight of every tag an amplitude row holds, split as the ideal-gate table splits rows."""
     branches = _tag_branches(row)

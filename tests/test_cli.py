@@ -575,6 +575,20 @@ def test_malformed_config_exits_two(tmp_path):
     assert main(["run", "--config", str(path), "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("document", [
+    b'{"seed": 1, "protocol": {"n_photons": 3}}\xff',   # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,                      # nested past the parser's stack
+    b'{"seed": 1' + b"0" * 5000 + b"}",                   # an integer past int()'s digit limit
+], ids=["invalid_utf8", "deep_array", "5000_digit_int"])
+def test_undecodable_config_exits_two(tmp_path, capsys, document):
+    path = tmp_path / "config.json"
+    path.write_bytes(document)
+    assert main(["run", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_montecarlo_output_independent_of_jobs(tmp_path):
     cfg = {
         "protocol": {"n_photons": 3, "max_iterations": 4, "homodyne_mode": "gaussian"},

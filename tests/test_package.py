@@ -5,8 +5,10 @@ commands that draw, and a command line is read without an argument parser
 library."""
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import entconv
 from entconv import cavity, cnot, optics, qstate
 
 TEST_TREE = {"tests", "conftest", "oracle"}
+MODULES = ("qstate", "cavity", "optics", "cnot", "kerr", "protocols", "config", "cli")
 MOVED = (
     "SPIN", "Site", "MeasurementRecord", "measure_site", "measure_spin", "attach_spin", "discard_spin",
     "apply_single_qubit", "apply_controlled", "qwp", "hwp", "spin_hadamard", "cnot_ideal", "SpinPhotonMap",
@@ -75,3 +78,29 @@ def test_commands_load_no_argument_parser(tmp_path):
             f"main(['sweep-fidelity', '--config', {str(config)!r}, '--out', os.devnull])); "
             "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
     assert _fresh_interpreter(code) == "(0, 0) []"
+
+
+def _readme_dotted_names(readme: Path):
+    """``(owner, name)`` of every inline code span in ``readme`` that begins ``owner.name``."""
+    text = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
+    for span in re.findall(r"`([^`]+)`", text):
+        match = re.match(r"(\w+)\.(\w+)", span)
+        if match:
+            yield match.groups()
+
+
+def test_readme_api_names_resolve():
+    # every `module.name` of the package's modules, and every `Name.attr` of a name
+    # the package exports, is one a reader can call today
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    owners = {name: importlib.import_module(f"entconv.{name}") for name in MODULES}
+    owners.update((name, getattr(entconv, name)) for name in dir(entconv) if isinstance(getattr(entconv, name), type))
+    checked, missing = 0, []
+    for owner, name in sorted(set(_readme_dotted_names(readme))):
+        if owner in owners:
+            checked += 1
+            obj = owners[owner]
+            if not (hasattr(obj, name) or name in getattr(obj, "__dataclass_fields__", {})):
+                missing.append(f"{owner}.{name}")
+    assert checked
+    assert missing == []

@@ -22,6 +22,7 @@ from entconv.protocols import (
     recovery_sequence,
     run_protocol,
     success_series,
+    _MC_CHUNK,
     _ideal_gate_table,
     _run_gates,
     _run_rounds,
@@ -29,7 +30,7 @@ from entconv.protocols import (
 from entconv.optics import CNOT
 from entconv.qstate import ket
 
-from conftest import expected_vector, tag_split, uniform_vector
+from conftest import class_frequency, expected_vector, tag_split, uniform_vector
 from oracle import IDEAL_BOUNCE
 
 # hand-expanded pre-tag term lists for the three circuits
@@ -248,24 +249,24 @@ def test_classify_ghz_like_and_other():
 def test_success_series_three_photons():
     (series,) = success_series(3, 4)
     assert series.per_round == (0.75, 0.1875, 0.046875, 0.01171875)
-    assert series.cumulative == 255 / 256
+    assert sum(series.per_round) == 255 / 256
     assert series.limit == 1.0
 
 
 def test_success_series_four_photons():
     (series,) = success_series(4, 3)
     assert series.per_round == (1.0, 0.0, 0.0)
-    assert series.cumulative == 1.0
+    assert sum(series.per_round) == 1.0
 
 
 def test_success_series_five_photons():
     w, dicke = success_series(5, 8)
     assert w.per_round[0] == 5 / 16 and dicke.per_round[0] == 10 / 16
-    assert w.cumulative == pytest.approx((1 - 16.0**-8) / 3, abs=1e-15)
-    assert dicke.cumulative == pytest.approx(2 * (1 - 16.0**-8) / 3, abs=1e-15)
+    assert sum(w.per_round) == pytest.approx((1 - 16.0**-8) / 3, abs=1e-15)
+    assert sum(dicke.per_round) == pytest.approx(2 * (1 - 16.0**-8) / 3, abs=1e-15)
     assert w.limit == pytest.approx(1 / 3, abs=1e-15)
     assert dicke.limit == pytest.approx(2 / 3, abs=1e-15)
-    assert w.cumulative + dicke.cumulative <= 1 + 1e-12
+    assert sum(w.per_round) + sum(dicke.per_round) <= 1 + 1e-12
 
 
 def test_success_series_bad_input():
@@ -306,22 +307,22 @@ def test_ideal_tags(n, tags):
 
 def test_monte_carlo_three_photons_one_round():
     rng = np.random.default_rng(np.random.SeedSequence(101))
-    res = monte_carlo(ProtocolSpec(n_photons=3, max_iterations=1), 100000, rng)
-    assert abs(res.class_frequency("W") - 0.75) <= _three_sigma(0.75, 100000)
+    counts = monte_carlo(ProtocolSpec(n_photons=3, max_iterations=1), 100000, rng)
+    assert abs(class_frequency(counts, "W", 100000) - 0.75) <= _three_sigma(0.75, 100000)
 
 
 def test_monte_carlo_four_photons_always_succeeds():
     rng = np.random.default_rng(np.random.SeedSequence(102))
-    res = monte_carlo(ProtocolSpec(n_photons=4), 50000, rng)
-    assert res.class_frequency("W") == 1.0
-    assert res.counts == {("W", 1): 50000}
+    counts = monte_carlo(ProtocolSpec(n_photons=4), 50000, rng)
+    assert class_frequency(counts, "W", 50000) == 1.0
+    assert counts == {("W", 1): 50000}
 
 
 def test_monte_carlo_five_photons_limits():
     rng = np.random.default_rng(np.random.SeedSequence(103))
-    res = monte_carlo(ProtocolSpec(n_photons=5, max_iterations=8), 200000, rng)
-    assert abs(res.class_frequency("W") - 1 / 3) <= _three_sigma(1 / 3, 200000)
-    assert abs(res.class_frequency("Dicke") - 2 / 3) <= _three_sigma(2 / 3, 200000)
+    counts = monte_carlo(ProtocolSpec(n_photons=5, max_iterations=8), 200000, rng)
+    assert abs(class_frequency(counts, "W", 200000) - 1 / 3) <= _three_sigma(1 / 3, 200000)
+    assert abs(class_frequency(counts, "Dicke", 200000) - 2 / 3) <= _three_sigma(2 / 3, 200000)
 
 
 def test_batched_ideal_trajectories_agree_with_table():
@@ -366,7 +367,7 @@ def _two_sample_bound(trials: int, share: float) -> float:
 def test_batched_ensemble_matches_single_runs(spec):
     # ideal-gate ensembles draw from the exact table, realistic ones sample batched trajectories
     trials = 3000
-    batched = monte_carlo(spec, trials, np.random.default_rng(np.random.SeedSequence(21))).counts
+    batched = monte_carlo(spec, trials, np.random.default_rng(np.random.SeedSequence(21)))
     rng = np.random.default_rng(np.random.SeedSequence(22))
     single: dict = {}
     for _ in range(trials):
@@ -449,15 +450,40 @@ def test_gaussian_readout_is_continuous_in_leaked_weight(n):
 
 def test_monte_carlo_gaussian_mode_runs():
     spec = ProtocolSpec(n_photons=3, max_iterations=4, homodyne_mode="gaussian")
-    res = monte_carlo(spec, 2000, np.random.default_rng(np.random.SeedSequence(8)))
-    assert abs(res.class_frequency("W") - 255 / 256) <= _three_sigma(255 / 256, 2000) + 1e-4
+    counts = monte_carlo(spec, 2000, np.random.default_rng(np.random.SeedSequence(8)))
+    assert abs(class_frequency(counts, "W", 2000) - 255 / 256) <= _three_sigma(255 / 256, 2000) + 1e-4
+
+
+# the outcome classes each photon number can declare in any round; failed_max_iter books the last round only
+_DECLARED = {3: {"W"}, 5: {"W", "Dicke"}}
+
+
+@pytest.mark.parametrize("trials", [1, _MC_CHUNK, _MC_CHUNK + 1])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProtocolSpec(n_photons=5, max_iterations=8),
+        ProtocolSpec(n_photons=5, max_iterations=8, homodyne_mode="gaussian", theta=THETA_LOW, alpha=ALPHA_LOW),
+        ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK),
+    ],
+    ids=["ideal_table", "gaussian_table", "realistic_sampler"],
+)
+def test_monte_carlo_counts_every_trial_once(spec, trials):
+    counts = monte_carlo(spec, trials, np.random.default_rng(np.random.SeedSequence(28)))
+    assert sum(counts.values()) == trials
+    for (cls, rounds), count in counts.items():
+        assert type(count) is int and count > 0, (cls, rounds, count)
+        if cls == "failed_max_iter":
+            assert rounds == spec.max_iterations
+        else:
+            assert cls in _DECLARED[spec.n_photons] and 1 <= rounds <= spec.max_iterations, (cls, rounds)
 
 
 def test_monte_carlo_reproducible():
     spec = ProtocolSpec(n_photons=5, max_iterations=8)
     a = monte_carlo(spec, 30000, np.random.default_rng(np.random.SeedSequence(99)))
     b = monte_carlo(spec, 30000, np.random.default_rng(np.random.SeedSequence(99)))
-    assert a.counts == b.counts
+    assert a == b
 
 
 def test_realistic_run_records_loss():
@@ -510,7 +536,7 @@ def test_fidelity_vs_ideal_needs_a_realistic_run_on_ideal_branches():
 
 
 def test_composite_fidelity_products():
-    rows = {r["label"]: r for r in composite_fidelity_report(0.996)}
+    rows = {r["label"]: r for r in composite_fidelity_report()}
     assert rows["three_photon_round1"]["product_full"] == pytest.approx(0.992, abs=1e-3)
     assert rows["four_photon"]["product_full"] == pytest.approx(0.984, abs=1e-3)
     assert rows["three_photon_rounds4"]["product_full"] == pytest.approx(0.957, abs=1e-3)
