@@ -4,7 +4,7 @@ gates and probe-phase homodyne readout."""
 
 from .cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from .cnot import benchmark_report, fidelity_grid
-from .config import ConfigError, OutputSpec, RunConfig, SweepGrid, config_from_dict, config_to_dict, load_config
+from .config import ConfigError, config_from_dict, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances
 from .protocols import (
     ProtocolRun,

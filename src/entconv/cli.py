@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnot import fidelity_grid
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, quadrature_mean
 from .protocols import (
     PROBE_ALPHA,
@@ -68,22 +68,22 @@ def _rows_as_json(header: list[str], rows: list[list]) -> str:
     return _json_text([dict(zip(header, row)) for row in rows])
 
 
-def _emit_table(config: RunConfig, header: list[str], rows: list[list]) -> None:
-    fmt = config.output.format or "csv"
-    text = _csv(header, rows) if fmt == "csv" else _rows_as_json(header, rows)
-    _write_text(config.output.path, text)
+def _emit_table(config: dict, header: list[str], rows: list[list]) -> None:
+    output = config.get("output") or {}
+    text = _csv(header, rows) if output.get("format", "csv") == "csv" else _rows_as_json(header, rows)
+    _write_text(output.get("path"), text)
 
 
-def _require_protocol(config: RunConfig) -> ProtocolSpec:
-    if config.protocol is None:
+def _require_protocol(config: dict) -> ProtocolSpec:
+    if config.get("protocol") is None:
         raise ConfigError("a config with a protocol section is required for this command")
-    return config.protocol
+    return config["protocol"]
 
 
-def _require_seed(config: RunConfig) -> int:
-    if config.seed is None:
+def _require_seed(config: dict) -> int:
+    if config.get("seed") is None:
         raise ConfigError("seed required for any stochastic run")
-    return config.seed
+    return config["seed"]
 
 
 def _check_jobs(flags: dict) -> None:
@@ -98,7 +98,7 @@ def _state_terms(amps) -> list[dict]:
             for i in np.flatnonzero(np.abs(amps) > 1e-12)]
 
 
-def cmd_run(config: RunConfig, flags: dict) -> int:
+def cmd_run(config: dict, flags: dict) -> int:
     spec = _require_protocol(config)
     seed = _require_seed(config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -124,8 +124,9 @@ def cmd_run(config: RunConfig, flags: dict) -> int:
         },
         "final_state": _state_terms(run.final_state),
     }
-    if config.output.format in (None, "json"):
-        _write_text(config.output.path, _json_text(report))
+    output = config.get("output") or {}
+    if output.get("format", "json") == "json":
+        _write_text(output.get("path"), _json_text(report))
     else:
         header = ["key", "value"]
         rows = []
@@ -141,10 +142,10 @@ def cmd_run(config: RunConfig, flags: dict) -> int:
     return 0
 
 
-def cmd_montecarlo(config: RunConfig, flags: dict) -> int:
+def cmd_montecarlo(config: dict, flags: dict) -> int:
     spec = _require_protocol(config)
     seed = _require_seed(config)
-    trials = config.trials
+    trials = config.get("trials", 1)
     _check_jobs(flags)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = monte_carlo(spec, trials, rng)
@@ -157,12 +158,12 @@ def cmd_montecarlo(config: RunConfig, flags: dict) -> int:
     return 0
 
 
-def cmd_sweep_fidelity(config: RunConfig, flags: dict) -> int:
-    if config.sweep is None:
+def cmd_sweep_fidelity(config: dict, flags: dict) -> int:
+    grid = config.get("sweep")
+    if grid is None:
         raise ConfigError("sweep-fidelity needs a sweep grid in the config")
-    grid = config.sweep
-    gks = [float(x) for x in np.linspace(*grid.g_over_kappa, grid.steps)]
-    ggs = [float(x) for x in np.linspace(*grid.g_over_gamma, grid.steps)]
+    gks = [float(x) for x in np.linspace(*grid["g_over_kappa"], grid["steps"])]
+    ggs = [float(x) for x in np.linspace(*grid["g_over_gamma"], grid["steps"])]
     _check_jobs(flags)
     fidelities = fidelity_grid(gks, ggs, flags.get("input", "uniform").replace("-", "_")).reshape(-1).tolist()
     cells = itertools.product(gks, ggs, ("plus", "minus"))   # the grid's axis order
@@ -171,9 +172,10 @@ def cmd_sweep_fidelity(config: RunConfig, flags: dict) -> int:
     return 0
 
 
-def cmd_homodyne_curves(config: RunConfig, flags: dict) -> int:
-    alpha = config.protocol.alpha if config.protocol is not None else PROBE_ALPHA
-    theta = config.protocol.theta if config.protocol is not None else PROBE_THETA
+def cmd_homodyne_curves(config: dict, flags: dict) -> int:
+    spec = config.get("protocol")
+    alpha = spec.alpha if spec is not None else PROBE_ALPHA
+    theta = spec.theta if spec is not None else PROBE_THETA
     model = HomodyneModel.for_tags(alpha, theta, CURVE_TAGS)   # rejects overflowing or coinciding means
     lo = quadrature_mean(alpha, theta, model.tags[0]) - CURVE_MARGIN
     hi = quadrature_mean(alpha, theta, model.tags[-1]) + CURVE_MARGIN
@@ -195,7 +197,7 @@ def cmd_homodyne_curves(config: RunConfig, flags: dict) -> int:
     return 0
 
 
-def cmd_success_table(config: RunConfig, flags: dict) -> int:
+def cmd_success_table(config: dict, flags: dict) -> int:
     spec = _require_protocol(config)
     n = spec.n_photons
     table = success_series(n, spec.max_iterations)

@@ -109,7 +109,7 @@ def benchmark_report() -> dict[str, dict]:
             for outcome, label in enumerate(("plus", "minus")):
                 fidelity = float(fidelities[outcome])
                 target = TARGET_FIDELITY[label]
-                deviation_pp = abs(fidelity - target) * 100.0
+                deviation_pp = abs(fidelity * 100.0 - target * 100.0)   # 1.0 against 0.995 is exactly 0.5 in points
                 report[f"{gamma_label}:{input_mode}:{label}"] = {
                     "gamma": gamma,
                     "input_mode": input_mode,

@@ -1,4 +1,4 @@
-"""Run configuration for the CLI: one check against the schema, then the dataclasses.
+"""Run configuration for the CLI: one check against the schema, and the document is the configuration.
 
 ``config_schema.json`` next to this module is the one statement of what a
 document may hold, with units.  ``load_config`` writes the command-line flags
@@ -6,7 +6,8 @@ over the fields they set (``--seed`` over ``seed``, ``--out`` over
 ``output.path``, ...) and checks the result once against the schema, with
 JSON's numbers: a boolean is not a number, an integer-valued float is an
 integer, NaN and infinities are not numbers, and an integer of any size meets
-the bounds exactly.  ``config_from_dict`` then only builds the dataclasses.
+the bounds exactly.  ``config_from_dict`` returns the checked document with its
+protocol section, when present and not null, as a ``ProtocolSpec``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .cavity import CavityParams
@@ -24,28 +24,6 @@ from .protocols import ProtocolSpec
 
 class ConfigError(ValueError):
     """Invalid or missing configuration input (CLI exit code 2)."""
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    g_over_kappa: tuple[float, float]
-    g_over_gamma: tuple[float, float]
-    steps: int
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    path: str | None = None
-    format: str | None = None   # None: command default (json for run, csv for tables)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    protocol: ProtocolSpec | None = None
-    sweep: SweepGrid | None = None
-    trials: int = 1
-    seed: int | None = None
-    output: OutputSpec = field(default_factory=OutputSpec)
 
 
 _TYPE_NAMES = {"object": "an object", "array": "an array", "string": "a string", "integer": "an integer",
@@ -107,27 +85,15 @@ def _schema() -> dict:
     return json.loads(schema_path().read_text())
 
 
-def config_from_dict(data) -> RunConfig:
+def config_from_dict(data) -> dict:
+    """The document as the schema accepts it, its protocol section (when not null) a ``ProtocolSpec``."""
     data = _checked(_schema(), data)
     protocol = data.get("protocol")
     if protocol is not None:
         if "params" in protocol:
             protocol = {**protocol, "params": CavityParams(**protocol["params"])}
-        protocol = ProtocolSpec(**protocol)
-    sweep = data.get("sweep")
-    if sweep is not None:
-        sweep = SweepGrid(tuple(sweep["g_over_kappa"]), tuple(sweep["g_over_gamma"]), sweep["steps"])
-    output = OutputSpec(**(data.get("output") or {}))
-    counts = {name: data[name] for name in ("trials", "seed") if name in data}
-    return RunConfig(protocol=protocol, sweep=sweep, output=output, **counts)
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    """The config as a document that ``config_from_dict`` reads back; an unset output format is left out."""
-    out = json.loads(json.dumps(asdict(config)))   # tuples become lists, as in a JSON document
-    if config.output.format is None:
-        del out["output"]["format"]
-    return out
+        data["protocol"] = ProtocolSpec(**protocol)
+    return data
 
 
 def _write_field(data, field_path: str, value) -> None:
@@ -141,7 +107,7 @@ def _write_field(data, field_path: str, value) -> None:
         data[name] = value
 
 
-def load_config(path: str | Path | None, flags: dict | None = None) -> RunConfig:
+def load_config(path: str | Path | None, flags: dict | None = None) -> dict:
     """The document at ``path`` (empty for None), each non-None flag written over its dotted field, checked once."""
     data = {}
     if path is not None:

@@ -18,7 +18,6 @@ from entconv.cli import USAGE, main
 from entconv.config import (
     ConfigError,
     config_from_dict,
-    config_to_dict,
     load_config,
     schema_path,
 )
@@ -57,12 +56,6 @@ def read_rows(path):
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
-
-
-def test_config_round_trip():
-    config = config_from_dict(full_config())
-    again = config_from_dict(config_to_dict(config))
-    assert again == config
 
 
 def test_config_examples_validate_against_schema():
@@ -225,7 +218,7 @@ def test_sweep_at_vanishing_kappa_prices_the_gate_as_a_run_does(tmp_path):
     doc = {"protocol": _REALISTIC, "sweep": {**GRID, "g_over_kappa": [1e300, 1e308]}, "seed": 1}
     out = tmp_path / "sweep.csv"
     assert main(["sweep-fidelity", "--config", make_config(tmp_path, doc), "--out", str(out)]) == 0
-    fidelities = [float(row["fidelity"]) for row in csv.DictReader(out.open())]
+    fidelities = [float(row["fidelity"]) for row in csv.DictReader(out.read_text().splitlines())]
     assert len(fidelities) == 8 and all(0.0 <= f <= 1.0 for f in fidelities)
     run = {"protocol": {**_REALISTIC, "params": {"g": 1.0, "kappa": 1e-308, "gamma": 2.0}}, "seed": 1}
     assert main(["run", "--config", make_config(tmp_path, run, "run.json"), "--out", str(tmp_path / "run.json")]) == 0
@@ -239,7 +232,7 @@ def test_integers_the_schema_accepts_reach_the_model_as_floats(tmp_path, capsys,
     # on as an int it made numpy's isfinite raise a TypeError traceback
     doc = {"protocol": {**_REALISTIC, "params": {**REAL_PARAMS, "g": g}}, "seed": 1}
     JsonValidator(json.loads(schema_path().read_text())).validate(doc)
-    assert config_from_dict(doc).protocol.params.g == float(g)
+    assert config_from_dict(doc)["protocol"].params.g == float(g)
     assert main(["run", "--config", make_config(tmp_path, doc), "--out", str(tmp_path / "out.json")]) == code
     assert "Traceback" not in capsys.readouterr().err
 
@@ -248,7 +241,7 @@ def test_counts_at_their_bounds_are_accepted(tmp_path):
     doc = {"protocol": {"n_photons": 3, "max_iterations": 1000}, "sweep": {**GRID, "steps": 200},
            "seed": 1, "trials": 2**63 - 1}
     JsonValidator(json.loads(schema_path().read_text())).validate(doc)
-    assert config_from_dict(doc).protocol.max_iterations == 1000
+    assert config_from_dict(doc)["protocol"].max_iterations == 1000
     assert main(["success-table", "--n", "3", "--rounds", "1000", "--out", str(tmp_path / "t.csv")]) == 0
     assert main(["success-table", "--n", "3", "--rounds", "1001", "--out", str(tmp_path / "t.csv")]) == 2
 
@@ -305,7 +298,7 @@ def test_run_realistic_fidelity_follows_the_runs_own_spins(tmp_path):
     out = tmp_path / "real.json"
     assert main(["run", "--config", make_config(tmp_path, {"protocol": protocol, "seed": 0}), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    spec = config_from_dict({"protocol": protocol}).protocol
+    spec = config_from_dict({"protocol": protocol})["protocol"]
     run = run_protocol(spec, rng=np.random.default_rng(np.random.SeedSequence(0)))
     assert 1 in run.spin_outcomes
     # the run's own final state against the ideal trajectory on its tags
@@ -330,6 +323,13 @@ def test_montecarlo_csv(tmp_path):
     header, rows = read_rows(out)
     assert header == ["outcome_class", "iterations", "count", "frequency"]
     assert rows == [["W", "1", "500", "1"]]
+
+
+def test_montecarlo_without_trials_runs_one_trial(tmp_path):
+    config = make_config(tmp_path, {"protocol": {"n_photons": 4}, "seed": 11})
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--config", config, "--out", str(out)]) == 0
+    assert read_rows(out)[1] == [["W", "1", "1", "1"]]
 
 
 def test_montecarlo_byte_identical(tmp_path):
@@ -646,8 +646,11 @@ def test_flag_a_command_would_ignore_is_rejected(tmp_path, capsys, command, flag
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
-# config documents built from the schema's field names: each field or section
-# is a valid value most of the time and anything else otherwise
+# config documents built from the schema's field names. With junk, each field or
+# section is a valid value most of the time and anything else otherwise, any
+# section may hold an unknown key, and counts reach one past their bounds.
+# Without it, every document is one the schema accepts and names each top-level
+# field, for a handler reads an absent field as it reads a null one.
 _OVERSIZED = st.one_of(
     st.integers(2**62, 2**64), st.integers(-(2**64), -(2**62)), st.sampled_from([10**400, -(10**400), 10**30]),
 )
@@ -656,44 +659,65 @@ _JUNK = st.one_of(
     st.text(max_size=3), st.lists(st.integers(0, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2), _OVERSIZED,
 )
-
-
-def _maybe(valid):
-    return st.integers(0, 9).flatmap(lambda i: _JUNK if i == 0 else valid)
-
-
-def _section(required, optional):
-    fields = st.fixed_dictionaries(
-        {name: _maybe(v) for name, v in required.items()},
-        optional={**{name: _maybe(v) for name, v in optional.items()}, "unknown": _JUNK},
-    )
-    return _maybe(fields)
-
-
 _POSITIVE = st.floats(1e-3, 30.0)
 _OFFSET = st.floats(-5.0, 5.0)
-_PARAMS = _section({"g": st.floats(0.0, 10.0), "kappa": _POSITIVE, "gamma": _POSITIVE},
-                   {"omega_c": _OFFSET, "omega_0": _OFFSET, "omega_p": _OFFSET})
-_PROTOCOL = _section({"n_photons": st.sampled_from([3, 4, 5])}, {
-    "max_iterations": st.one_of(st.integers(1, 8), st.sampled_from([1000, 1001])),
-    "gate_mode": st.sampled_from(["ideal", "realistic"]),
-    "homodyne_mode": st.sampled_from(["ideal", "gaussian"]),
-    "theta": st.floats(1e-3, 3.0),
-    "alpha": st.one_of(st.floats(0.0, 200.0), st.sampled_from([1e308, 8e307])),
-    "standardize_flipped": st.booleans(),
-    "params": _PARAMS,
-})
-_RANGE = st.lists(_maybe(_POSITIVE), min_size=2, max_size=2)
-_SWEEP = _section({"g_over_kappa": _RANGE, "g_over_gamma": _RANGE,
-                   "steps": st.one_of(st.integers(2, 5), st.sampled_from([200, 201]))}, {})
-_OUTPUT = _section({}, {"path": st.one_of(st.none(), st.text(max_size=5)), "format": st.sampled_from(["csv", "json"])})
-_DOCUMENTS = _section({}, {
-    "protocol": st.one_of(st.none(), _PROTOCOL),
-    "sweep": st.one_of(st.none(), _SWEEP),
-    "trials": st.one_of(st.integers(1, 10**6), st.sampled_from([2**63 - 1, 2**63])),
-    "seed": _maybe(st.one_of(st.none(), st.integers(0, 2**32), st.integers(-(2**32), -1))),
-    "output": st.one_of(st.none(), _OUTPUT),
-})
+
+
+def _documents(junk: bool):
+    def maybe(valid):
+        return st.integers(0, 9).flatmap(lambda i: _JUNK if i == 0 else valid) if junk else valid
+
+    def edges(accepted, rejected):
+        return st.sampled_from(accepted + rejected if junk else accepted)
+
+    def section(required, optional):
+        fields = st.fixed_dictionaries(
+            {name: maybe(v) for name, v in required.items()},
+            optional={**{name: maybe(v) for name, v in optional.items()}, **({"unknown": _JUNK} if junk else {})},
+        )
+        return maybe(fields)
+
+    params = section({"g": st.floats(0.0, 10.0), "kappa": _POSITIVE, "gamma": _POSITIVE},
+                     {"omega_c": _OFFSET, "omega_0": _OFFSET, "omega_p": _OFFSET})
+    protocol = section({"n_photons": st.sampled_from([3, 4, 5])}, {
+        "max_iterations": st.one_of(st.integers(1, 8), edges([1000], [1001])),
+        "gate_mode": st.sampled_from(["ideal", "realistic"]),
+        "homodyne_mode": st.sampled_from(["ideal", "gaussian"]),
+        "theta": st.floats(1e-3, 3.0),
+        "alpha": st.one_of(st.floats(0.0, 200.0), st.sampled_from([1e308, 8e307])),
+        "standardize_flipped": st.booleans(),
+        "params": params,
+    })
+    axis = st.lists(maybe(_POSITIVE), min_size=2, max_size=2)
+    sweep = section({"g_over_kappa": axis, "g_over_gamma": axis,
+                     "steps": st.one_of(st.integers(2, 5), edges([200], [201]))}, {})
+    output = section({}, {"path": st.one_of(st.none(), st.text(max_size=5)), "format": st.sampled_from(["csv", "json"])})
+    seeds = [st.none(), st.integers(0, 2**32)] + ([st.integers(-(2**32), -1)] if junk else [])
+    fields = {
+        "protocol": st.one_of(st.none(), protocol),
+        "sweep": st.one_of(st.none(), sweep),
+        "trials": st.one_of(st.integers(1, 10**6), edges([2**63 - 1], [2**63])),
+        "seed": maybe(st.one_of(*seeds)),
+        "output": st.one_of(st.none(), output),
+    }
+    return section({}, fields) if junk else section(fields, {})
+
+
+_DOCUMENTS = _documents(junk=True)
+
+
+def _assert_defined_outcome(command, doc):
+    """``command`` on ``doc`` with ``--out`` exits 0, 2 or 3, prints no traceback and writes no NaN or infinity."""
+    # a directory per example: a function-scoped tmp_path would be shared by all of them
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", make_config(Path(tmp), doc), "--out", str(out)])
+        text = out.read_text().lower() if code == 0 else ""
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in text and "inf" not in text
 
 
 @settings(max_examples=200, deadline=None)
@@ -706,16 +730,12 @@ def test_config_contract_agrees_with_schema(doc):
     except ConfigError:
         config = None
     assert (config is not None) == schema.is_valid(doc)
-    if config is not None:
-        again = config_to_dict(config)
-        assert schema.is_valid(again) and config_from_dict(again) == config
-    # a directory per example: a function-scoped tmp_path would be shared by all of them
-    with tempfile.TemporaryDirectory() as tmp:
-        err = io.StringIO()
-        out = Path(tmp) / "out.csv"
-        with contextlib.redirect_stderr(err):
-            code = main(["homodyne-curves", "--config", make_config(Path(tmp), doc), "--out", str(out)])
-        text = out.read_text().lower() if code == 0 else ""
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    assert "nan" not in text and "inf" not in text
+    _assert_defined_outcome("homodyne-curves", doc)
+
+
+# montecarlo is left out: a realistic ensemble at the trials the schema accepts does not finish
+@pytest.mark.parametrize("command", ["run", "success-table", "sweep-fidelity"])
+@settings(max_examples=100, deadline=None)
+@given(doc=st.one_of(_DOCUMENTS, _documents(junk=False)))
+def test_every_document_ends_in_a_defined_outcome(command, doc):
+    _assert_defined_outcome(command, json.loads(json.dumps(doc)))

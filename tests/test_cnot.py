@@ -273,3 +273,10 @@ def test_benchmark_report_convention_outcomes():
     assert report["gamma_zpl:uniform:minus"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
     for row in report.values():
         assert 0.0 <= row["fidelity"] <= 1.0 + 1e-12
+
+
+def test_a_deviation_of_exactly_the_tolerance_matches():
+    # 1.0 against the 0.995 target is 0.5 points, not 0.5000000000000004
+    row = benchmark_report()["gamma_total:uniform:minus"]
+    assert row["deviation_pp"] == 0.5
+    assert row["matched"]
