@@ -11,7 +11,8 @@ few seeds, adds four-photon runs with ``standardize_flipped`` on, and adds
 ``sweep-fidelity``, ``success-table`` and ``homodyne-curves`` calls, one of
 them at a probe too strong for the curve grid.  Run it against two
 checkouts (``PYTHONPATH`` pointing at each one's ``src/``) and ``diff`` the
-outputs to see exactly which seeded outputs a change moves.
+outputs to see exactly which seeded outputs a change moves.  The tier-1
+suite compares ``lines`` with the committed ``results/contract_digest.txt``.
 """
 
 import contextlib
@@ -81,7 +82,13 @@ def other_calls():
     yield "homodyne-curves alpha=10000", ["homodyne-curves"], {"protocol": {"n_photons": 3, "alpha": 10000.0}}
 
 
+def lines(work: Path):
+    """Every line of the digest in order, each CLI call writing into ``work``."""
+    for label, argv, config in itertools.chain(protocol_calls(), other_calls()):
+        yield f"{digest(work, argv, config)} {label}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for label, argv, config in itertools.chain(protocol_calls(), other_calls()):
-            print(digest(Path(tmp), argv, config), label, flush=True)
+        for line in lines(Path(tmp)):
+            print(line, flush=True)

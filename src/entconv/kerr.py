@@ -4,10 +4,11 @@ The coherent probe is tracked symbolically: a basis component containing k
 L-polarized photons rotates the probe by k phase units, so the state splits
 into branches keyed by the integer tag k.  Readout models the X quadrature of
 the rotated probe as a unit-variance Gaussian centered at 2*alpha*cos(k*theta)
-and classifies with maximum-likelihood midpoint thresholds.  In gaussian mode
-a draw landing in the wrong cell reports a wrong tag while the signal state
-still collapses to the true branch: the error is informational and surfaces
-as a wrong feed-forward decision downstream.
+and classifies with maximum-likelihood midpoint thresholds.  Gaussian readout
+draws the decision cell from the true tag's row of the confusion matrix, and
+never a quadrature value.  A wrong cell reports a wrong tag while the signal
+state still collapses to the true branch: the error is informational and
+surfaces as a wrong feed-forward decision downstream.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import collapse, row_photons
+from .qstate import choose_branch, collapse, row_photons
 
 MIN_MEAN_GAP = 1e-9
 
@@ -37,11 +38,12 @@ def quadrature_mean(alpha: float, theta: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class HomodyneModel:
-    """Gaussian likelihoods and decision thresholds for a set of probe tags.
+    """Gaussian decision thresholds for a set of probe tags.
 
     ``tags`` run in order of mean, ascending; ``thresholds`` are the
     midpoints between adjacent means, the maximum-likelihood rule for
-    equal-variance Gaussians.
+    equal-variance Gaussians.  ``confusion`` gives the chance of each
+    decision; binning drawn quadratures is the tests' oracle for it.
     """
 
     alpha: float
@@ -65,11 +67,6 @@ class HomodyneModel:
         thresholds = tuple(lo[0] / 2.0 + hi[0] / 2.0 for lo, hi in zip(by_mean, by_mean[1:]))
         return cls(alpha, theta, tuple(t for _, t in by_mean), thresholds)
 
-    def classify(self, x):
-        """Tag whose decision cell contains x; vectorized over arrays."""
-        cell = np.searchsorted(np.asarray(self.thresholds), x, side="left")
-        return np.asarray(self.tags)[cell]
-
     def confusion(self, true_tags) -> np.ndarray:
         """Chance that a quadrature of each true tag (rows) lands in the decision cell of each of ``tags`` (columns).
 
@@ -90,25 +87,25 @@ def homodyne_pdf(x, alpha: float, k: int, theta: float):
     return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2) / math.sqrt(2.0 * math.pi)
 
 
-def read_rows(rows: np.ndarray, model: HomodyneModel | None, rng=None, forced_tag=None):
+def read_rows(rows: np.ndarray, receiver: tuple[np.ndarray, tuple[int, ...]] | None, rng=None, forced_tag=None):
     """Tag and read out every row of a batch of photons-only amplitude rows.
 
     The true tag of each row is drawn by its branch weights with
-    ``collapse``.  Without a ``model`` the readout is ideal and reports the
-    true tag.  With one, the readout is gaussian: it then draws one
-    quadrature per row from the true tag's Gaussian and classifies it with
-    ``model``.  The receiver is fixed: every row is classified by the one
-    ``model``, whatever tags the row happens to hold, so a tag of vanishing
-    weight cannot move a decision threshold, and a leaked tag reads as the
-    tag whose decision cell its draw lands in.  ``forced_tag`` pins both the
-    true and the classified tag.  Returns the classified tags, the true tags
-    and the rows collapsed onto their renormalized true branch.
+    ``collapse``.  Without a ``receiver`` the readout is ideal and reports
+    the true tag.  With one, ``(model.confusion(range(n + 1)), model.tags)``,
+    it is gaussian: ``choose_branch`` draws each row's decision cell from its
+    true tag's row of the matrix and reports that cell's tag.  The receiver
+    is fixed, so a tag of vanishing weight cannot move a decision threshold,
+    and a leaked tag reads as the tag of the cell drawn from its own row.
+    ``forced_tag`` pins both the true and the classified tag.  Returns the
+    classified tags, the true tags and the rows collapsed onto their
+    renormalized true branch.
     """
-    true, collapsed, weights = collapse(_tag_branches(rows), rng, forced_tag)
-    if forced_tag is not None or model is None:
+    true, collapsed, _ = collapse(_tag_branches(rows), rng, forced_tag)
+    if forced_tag is not None or receiver is None:
         return true, true, collapsed
-    means = np.array([quadrature_mean(model.alpha, model.theta, k) for k in range(len(weights))])
-    return model.classify(rng.normal(means[true], 1.0)), true, collapsed
+    confusion, tags = receiver
+    return np.asarray(tags)[choose_branch(confusion[true].T, rng)], true, collapsed
 
 
 def error_probability(x_d: float) -> float:

@@ -199,6 +199,14 @@ def run_protocol(
     )
 
 
+def _receiver(spec: ProtocolSpec):
+    """``read_rows``' gaussian receiver, a confusion matrix over true tags 0..n and cells between the ideal tags; None for ideal readout."""
+    if spec.homodyne_mode == "ideal":
+        return None
+    model = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(spec.n_photons))
+    return model.confusion(range(spec.n_photons + 1)), model.tags
+
+
 def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_spins=None):
     """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
 
@@ -206,9 +214,9 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     the rest run the recovery sequence, or, having none at four photons, end
     as ``failed_no_recovery`` unless the round was their last.  Draws go
     trial by trial within each gate and each readout, so a batch of one
-    draws as a single run does.  Gaussian readout classifies every round of
-    every trial with one receiver, the thresholds between the tags the ideal
-    circuit produces.  ``forced_tags`` and ``forced_spins`` pin readouts in
+    draws as a single run does.  Gaussian readout reads every round of
+    every trial with the one confusion matrix of ``_receiver``, built once
+    per call.  ``forced_tags`` and ``forced_spins`` pin readouts in
     turn, as ``run_protocol`` states.  Returns, per trial, the outcome class,
     rounds used, final amplitude row and product of kept gate norms, and per
     round the trials still in the batch, their classified and true tags and
@@ -227,9 +235,7 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     spin_iter = iter(forced_spins if forced_spins is not None else ())
     success = _SUCCESS_TAGS[n]
     declares = np.array([k in success for k in range(n + 1)])   # by classified tag
-    receiver = None   # ideal readout reads the true tag and needs no thresholds
-    if spec.homodyne_mode == "gaussian":
-        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(n))
+    receiver = _receiver(spec)
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
         rows, norm_factor, readouts = _run_gates(rows, elements, gate, rng, spin_iter)
@@ -309,11 +315,7 @@ def _ideal_gate_table(spec: ProtocolSpec):
     """
     n = spec.n_photons
     success = _SUCCESS_TAGS[n]
-    if spec.homodyne_mode == "gaussian":
-        receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(n))
-        confusion, read_as = receiver.confusion(range(n + 1)), receiver.tags
-    else:
-        confusion, read_as = np.eye(n + 1), range(n + 1)
+    confusion, read_as = _receiver(spec) or (np.eye(n + 1), range(n + 1))
     carry = np.sqrt(confusion[:, [k not in success for k in read_as]].sum(axis=1))
     rounds = spec.max_iterations
     cells = {(cls, m): 0.0 for cls in dict.fromkeys(success.values()) for m in range(1, rounds + 1)}

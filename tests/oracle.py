@@ -4,6 +4,9 @@ The register is the photons plus the electron spin: photon 1 at the most
 significant bit, the spin at the least.  Every element of the gate is one
 full square matrix built with ``np.kron`` and applied by a matrix-vector
 product, so the replay shares no arithmetic with ``qstate.apply_rows``.
+
+``classify`` is the physical receiver: it bins a drawn quadrature value by
+the thresholds, which the runtime never does.
 """
 
 import numpy as np
@@ -59,3 +62,9 @@ def replay_cnot(amps, control: int, target: int, factors, rng=None, forced=None)
     if s == 1:   # feed-forward: a half-wave plate on the target
         photons = embed(HWP, target - 1, n - target) @ photons
     return s, photons, weights[s], weights[0] + weights[1]
+
+
+def classify(model, x):
+    """Tag of the decision cell of ``model`` (a ``kerr.HomodyneModel``) that each quadrature value ``x`` lands in."""
+    cell = np.searchsorted(np.asarray(model.thresholds), x, side="left")
+    return np.asarray(model.tags)[cell]

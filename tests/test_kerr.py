@@ -7,18 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, quadrature_mean, read_rows
-from entconv.protocols import ideal_tags
+from entconv.protocols import ProtocolSpec, _receiver
 from entconv.qstate import ket
 
 from conftest import basis_index, tag_split, uniform_vector
+from oracle import classify
 
 ALPHA_REF = math.sqrt(1.3e4)
 THETA_REF = 0.1
 
 
 def _classify_draws(model, true_tag, n, rng):
-    """Classified tags of n quadrature draws from one tag's Gaussian."""
-    return model.classify(rng.normal(quadrature_mean(model.alpha, model.theta, true_tag), 1.0, size=n))
+    """Classified tags of n quadrature draws from one tag's Gaussian, binned by the physical receiver."""
+    return classify(model, rng.normal(quadrature_mean(model.alpha, model.theta, true_tag), 1.0, size=n))
+
+
+def _gaussian(model, n):
+    """The receiver ``read_rows`` takes for ``model`` reading n photons: its confusion matrix over true tags 0..n and its tags."""
+    return model.confusion(range(n + 1)), model.tags
 
 
 def test_three_photon_partition():
@@ -124,14 +130,14 @@ def test_single_branch_certain(rng):
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0,))
     tags, true, _ = read_rows(row, None, rng)
     assert tags[0] == true[0] == 0
-    _, true, _ = read_rows(row, model, rng)
+    _, true, _ = read_rows(row, _gaussian(model, 4), rng)
     assert true[0] == 0
 
 
 def test_forced_tag_absent():
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0, 1))
     with pytest.raises(ValueError, match="impossible outcome"):
-        read_rows(ket("RRR")[None], model, forced_tag=1)
+        read_rows(ket("RRR")[None], _gaussian(model, 3), forced_tag=1)
 
 
 def test_ideal_sampling_matches_weights(rng):
@@ -149,7 +155,7 @@ def test_gaussian_mode_collapses_to_true_branch(rng):
     state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     branches, weights = tag_split(state)
     model = HomodyneModel.for_tags(1.0, 0.02, tuple(weights))
-    tags, true, rows = read_rows(np.repeat(state[None], 300, axis=0), model, rng)
+    tags, true, rows = read_rows(np.repeat(state[None], 300, axis=0), _gaussian(model, 3), rng)
     for k, row in zip(true, rows):
         np.testing.assert_allclose(row, branches[k] / math.sqrt(weights[k]), atol=1e-12)
     assert np.sum(tags != true) > 0
@@ -167,7 +173,7 @@ def _rows_with_tag_gaps(gen, n, count, kept_tag=None):
 
 def _fixed_receiver(n, theta, alpha):
     """The receiver a protocol run of n photons reads every row with: thresholds between its ideal tags."""
-    return HomodyneModel.for_tags(alpha, theta, ideal_tags(n))
+    return _receiver(ProtocolSpec(n, homodyne_mode="gaussian", theta=theta, alpha=alpha))
 
 
 def _popcount_mask(row, k):
@@ -190,9 +196,8 @@ def test_batched_readout_matches_per_state_oracle(mode, theta, alpha):
     gen = np.random.default_rng(5)
     misses = 0
     for n in (3, 4, 5):
-        model = _fixed_receiver(n, theta, alpha)
         rows = _rows_with_tag_gaps(gen, n, 2000)
-        receiver = model if mode == "gaussian" else None
+        receiver = _fixed_receiver(n, theta, alpha) if mode == "gaussian" else None
         tags, true, collapsed = read_rows(rows, receiver, np.random.default_rng(n))
         for row, k, got in zip(rows, true, collapsed):
             np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
@@ -208,10 +213,10 @@ def test_batched_forced_readout_keeps_rows_apart():
     # rows with different tag sets in one batch each collapse onto their own branch
     gen = np.random.default_rng(6)
     for n in (3, 4, 5):
-        model = _fixed_receiver(n, THETA_REF, ALPHA_REF)
+        receiver = _fixed_receiver(n, THETA_REF, ALPHA_REF)
         for k in range(n + 1):
             rows = _rows_with_tag_gaps(gen, n, 50, kept_tag=k)
-            tags, true, collapsed = read_rows(rows, model, forced_tag=k)
+            tags, true, collapsed = read_rows(rows, receiver, forced_tag=k)
             assert set(tags) == set(true) == {k}
             for row, got in zip(rows, collapsed):
                 np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
@@ -248,6 +253,27 @@ def test_confusion_matrix_matches_sampled_classification():
         got = _classify_draws(model, true_tag, 20000, rng)
         share = np.array([np.mean(got == k) for k in model.tags])
         assert np.all(np.abs(share - row) <= 5 * np.sqrt(row * (1 - row) / 20000) + 1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_sampled_decision_cells_follow_the_confusion_row(n):
+    # Pearson chi-square of the cells read_rows draws for each true tag 0..n,
+    # leaked tags included, against that tag's confusion row.  Each of the 10
+    # rows over n = 3 and 5 is tested at 1e-4, so the whole test raises a
+    # false alarm with probability at most 1e-3.
+    draws = 20000
+    confusion, tags = receiver = _fixed_receiver(n, 0.5, 1.0)   # every cell of every row above 0.3 %
+    rng = np.random.default_rng(21)
+    for k in range(n + 1):
+        row = ket("L" * k + "R" * (n - k))
+        got, true, _ = read_rows(np.repeat(row[None], draws, axis=0), receiver, rng)
+        assert set(true.tolist()) == {k}
+        observed = np.array([np.sum(got == t) for t in tags])
+        expected = draws * confusion[k]
+        assert expected.min() >= 5   # where the chi-square law of the statistic holds
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        p = float(mp.gammainc((len(tags) - 1) / 2, stat / 2, mp.inf, regularized=True))
+        assert p > 1e-4, (k, observed, expected)
 
 
 def test_error_probability_reference_point_against_mp_oracle():

@@ -12,6 +12,7 @@ from entconv.cnot import _kraus
 from entconv.kerr import HomodyneModel, read_rows
 from entconv.protocols import (
     ProtocolSpec,
+    StateClass,
     circuit_wiring,
     classify_state,
     composite_fidelity_report,
@@ -24,6 +25,7 @@ from entconv.protocols import (
     success_series,
     _MC_CHUNK,
     _ideal_gate_table,
+    _receiver,
     _run_gates,
     _run_rounds,
 )
@@ -224,11 +226,13 @@ def test_probability_conservation_each_iteration():
 
 
 def test_classify_w_forms():
-    w = uniform_vector(3, ["RLR", "LRR", "RRL"])
-    assert classify_state(w).kind == "W"
-    flipped = uniform_vector(4, ["RLLL", "LRLL", "LLRL", "LLLR"])
-    cls = classify_state(flipped)
-    assert cls.kind == "W_flipped" and cls.r_excitations == 1
+    # the whole record, both excitation counts included, as run output prints it
+    for n in (3, 4, 5):
+        singles = ["R" * p + "L" + "R" * (n - 1 - p) for p in range(n)]
+        w = uniform_vector(n, singles)
+        assert classify_state(w) == StateClass("W", l_excitations=1, r_excitations=n - 1)
+        flipped = uniform_vector(n, [t.translate(str.maketrans("RL", "LR")) for t in singles])
+        assert classify_state(flipped) == StateClass("W_flipped", l_excitations=n - 1, r_excitations=1)
 
 
 def test_classify_dicke_reports_both_conventions():
@@ -439,7 +443,7 @@ def test_gaussian_readout_is_continuous_in_leaked_weight(n):
     assert noise.any()
     exact_zero, tiny = np.where(noise, 0.0, rows), np.where(noise, 1e-30, rows)
     receiver = HomodyneModel.for_tags(spec.alpha, spec.theta, ideal_tags(n))
-    reads = [read_rows(r, receiver, np.random.default_rng(26)) for r in (rows, exact_zero, tiny)]
+    reads = [read_rows(r, _receiver(spec), np.random.default_rng(26)) for r in (rows, exact_zero, tiny)]
     for tags, true, _ in reads[1:]:
         np.testing.assert_array_equal(tags, reads[0][0])
         np.testing.assert_array_equal(true, reads[0][1])
