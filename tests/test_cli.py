@@ -108,6 +108,8 @@ GRID = {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0], "steps": 2}
         {"output": {"colour": "red"}},
         {"seed": -1},
         {"seed": -(2**70)},
+        {"protocol": {}},
+        {"sweep": {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0]}},
     ],
     ids=repr,
 )
@@ -154,11 +156,12 @@ def test_oversized_numbers_are_config_errors(tmp_path, capsys, command, doc):
         (["montecarlo", "--seed", "-5"], {}, "seed must be >= 0"),
         (["success-table", "--rounds", "1001"], {}, "protocol.max_iterations must be <= 1000"),
         (["success-table", "--n", "6"], {}, "protocol.n_photons must be one of [3, 4, 5]"),
+        (["montecarlo", "--seed", "1", "--jobs", "0"], {}, "jobs must be >= 1"),
         # a flag never hides a malformed section it would write into
         (["run", "--seed", "1", "--out", "out.json"], {"output": 5}, "output must be an object or null"),
         (["success-table", "--n", "3"], {"protocol": 5}, "protocol must be an object or null"),
     ],
-    ids=["trials_0", "trials_2**63", "run_seed", "montecarlo_seed", "rounds", "n", "out_over_output",
+    ids=["trials_0", "trials_2**63", "run_seed", "montecarlo_seed", "rounds", "n", "jobs_0", "out_over_output",
          "n_over_protocol"],
 )
 def test_flags_are_checked_with_the_config(tmp_path, capsys, monkeypatch, argv, doc, message):

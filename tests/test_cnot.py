@@ -259,6 +259,11 @@ def test_grid_params_check_every_point():
         CavityParams.from_ratios(np.array([[0.3], [np.inf]]), np.array([[0.4, 0.5]]))
 
 
+def test_unknown_input_mode_is_named():
+    with pytest.raises(ValueError, match="unknown input mode 'diagonal'"):
+        fidelity_grid([1.0], [1.0], "diagonal")
+
+
 def test_benchmark_report_convention_outcomes():
     report = benchmark_report()
     # the zero-phonon-line reading with basis-averaged inputs lands within half

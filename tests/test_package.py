@@ -90,11 +90,13 @@ def _readme_dotted_names(readme: Path):
 
 
 def test_readme_api_names_resolve():
-    # every `module.name` of the package's modules, and every `Name.attr` of a name
-    # the package exports, is one a reader can call today
+    # every `module.name` of the package's modules, and every `Name.attr` of a class
+    # one of them defines, is one a reader can call today
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    owners = {name: importlib.import_module(f"entconv.{name}") for name in MODULES}
-    owners.update((name, getattr(entconv, name)) for name in dir(entconv) if isinstance(getattr(entconv, name), type))
+    modules = [importlib.import_module(f"entconv.{name}") for name in MODULES]
+    owners = {module.__name__.split(".")[1]: module for module in modules}
+    owners.update((name, obj) for module in modules for name, obj in vars(module).items()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__)
     checked, missing = 0, []
     for owner, name in sorted(set(_readme_dotted_names(readme))):
         if owner in owners:

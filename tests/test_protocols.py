@@ -174,6 +174,11 @@ def test_short_forced_sequences_pin_only_the_first_draws(spec, forced):
         assert (again.outcome_class, again.iterations_used) == (run.outcome_class, run.iterations_used)
 
 
+def test_forced_tag_beyond_the_tags_is_named():
+    with pytest.raises(ValueError, match="cannot interpret forced outcome 7"):
+        run_protocol(ProtocolSpec(n_photons=3), forced_tags=[7])
+
+
 def test_no_recovery_path_for_four_photons():
     with pytest.raises(ValueError, match="no recovery path"):
         recovery_sequence(4)
@@ -246,6 +251,7 @@ def test_classify_dicke_reports_both_conventions():
 def test_classify_ghz_like_and_other():
     assert classify_state(conversion_input(3)).kind == "GHZ_like"
     assert classify_state(ket("LLL")).kind == "other"
+    assert classify_state(np.zeros(8, complex)) == StateClass("other")
     skew = expected_vector(3, {"RLR": 1.0, "LRR": -1.0, "RRL": 1.0}) / math.sqrt(3)
     assert classify_state(skew).kind == "other"
 
@@ -563,6 +569,10 @@ def test_spec_validation():
         ProtocolSpec(n_photons=3, max_iterations=0)
     with pytest.raises(ValueError, match="gate mode"):
         ProtocolSpec(n_photons=3, gate_mode="fancy")
+    with pytest.raises(ValueError, match="homodyne mode 'heterodyne'"):
+        ProtocolSpec(n_photons=3, homodyne_mode="heterodyne")
+    with pytest.raises(ValueError, match="theta must be finite and > 0"):
+        ProtocolSpec(n_photons=3, theta=0.0)
 
 
 def test_gaussian_misclassification_is_recorded():
