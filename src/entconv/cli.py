@@ -103,7 +103,6 @@ def cmd_run(config: dict, flags: dict) -> int:
     seed = _require_seed(config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     run = run_protocol(spec, rng=rng)
-    cls = classify_state(run.final_state)
     report = {
         "command": "run",
         "seed": seed,
@@ -117,11 +116,7 @@ def cmd_run(config: dict, flags: dict) -> int:
         "misclassification_events": run.misclassification_events,
         "accumulated_norm": run.accumulated_norm,
         "fidelity_vs_ideal": fidelity_vs_ideal(spec, run),
-        "state_class": {
-            "kind": cls.kind,
-            "l_excitations": cls.l_excitations,
-            "r_excitations": cls.r_excitations,
-        },
+        "state_class": classify_state(run.final_state),
         "final_state": _state_terms(run.final_state),
     }
     output = config.get("output") or {}
@@ -200,15 +195,14 @@ def cmd_homodyne_curves(config: dict, flags: dict) -> int:
 def cmd_success_table(config: dict, flags: dict) -> int:
     spec = _require_protocol(config)
     n = spec.n_photons
-    table = success_series(n, spec.max_iterations)
     header = ["n_photons", "outcome_class", "round", "per_round_probability", "cumulative_probability"]
     rows = []
-    for series in table:
+    for cls, (per_round, limit) in success_series(n, spec.max_iterations).items():
         acc = 0.0
-        for m, p in enumerate(series.per_round, start=1):
+        for m, p in enumerate(per_round, start=1):
             acc += p
-            rows.append([n, series.outcome_class, m, p, acc])
-        rows.append([n, series.outcome_class, "limit", None, series.limit])
+            rows.append([n, cls, m, p, acc])
+        rows.append([n, cls, "limit", None, limit])
     _emit_table(config, header, rows)
     return 0
 

@@ -97,9 +97,10 @@ def benchmark_report() -> dict[str, dict]:
     """Gate fidelity at the reference parameter set, all convention combinations.
 
     The decay rate is evaluated in both readings and the fidelity under both
-    input conventions; each entry records the deviation from the target
-    fidelities (99.6% plus / 99.5% minus) in percentage points and whether it
-    falls within ``BENCHMARK_TOLERANCE_PP``.
+    input conventions.  Each entry is keyed
+    ``<gamma reading>:<input mode>:<readout>`` and holds the fidelity, its
+    target (99.6% plus / 99.5% minus), the deviation from the target in
+    percentage points and whether it falls within ``BENCHMARK_TOLERANCE_PP``.
     """
     report = {}
     for gamma_label, gamma in (("gamma_total", BENCHMARK_GAMMA_TOTAL), ("gamma_zpl", BENCHMARK_GAMMA_ZPL)):
@@ -111,9 +112,6 @@ def benchmark_report() -> dict[str, dict]:
                 target = TARGET_FIDELITY[label]
                 deviation_pp = abs(fidelity * 100.0 - target * 100.0)   # 1.0 against 0.995 is exactly 0.5 in points
                 report[f"{gamma_label}:{input_mode}:{label}"] = {
-                    "gamma": gamma,
-                    "input_mode": input_mode,
-                    "outcome": label,
                     "fidelity": fidelity,
                     "target": target,
                     "deviation_pp": deviation_pp,

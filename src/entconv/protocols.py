@@ -87,29 +87,6 @@ class ProtocolRun:
     spin_outcomes: tuple[int, ...]    # readout of each realistic gate (0 plus, 1 minus), in order; empty in ideal mode
 
 
-@dataclass(frozen=True)
-class SuccessSeries:
-    """Closed-form per-round success probabilities and their limit over unbounded rounds."""
-
-    outcome_class: str
-    per_round: tuple[float, ...]
-    limit: float
-
-
-@dataclass(frozen=True)
-class StateClass:
-    """Support-pattern classification of a photons-only state.
-
-    For Dicke support both excitation conventions are reported: the L-count
-    of the support terms and its complement, since either polarization may be
-    read as the excited mode.
-    """
-
-    kind: str                          # "W" | "W_flipped" | "Dicke" | "GHZ_like" | "other"
-    l_excitations: int | None = None
-    r_excitations: int | None = None
-
-
 def _check_photons(n_photons: int) -> None:
     if n_photons not in _INPUT_TERMS:
         raise ValueError(f"unsupported photon number: {n_photons}")
@@ -258,12 +235,23 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     return outcome, rounds, final, survival, history
 
 
-def classify_state(amps: np.ndarray) -> StateClass:
-    """Classify a normalized amplitude row by its basis support pattern."""
+def _state_class(kind: str, l_excitations: int | None = None, r_excitations: int | None = None) -> dict:
+    return {"kind": kind, "l_excitations": l_excitations, "r_excitations": r_excitations}
+
+
+def classify_state(amps: np.ndarray) -> dict:
+    """The ``state_class`` of ``entconv run``: a normalized amplitude row classified by its basis support pattern.
+
+    ``kind`` is "W", "W_flipped", "Dicke", "GHZ_like" or "other".  For the W
+    forms and Dicke support both excitation conventions are reported: the L-count of
+    the support terms (``l_excitations``) and its complement
+    (``r_excitations``), since either polarization may be read as the
+    excited mode; both are None for the other kinds.
+    """
     n = row_photons(amps)
     support = np.flatnonzero(np.abs(amps) > _CLASSIFY_TOL)
     if support.size == 0:
-        return StateClass("other")
+        return _state_class("other")
     mags = np.abs(amps[support])
     equal_mags = bool(np.all(np.abs(mags - 1.0 / math.sqrt(support.size)) <= _CLASSIFY_TOL))
     l_counts = np.array([bin(int(i)).count("1") for i in support])
@@ -272,34 +260,31 @@ def classify_state(amps: np.ndarray) -> StateClass:
         c = int(l_counts[0])
         if support.size == math.comb(n, c):
             if c == 1 and phases_uniform:
-                return StateClass("W", l_excitations=1, r_excitations=n - 1)
+                return _state_class("W", 1, n - 1)
             if c == n - 1 and phases_uniform:
-                return StateClass("W_flipped", l_excitations=n - 1, r_excitations=1)
+                return _state_class("W_flipped", n - 1, 1)
             if 2 <= c <= n - 2:
-                return StateClass("Dicke", l_excitations=c, r_excitations=n - c)
+                return _state_class("Dicke", c, n - c)
     if support.size == 2 and equal_mags and (int(support[0]) ^ int(support[1])) == len(amps) - 1:
-        return StateClass("GHZ_like")
-    return StateClass("other")
+        return _state_class("GHZ_like")
+    return _state_class("other")
 
 
-def success_series(n_photons: int, rounds: int) -> list[SuccessSeries]:
-    """Closed-form conversion probabilities per round, with their limits."""
+def success_series(n_photons: int, rounds: int) -> dict[str, tuple[tuple[float, ...], float]]:
+    """Closed-form conversion probabilities by outcome class: ``(per_round, limit)``, the limit over unbounded rounds."""
     _check_photons(n_photons)
     if not 1 <= rounds <= MAX_ITERATIONS:
         raise ValueError(f"rounds must be between 1 and {MAX_ITERATIONS}")
     if n_photons == 3:
-        raw = [("W", [Fraction(3, 4) * Fraction(1, 4) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1))]
+        raw = {"W": ([Fraction(3, 4) * Fraction(1, 4) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1))}
     elif n_photons == 4:
-        raw = [("W", [Fraction(1)] + [Fraction(0)] * (rounds - 1), Fraction(1))]
+        raw = {"W": ([Fraction(1)] + [Fraction(0)] * (rounds - 1), Fraction(1))}
     else:
-        raw = [
-            ("W", [Fraction(5, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1, 3)),
-            ("Dicke", [Fraction(10, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(2, 3)),
-        ]
-    return [
-        SuccessSeries(label, tuple(float(p) for p in per), float(lim))
-        for label, per, lim in raw
-    ]
+        raw = {
+            "W": ([Fraction(5, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1, 3)),
+            "Dicke": ([Fraction(10, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(2, 3)),
+        }
+    return {label: (tuple(float(p) for p in per), float(lim)) for label, (per, lim) in raw.items()}
 
 
 def _ideal_gate_table(spec: ProtocolSpec):
@@ -374,11 +359,12 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> di
 def fidelity_vs_ideal(spec: ProtocolSpec, run: ProtocolRun) -> float | None:
     """Squared overlap of a realistic run's final state with the ideal circuit's on the same true tags.
 
-    The ideal circuit runs once, its tags forced to the run's true tags; the
-    run's spin readouts are not replayed, because every readout of an ideal
-    gate gives the same state.  None for ideal gates, and for a run with a
-    misclassified readout or a leaked true tag (one the ideal circuit never
-    produces): the ideal circuit has no branch for either to follow.
+    The ideal circuit runs once, its tags forced to the run's true tags.  The
+    run's spin readouts are not replayed, since there is nothing to replay
+    them on: an ideal CNOT is ``optics.CNOT``, which has no readout.  None
+    for ideal gates, and for a run with a misclassified readout or a leaked
+    true tag (one the ideal circuit never produces): the ideal circuit has
+    no branch for either to follow.
     """
     if spec.gate_mode == "ideal" or run.misclassification_events or not set(run.true_tags) <= ideal_tags(spec.n_photons):
         return None

@@ -88,16 +88,16 @@ def test_criterion_1_state_evolution_oracles():
 
 def test_criterion_2_success_probabilities():
     t0 = time.perf_counter()
-    (s3,) = success_series(3, 1)
-    assert sum(s3.per_round) == 0.75
-    (s3b,) = success_series(3, 4)
-    assert sum(s3b.per_round) == 255 / 256
-    (s4,) = success_series(4, 1)
-    assert sum(s4.per_round) == 1.0
-    w5, d5 = success_series(5, 1)
-    assert (w5.per_round[0], d5.per_round[0]) == (5 / 16, 10 / 16)
-    w5l, d5l = success_series(5, 64)
-    assert abs(w5l.limit - 1 / 3) < 1e-15 and abs(d5l.limit - 2 / 3) < 1e-15
+    ((s3, _),) = success_series(3, 1).values()
+    assert sum(s3) == 0.75
+    ((s3b, _),) = success_series(3, 4).values()
+    assert sum(s3b) == 255 / 256
+    ((s4, _),) = success_series(4, 1).values()
+    assert sum(s4) == 1.0
+    (w5, _), (d5, _) = success_series(5, 1).values()
+    assert (w5[0], d5[0]) == (5 / 16, 10 / 16)
+    (_, w5_limit), (_, d5_limit) = success_series(5, 64).values()
+    assert abs(w5_limit - 1 / 3) < 1e-15 and abs(d5_limit - 2 / 3) < 1e-15
 
     trials = 10**6
 

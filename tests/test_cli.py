@@ -724,7 +724,12 @@ def _assert_defined_outcome(command, doc):
     assert "nan" not in text and "inf" not in text
 
 
-@settings(max_examples=200, deadline=None)
+# the slowest example seen, a 200-step sweep, took 0.36 s (three suite runs, 2-core
+# VM); a document that does not end fails at this deadline instead of hanging
+EXAMPLE_DEADLINE_MS = 5000
+
+
+@settings(max_examples=200, deadline=EXAMPLE_DEADLINE_MS)
 @given(_DOCUMENTS)
 def test_config_contract_agrees_with_schema(doc):
     doc = json.loads(json.dumps(doc))   # as the CLI reads it back
@@ -739,7 +744,7 @@ def test_config_contract_agrees_with_schema(doc):
 
 # montecarlo is left out: a realistic ensemble at the trials the schema accepts does not finish
 @pytest.mark.parametrize("command", ["run", "success-table", "sweep-fidelity"])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=EXAMPLE_DEADLINE_MS)
 @given(doc=st.one_of(_DOCUMENTS, _documents(junk=False)))
 def test_every_document_ends_in_a_defined_outcome(command, doc):
     _assert_defined_outcome(command, json.loads(json.dumps(doc)))

@@ -316,6 +316,21 @@ def test_degenerate_model_rejected():
         HomodyneModel.for_tags(1.0, math.pi / 2, (1, 3))
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: HomodyneModel.for_tags(1.0, 0.1, []), "no tags to discriminate"),
+        (lambda: homodyne_pdf(0.0, -1.0, 1, 0.1), "alpha must be nonnegative"),
+        (lambda: error_probability(-1.0), "peak distance must be nonnegative"),   # else above 0.5
+    ],
+    ids=["no_tags", "negative_alpha", "negative_distance"],
+)
+def test_out_of_domain_input_is_named(call, message):
+    # the schema bounds the CLI's inputs first, so only a library call reaches these guards
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_classifier_rate_matches_formula(rng):
     # moderate separation so errors are common enough for a cheap check
     model = HomodyneModel.for_tags(alpha=2.0, theta=0.5, tags=(1, 3))

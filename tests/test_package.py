@@ -1,8 +1,8 @@
 """The runtime package stands alone: it imports nothing from the test tree, the
 spin-register primitives live only in the test oracle, and amplitude rows are
 the only state type.  Importing the CLI leaves ``numpy.random`` to the
-commands that draw, and a command line is read without an argument parser
-library."""
+commands that draw, a command line is read without an argument parser
+library, and configs are checked without the test extras."""
 
 import ast
 import importlib
@@ -78,6 +78,18 @@ def test_commands_load_no_argument_parser(tmp_path):
             f"main(['sweep-fidelity', '--config', {str(config)!r}, '--out', os.devnull])); "
             "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
     assert _fresh_interpreter(code) == "(0, 0) []"
+
+
+def test_the_runtime_checks_configs_without_the_test_extras(tmp_path):
+    # jsonschema is a test extra: with it blocked, a valid document runs (exit 0)
+    # and one the schema rejects is a config error (exit 2)
+    ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+    ok.write_text(json.dumps({"protocol": {"n_photons": 3}, "seed": 1}))
+    bad.write_text(json.dumps({"protocol": {"n_photons": 6}, "seed": 1}))
+    code = ("import sys; sys.modules['jsonschema'] = None; from entconv.cli import main; "
+            f"print((main(['run', '--config', {str(ok)!r}, '--out', {str(tmp_path / 'run.json')!r}]), "
+            f"main(['run', '--config', {str(bad)!r}])))")
+    assert _fresh_interpreter(code) == "(0, 2)"
 
 
 def _readme_dotted_names(readme: Path):

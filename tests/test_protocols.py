@@ -12,7 +12,6 @@ from entconv.cnot import _kraus
 from entconv.kerr import HomodyneModel, read_rows
 from entconv.protocols import (
     ProtocolSpec,
-    StateClass,
     circuit_wiring,
     classify_state,
     composite_fidelity_report,
@@ -179,6 +178,12 @@ def test_forced_tag_beyond_the_tags_is_named():
         run_protocol(ProtocolSpec(n_photons=3), forced_tags=[7])
 
 
+def test_monte_carlo_needs_a_trial(rng):
+    # the schema bounds the CLI's trials first, so only a library call reaches this guard
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        monte_carlo(ProtocolSpec(n_photons=3), 0, rng)
+
+
 def test_no_recovery_path_for_four_photons():
     with pytest.raises(ValueError, match="no recovery path"):
         recovery_sequence(4)
@@ -199,9 +204,9 @@ def test_run_four_photon_flipped_branch():
     np.testing.assert_allclose(
         run.final_state, uniform_vector(4, ["RLLL", "LRLL", "LLRL", "LLLR"]), atol=1e-12
     )
-    assert classify_state(run.final_state).kind == "W_flipped"
+    assert classify_state(run.final_state)["kind"] == "W_flipped"
     run = run_protocol(ProtocolSpec(n_photons=4, standardize_flipped=True), forced_tags=(3,))
-    assert classify_state(run.final_state).kind == "W"
+    assert classify_state(run.final_state)["kind"] == "W"
 
 
 def test_run_five_photon_dicke_branch():
@@ -231,52 +236,54 @@ def test_probability_conservation_each_iteration():
 
 
 def test_classify_w_forms():
-    # the whole record, both excitation counts included, as run output prints it
+    # the whole state_class object, both excitation counts included, as run output prints it
     for n in (3, 4, 5):
         singles = ["R" * p + "L" + "R" * (n - 1 - p) for p in range(n)]
         w = uniform_vector(n, singles)
-        assert classify_state(w) == StateClass("W", l_excitations=1, r_excitations=n - 1)
+        assert classify_state(w) == {"kind": "W", "l_excitations": 1, "r_excitations": n - 1}
         flipped = uniform_vector(n, [t.translate(str.maketrans("RL", "LR")) for t in singles])
-        assert classify_state(flipped) == StateClass("W_flipped", l_excitations=n - 1, r_excitations=1)
+        assert classify_state(flipped) == {"kind": "W_flipped", "l_excitations": n - 1, "r_excitations": 1}
 
 
 def test_classify_dicke_reports_both_conventions():
     state = uniform_vector(5, DICKE5_TERMS)
     cls = classify_state(state)
-    assert cls.kind == "Dicke"
-    assert cls.l_excitations == 3
-    assert cls.r_excitations == 2
+    assert cls["kind"] == "Dicke"
+    assert cls["l_excitations"] == 3
+    assert cls["r_excitations"] == 2
 
 
 def test_classify_ghz_like_and_other():
-    assert classify_state(conversion_input(3)).kind == "GHZ_like"
-    assert classify_state(ket("LLL")).kind == "other"
-    assert classify_state(np.zeros(8, complex)) == StateClass("other")
+    assert classify_state(conversion_input(3))["kind"] == "GHZ_like"
+    assert classify_state(ket("LLL"))["kind"] == "other"
+    assert classify_state(np.zeros(8, complex)) == {"kind": "other", "l_excitations": None, "r_excitations": None}
     skew = expected_vector(3, {"RLR": 1.0, "LRR": -1.0, "RRL": 1.0}) / math.sqrt(3)
-    assert classify_state(skew).kind == "other"
+    assert classify_state(skew)["kind"] == "other"
 
 
 def test_success_series_three_photons():
-    (series,) = success_series(3, 4)
-    assert series.per_round == (0.75, 0.1875, 0.046875, 0.01171875)
-    assert sum(series.per_round) == 255 / 256
-    assert series.limit == 1.0
+    ((per_round, limit),) = success_series(3, 4).values()
+    assert per_round == (0.75, 0.1875, 0.046875, 0.01171875)
+    assert sum(per_round) == 255 / 256
+    assert limit == 1.0
 
 
 def test_success_series_four_photons():
-    (series,) = success_series(4, 3)
-    assert series.per_round == (1.0, 0.0, 0.0)
-    assert sum(series.per_round) == 1.0
+    ((per_round, _),) = success_series(4, 3).values()
+    assert per_round == (1.0, 0.0, 0.0)
+    assert sum(per_round) == 1.0
 
 
 def test_success_series_five_photons():
-    w, dicke = success_series(5, 8)
-    assert w.per_round[0] == 5 / 16 and dicke.per_round[0] == 10 / 16
-    assert sum(w.per_round) == pytest.approx((1 - 16.0**-8) / 3, abs=1e-15)
-    assert sum(dicke.per_round) == pytest.approx(2 * (1 - 16.0**-8) / 3, abs=1e-15)
-    assert w.limit == pytest.approx(1 / 3, abs=1e-15)
-    assert dicke.limit == pytest.approx(2 / 3, abs=1e-15)
-    assert sum(w.per_round) + sum(dicke.per_round) <= 1 + 1e-12
+    series = success_series(5, 8)
+    assert list(series) == ["W", "Dicke"]   # the order success-table prints
+    (w, w_limit), (dicke, dicke_limit) = series.values()
+    assert w[0] == 5 / 16 and dicke[0] == 10 / 16
+    assert sum(w) == pytest.approx((1 - 16.0**-8) / 3, abs=1e-15)
+    assert sum(dicke) == pytest.approx(2 * (1 - 16.0**-8) / 3, abs=1e-15)
+    assert w_limit == pytest.approx(1 / 3, abs=1e-15)
+    assert dicke_limit == pytest.approx(2 / 3, abs=1e-15)
+    assert sum(w) + sum(dicke) <= 1 + 1e-12
 
 
 def test_success_series_bad_input():
@@ -294,7 +301,9 @@ def _three_sigma(p, n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ideal_ensemble_cells_match_closed_form(n, rounds):
     cells = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=rounds))
-    expected = {(s.outcome_class, m): p for s in success_series(n, rounds) for m, p in enumerate(s.per_round, start=1)}
+    expected = {
+        (cls, m): p for cls, (per_round, _) in success_series(n, rounds).items() for m, p in enumerate(per_round, start=1)
+    }
     expected[("failed_max_iter", rounds)] = 1.0 - sum(expected.values())
     assert list(cells) == list(expected)   # the multinomial draws follow this order
     for cell, p in expected.items():
@@ -583,4 +592,4 @@ def test_gaussian_misclassification_is_recorded():
     assert any(r.misclassification_events > 0 for r in runs)
     for r in runs:
         if r.misclassification_events == 0 and r.outcome_class in ("W", "Dicke"):
-            assert classify_state(r.final_state).kind in ("W", "W_flipped", "Dicke")
+            assert classify_state(r.final_state)["kind"] in ("W", "W_flipped", "Dicke")
