@@ -291,34 +291,34 @@ def _ideal_gate_table(spec: ProtocolSpec):
     """Exact (outcome class, rounds used) probabilities of an ideal-gate ensemble.
 
     Ideal gates and either readout are a linear instrument, so the running
-    trials share one unnormalized density matrix, kept as amplitude rows v
-    with rho = sum |v><v|.  Each round books the classified weight of every
-    declaring tag (true-tag weights times the identity, or times the
-    receiver's confusion matrix in gaussian mode) and carries each true-tag
-    branch on, scaled by the root of its chance to be read as a tag that
-    declares nothing.  Cells run by class, then round, failure cell last.
+    trials share one unnormalized density matrix rho.  A round maps rho to
+    U rho U† with its circuit's unitary U, books the classified weight of
+    each declaring tag (rho's true-tag diagonal weights times the identity,
+    or times the receiver's confusion matrix in gaussian mode) and keeps each
+    true-tag block, scaled by its chance to be read as a tag that declares
+    nothing.  Cells run by class, then round; the trace left fails, last.
     """
     n = spec.n_photons
     success = _SUCCESS_TAGS[n]
     confusion, read_as = _receiver(spec) or (np.eye(n + 1), range(n + 1))
-    carry = np.sqrt(confusion[:, [k not in success for k in read_as]].sum(axis=1))
+    carry = confusion[:, [k not in success for k in read_as]].sum(axis=1)
+    held = _tag_branches(np.ones(1 << n))       # [tag, basis]: 1 where the basis state holds the tag
+    keep = held.T @ (carry[:, None] * held)     # carry of a true-tag block of rho, 0 between blocks
+    # the basis rows run through a circuit are its unitary, transposed; four
+    # photons have no recovery, and every tag their circuit reads out declares
+    first, retry = (_run_gates(np.eye(1 << n, dtype=complex), elements, CNOT)[0].T
+                    for elements in (circuit_wiring(n), recovery_sequence(n) if n != 4 else ()))
     rounds = spec.max_iterations
     cells = {(cls, m): 0.0 for cls in dict.fromkeys(success.values()) for m in range(1, rounds + 1)}
-    rows = conversion_input(n)[None]
-    for m in range(1, rounds + 1):
-        if not len(rows):
-            break
-        rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), CNOT)
-        # a row-major copy, so that numpy sums the weights over rows one row at a time, not pairwise
-        branches = np.ascontiguousarray(_tag_branches(rows).swapaxes(0, 1))   # [row, tag, basis]
-        for tag, p in zip(read_as, row_norms2(branches).sum(axis=0) @ confusion):
+    psi = conversion_input(n)
+    rho = np.outer(psi, psi.conj())
+    for m, u in enumerate([first] + [retry] * (rounds - 1), start=1):
+        rho = u @ rho @ u.conj().T
+        for tag, p in zip(read_as, (held * rho.diagonal().real).sum(axis=1) @ confusion):
             if tag in success:
                 cells[(success[tag], m)] += float(p)
-        rows = (branches * carry[:, None]).reshape(-1, 1 << n)
-        rows = rows[(rows != 0).any(axis=1)]
-        if len(rows) > 1 << n:
-            rows = np.linalg.qr(rows, mode="r")
-    cells[("failed_max_iter", rounds)] = float(row_norms2(rows).sum())
+        rho = keep * rho
+    cells[("failed_max_iter", rounds)] = float(rho.trace().real)
     return cells
 
 
@@ -337,11 +337,11 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> di
 
     Ideal-gate ensembles, with either readout, draw all trials at once from
     one multinomial over the exact (class, round) probabilities of
-    ``_ideal_gate_table``, so million-trial ensembles are cheap.  Realistic
-    gates renormalize the state at every spin readout, which is not linear,
-    so they are sampled trial by trial: each trial is one quantum trajectory,
-    and the trials run together as batches of up to ``_MC_CHUNK`` amplitude
-    rows, all drawing from ``rng``.
+    ``_ideal_gate_table``'s density-matrix recursion, whose cost does not
+    grow with ``trials``.  Realistic gates renormalize the state at every
+    spin readout, which is not linear, so they are sampled trial by trial:
+    each trial is one quantum trajectory, and the trials run together as
+    batches of up to ``_MC_CHUNK`` amplitude rows, all drawing from ``rng``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -47,7 +47,7 @@ def class_frequency(counts: dict, outcome_class: str, trials: int) -> float:
 
 
 def tag_split(row):
-    """Unnormalized branch and weight of every tag an amplitude row holds, split as the ideal-gate table splits rows."""
+    """Unnormalized branch and weight of every tag an amplitude row holds, split as ``read_rows`` splits a row before its readout."""
     branches = _tag_branches(row)
     weights = row_norms2(branches)
     held = [k for k in range(len(weights)) if weights[k] > 0]

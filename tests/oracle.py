@@ -7,11 +7,16 @@ product, so the replay shares no arithmetic with ``qstate.apply_rows``.
 
 ``classify`` is the physical receiver: it bins a drawn quadrature value by
 the thresholds, which the runtime never does.
+
+``branch_table`` is the ideal-gate ensemble table enumerated history by
+history, one amplitude row per history, where the runtime carries one
+density matrix.
 """
 
 import numpy as np
 
-from entconv.optics import HWP, QWP, SPIN_HADAMARD
+from entconv.optics import CNOT, HWP, QWP, SPIN_HADAMARD
+from entconv.protocols import _receiver, _run_gates, circuit_wiring, conversion_input, recovery_sequence
 
 PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))   # onto bit value 0 and 1
 SPIN_READY = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -68,3 +73,46 @@ def classify(model, x):
     """Tag of the decision cell of ``model`` (a ``kerr.HomodyneModel``) that each quadrature value ``x`` lands in."""
     cell = np.searchsorted(np.asarray(model.thresholds), x, side="left")
     return np.asarray(model.tags)[cell]
+
+
+# classified tag -> the outcome it declares, as the paper reads each circuit out
+DECLARED = {3: {1: "W"}, 4: {1: "W", 3: "W"}, 5: {1: "W", 3: "Dicke"}}
+
+
+def branch_table(spec):
+    """Exact (outcome class, rounds used) probabilities of an ideal-gate ensemble, one amplitude row per history.
+
+    A history is the sequence of true and classified tags of every round.
+    Each round runs the round's circuit on every row, splits each row by
+    true tag (the basis states with that many L photons) and each split by
+    classified tag, scaled by the root of the chance to read the one as the
+    other: the true tag alone for ideal readout, every entry of the true
+    tag's row of the receiver's confusion matrix for gaussian readout.  A
+    history whose classified tag declares ends in its cell; the rest run
+    on, and the weight left after the last round fails.  Four photons have
+    no recovery, so their rows stay as they are.  No row is dropped or
+    merged, and no density matrix is formed.
+    """
+    n, rounds = spec.n_photons, spec.max_iterations
+    declared = DECLARED[n]
+    receiver = _receiver(spec)
+    l_photons = np.array([bin(i).count("1") for i in range(1 << n)])   # bit value 1 is L
+    cells = {(cls, m): 0.0 for cls in dict.fromkeys(declared.values()) for m in range(1, rounds + 1)}
+    rows = conversion_input(n)[None]
+    for m in range(1, rounds + 1):
+        if m == 1 or n != 4:
+            rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), CNOT)
+        carried = [np.zeros((0, 1 << n))]
+        for true in range(n + 1):
+            split = np.where(l_photons == true, rows, 0.0)
+            # (classified tag, chance) pairs; a gaussian receiver is (confusion, tags)
+            reads = [(true, 1.0)] if receiver is None else zip(receiver[1], receiver[0][true])
+            for tag, chance in reads:
+                history = split * np.sqrt(chance)
+                if tag in declared:
+                    cells[(declared[tag], m)] += float(np.sum(np.abs(history) ** 2))
+                else:
+                    carried.append(history)
+        rows = np.concatenate(carried)
+    cells[("failed_max_iter", rounds)] = float(np.sum(np.abs(rows) ** 2))
+    return cells

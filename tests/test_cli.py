@@ -248,6 +248,13 @@ def test_counts_at_their_bounds_are_accepted(tmp_path):
     assert config_from_dict(doc)["protocol"].max_iterations == 1000
     assert main(["success-table", "--n", "3", "--rounds", "1000", "--out", str(tmp_path / "t.csv")]) == 0
     assert main(["success-table", "--n", "3", "--rounds", "1001", "--out", str(tmp_path / "t.csv")]) == 2
+    # an ideal-gate ensemble at both bounds is one exact table and one draw
+    ensemble = {"protocol": {"n_photons": 5, "max_iterations": 1000, "homodyne_mode": "gaussian"},
+                "seed": 1, "trials": 2**63 - 1}
+    JsonValidator(json.loads(schema_path().read_text())).validate(ensemble)
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--config", make_config(tmp_path, ensemble, "mc.json"), "--out", str(out)]) == 0
+    assert sum(int(row[2]) for row in read_rows(out)[1]) == 2**63 - 1
 
 
 def test_config_rejects_unknown_keys():

@@ -32,7 +32,7 @@ from entconv.optics import CNOT
 from entconv.qstate import ket
 
 from conftest import class_frequency, expected_vector, tag_split, uniform_vector
-from oracle import IDEAL_BOUNCE
+from oracle import IDEAL_BOUNCE, branch_table
 
 # hand-expanded pre-tag term lists for the three circuits
 PRE_TAG_TERMS = {
@@ -317,6 +317,19 @@ def test_ideal_gate_table_is_a_distribution(n, readout, probe):
     cells = _ideal_gate_table(ProtocolSpec(n_photons=n, max_iterations=8, homodyne_mode=readout, **probe))
     assert min(cells.values()) >= 0.0
     assert abs(sum(cells.values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("rounds", [1, 4])
+@pytest.mark.parametrize("probe", [{}, {"theta": THETA_LOW, "alpha": ALPHA_LOW}], ids=["paper", "low_alpha"])
+@pytest.mark.parametrize("readout", ["ideal", "gaussian"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ideal_gate_table_matches_branch_enumeration(n, readout, probe, rounds):
+    # every cell, in order, against one amplitude row per history of true and classified tags
+    spec = ProtocolSpec(n_photons=n, max_iterations=rounds, homodyne_mode=readout, **probe)
+    cells, want = _ideal_gate_table(spec), branch_table(spec)
+    assert list(cells) == list(want)
+    for cell, p in want.items():
+        assert abs(cells[cell] - p) <= 1e-12, cell
 
 
 @pytest.mark.parametrize("n,tags", [(3, {1, 3}), (4, {1, 3}), (5, {1, 3, 5})])
