@@ -31,6 +31,7 @@ from .protocols import (
     success_series,
 )
 from .qstate import label, row_photons
+from .stream import Stream
 
 CURVE_TAGS = (1, 3, 5)
 CURVE_SAMPLES = 1000
@@ -101,8 +102,7 @@ def _state_terms(amps) -> list[dict]:
 def cmd_run(config: dict, flags: dict) -> int:
     spec = _require_protocol(config)
     seed = _require_seed(config)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    run = run_protocol(spec, rng=rng)
+    run = run_protocol(spec, rng=Stream(seed))
     report = {
         "command": "run",
         "seed": seed,
@@ -142,8 +142,7 @@ def cmd_montecarlo(config: dict, flags: dict) -> int:
     seed = _require_seed(config)
     trials = config.get("trials", 1)
     _check_jobs(flags)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = monte_carlo(spec, trials, rng)
+    counts = monte_carlo(spec, trials, Stream(seed))
     header = ["outcome_class", "iterations", "count", "frequency"]
     rows = [
         [cls, iters, count, count / trials]

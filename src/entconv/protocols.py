@@ -128,9 +128,10 @@ def _run_gates(rows, elements, gate, rng=None, spins=iter(())):
     matrix, a CNOT as ``gate`` over (control, target).  ``gate`` is
     ``optics.CNOT`` or a realistic Kraus pair (``cnot._kraus``); an output
     with a leading readout axis is measured with ``collapse``, each readout
-    forced by the next of ``spins`` while they last and drawn from ``rng``
-    after.  Returns the rows, the product of the squared norms each row kept
-    before its readouts and the list of readouts.
+    forced by the next of ``spins`` while they last and drawn with
+    ``rng.random`` after (``rng`` is a ``stream.Stream`` or a numpy
+    ``Generator``).  Returns the rows, the product of the squared norms each
+    row kept before its readouts and the list of readouts.
     """
     plates = {"hwp": HWP.T, "qwp": QWP.T}
     norm_factor = 1.0
@@ -150,7 +151,7 @@ def _run_gates(rows, elements, gate, rng=None, spins=iter(())):
 
 def run_protocol(
     spec: ProtocolSpec,
-    rng: np.random.Generator | None = None,
+    rng=None,
     forced_tags=None,
     forced_spins=None,
 ) -> ProtocolRun:
@@ -158,7 +159,8 @@ def run_protocol(
 
     ``forced_tags`` (one per iteration) and ``forced_spins`` (one per
     realistic gate) pin the stochastic choices for branch-by-branch analysis;
-    otherwise outcomes are sampled from ``rng``.  A forced sequence shorter
+    otherwise outcomes are sampled with ``rng.random``, where ``rng`` is a
+    ``stream.Stream`` or a numpy ``Generator``.  A forced sequence shorter
     than the run pins the first choices only: the rest are drawn from
     ``rng``, and without one the call raises ``ValueError``.  Control flow
     follows the classified tag, so a gaussian-mode misclassification steers
@@ -332,16 +334,17 @@ def ideal_tags(n_photons: int) -> frozenset[int]:
     return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[:, 0]))
 
 
-def monte_carlo(spec: ProtocolSpec, trials: int, rng: np.random.Generator) -> dict[tuple[str, int], int]:
+def monte_carlo(spec: ProtocolSpec, trials: int, rng) -> dict[tuple[str, int], int]:
     """Trial counts by (outcome class, rounds used) over seeded trials; only cells with a trial appear.
 
     Ideal-gate ensembles, with either readout, draw all trials at once from
-    one multinomial over the exact (class, round) probabilities of
+    one ``rng.multinomial`` over the exact (class, round) probabilities of
     ``_ideal_gate_table``'s density-matrix recursion, whose cost does not
     grow with ``trials``.  Realistic gates renormalize the state at every
     spin readout, which is not linear, so they are sampled trial by trial:
     each trial is one quantum trajectory, and the trials run together as
-    batches of up to ``_MC_CHUNK`` amplitude rows, all drawing from ``rng``.
+    batches of up to ``_MC_CHUNK`` amplitude rows, all drawing with
+    ``rng.random``.  ``rng`` is a ``stream.Stream`` or a numpy ``Generator``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

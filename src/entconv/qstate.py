@@ -90,14 +90,15 @@ def row_norms2(amps: np.ndarray) -> np.ndarray:
     return row_inner(amps, amps).real
 
 
-def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) -> np.ndarray:
+def choose_branch(probs, rng=None, forced=None) -> np.ndarray:
     """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (m, ...).
 
     ``forced`` picks the branch of every row.  Otherwise each row takes one
-    ``rng`` draw, in row order, scales it by the row's total weight and picks
-    the first branch whose cumulative weight exceeds it; a draw that rounds
-    up to the total takes the last weighted branch.  A branch of weight at
-    most ``NORM_TOL**2`` is an impossible outcome.
+    draw of ``rng.random(shape)``, in row order (``rng`` is a
+    ``stream.Stream`` or a numpy ``Generator``), scales it by the row's total
+    weight and picks the first branch whose cumulative weight exceeds it; a
+    draw that rounds up to the total takes the last weighted branch.  A
+    branch of weight at most ``NORM_TOL**2`` is an impossible outcome.
     """
     probs = np.asarray(probs, dtype=float)
     if forced is not None:
@@ -119,12 +120,13 @@ def choose_branch(probs, rng: np.random.Generator | None = None, forced=None) ->
     return k
 
 
-def collapse(branches: np.ndarray, rng: np.random.Generator | None = None, forced=None):
+def collapse(branches: np.ndarray, rng=None, forced=None):
     """Read out every row of ``branches``, shape (m, rows, dim), the unnormalized branches in front.
 
-    ``choose_branch`` picks each row's branch from its weights.  Returns the
-    chosen branch index of each row, each row's chosen branch renormalized
-    and the weight of every branch, shape (m, rows).
+    ``choose_branch`` picks each row's branch from its weights, with a draw
+    from ``rng.random`` unless ``forced`` pins it.  Returns the chosen branch
+    index of each row, each row's chosen branch renormalized and the weight
+    of every branch, shape (m, rows).
     """
     weights = row_norms2(branches)
     k = choose_branch(weights, rng, forced)

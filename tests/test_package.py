@@ -1,7 +1,8 @@
 """The runtime package stands alone: it imports nothing from the test tree, the
 spin-register primitives live only in the test oracle, and amplitude rows are
-the only state type.  Importing the CLI leaves ``numpy.random`` to the
-commands that draw, a command line is read without an argument parser
+the only state type.  Importing the CLI leaves ``numpy.random`` unimported,
+and so do a seeded run and a realistic ensemble that draw from
+``stream.Stream``; a command line is read without an argument parser
 library, and configs are checked without the test extras."""
 
 import ast
@@ -17,7 +18,7 @@ import entconv
 from entconv import cavity, cnot, optics, qstate
 
 TEST_TREE = {"tests", "conftest", "oracle"}
-MODULES = ("qstate", "cavity", "optics", "cnot", "kerr", "protocols", "config", "cli")
+MODULES = ("qstate", "cavity", "optics", "cnot", "kerr", "protocols", "config", "cli", "stream")
 MOVED = (
     "SPIN", "Site", "MeasurementRecord", "measure_site", "measure_spin", "attach_spin", "discard_spin",
     "apply_single_qubit", "apply_controlled", "qwp", "hwp", "spin_hadamard", "cnot_ideal", "SpinPhotonMap",
@@ -63,10 +64,35 @@ def _fresh_interpreter(code: str) -> str:
     return out.stdout.strip()
 
 
+NUMPY_RANDOM = "sorted(m for m in sys.modules if m.startswith('numpy.random'))"
+
+
 def test_importing_the_cli_leaves_numpy_random_unimported():
-    # only run and montecarlo draw; every other command would pay 13–18 ms for the import
-    code = "import sys, entconv.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    # only run and montecarlo draw, and they draw from stream.Stream; the import costs 13–18 ms
+    code = f"import sys, entconv.cli; print({NUMPY_RANDOM})"
     assert _fresh_interpreter(code) == "[]"
+
+
+def _commands_in_fresh_interpreter(tmp_path, gate_mode: str, *commands) -> str:
+    """Exit codes of each n=5 gaussian-readout command, then the ``numpy.random`` modules loaded, in a new interpreter."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": {"n_photons": 5, "gate_mode": gate_mode, "homodyne_mode": "gaussian",
+                                               "params": {"g": 0.3, "kappa": 26.0, "gamma": 0.0004}}, "seed": 20260810}))
+    argvs = [[*command, "--config", str(config), "--out", os.devnull] for command in commands]
+    code = f"import sys; from entconv.cli import main; print([main(a) for a in {argvs!r}], {NUMPY_RANDOM})"
+    return _fresh_interpreter(code)
+
+
+def test_a_run_and_a_realistic_ensemble_leave_numpy_random_unimported(tmp_path):
+    # 300 realistic n=5 trials draw ~2 200 uniforms, well below stream.HANDOVER
+    out = _commands_in_fresh_interpreter(tmp_path, "realistic", ["run"], ["montecarlo", "--trials", "300"])
+    assert out == "[0, 0] []"
+
+
+def test_an_ideal_gate_ensemble_imports_numpy_random_for_its_multinomial(tmp_path):
+    # where the Python stream stops: numpy's binomial, which the multinomial draws with, is not ported
+    out = _commands_in_fresh_interpreter(tmp_path, "ideal", ["montecarlo", "--trials", "300"])
+    assert out.startswith("[0] [") and "'numpy.random'" in out
 
 
 def test_commands_load_no_argument_parser(tmp_path):
