@@ -87,25 +87,25 @@ def homodyne_pdf(x, alpha: float, k: int, theta: float):
     return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2) / math.sqrt(2.0 * math.pi)
 
 
-def read_rows(rows: np.ndarray, receiver: tuple[np.ndarray, tuple[int, ...]] | None, rng=None, forced_tag=None):
-    """Tag and read out every row of a batch of photons-only amplitude rows.
+def read_rows(rows: np.ndarray, at, receiver: tuple[np.ndarray, tuple[int, ...]] | None, rng=None, forced_tag=None):
+    """Tag and read out a batch of trials whose photons-only amplitude rows are ``rows[at]``.
 
-    The true tag of each row is drawn by its branch weights with
+    The true tag of each trial is drawn by its row's branch weights with
     ``collapse``.  Without a ``receiver`` the readout is ideal and reports
     the true tag.  With one, ``(model.confusion(range(n + 1)), model.tags)``,
-    it is gaussian: ``choose_branch`` draws each row's decision cell from its
-    true tag's row of the matrix and reports that cell's tag.  The receiver
-    is fixed, so a tag of vanishing weight cannot move a decision threshold,
-    and a leaked tag reads as the tag of the cell drawn from its own row.
-    ``forced_tag`` pins both the true and the classified tag.  Returns the
-    classified tags, the true tags and the rows collapsed onto their
-    renormalized true branch.
+    it is gaussian: ``choose_branch`` draws each trial's decision cell from
+    its true tag's row of the matrix and reports that cell's tag.  The
+    receiver is fixed, so a tag of vanishing weight cannot move a decision
+    threshold, and a leaked tag reads as the tag of the cell drawn from its
+    own row.  ``forced_tag`` pins both the true and the classified tag.
+    Returns the classified tags, the true tags and one row per trial, its
+    state collapsed onto its renormalized true branch.
     """
-    true, collapsed, _ = collapse(_tag_branches(rows), rng, forced_tag)
+    true, collapsed, at, _ = collapse(_tag_branches(rows), at, rng, forced_tag)
     if forced_tag is not None or receiver is None:
-        return true, true, collapsed
+        return true, true, collapsed[at]
     confusion, tags = receiver
-    return np.asarray(tags)[choose_branch(confusion[true].T, rng)], true, collapsed
+    return np.asarray(tags)[choose_branch(confusion[true].T, rng)], true, collapsed[at]
 
 
 def error_probability(x_d: float) -> float:

@@ -121,17 +121,20 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
     return _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
 
 
-def _run_gates(rows, elements, gate, rng=None, spins=iter(())):
-    """Apply an element list to a batch of amplitude rows, shape (trials, 2**n).
+def _run_gates(rows, at, elements, gate, rng=None, spins=iter(())):
+    """Apply an element list to a batch of trials whose amplitude rows, shape (rows, 2**n), are ``rows[at]``.
 
-    Every element goes through ``apply_rows``: a plate as its transposed
-    matrix, a CNOT as ``gate`` over (control, target).  ``gate`` is
-    ``optics.CNOT`` or a realistic Kraus pair (``cnot._kraus``); an output
-    with a leading readout axis is measured with ``collapse``, each readout
-    forced by the next of ``spins`` while they last and drawn with
-    ``rng.random`` after (``rng`` is a ``stream.Stream`` or a numpy
-    ``Generator``).  Returns the rows, the product of the squared norms each
-    row kept before its readouts and the list of readouts.
+    Every element goes through ``apply_rows`` on the rows, not on each
+    trial: a plate as its transposed matrix, a CNOT as ``gate`` over
+    (control, target).  ``gate`` is ``optics.CNOT`` or a realistic Kraus pair
+    (``cnot._kraus``); an output with a leading readout axis is measured with
+    ``collapse``, each readout forced by the next of ``spins`` while they
+    last and drawn with ``rng.random`` after (``rng`` is a ``stream.Stream``
+    or a numpy ``Generator``), and its children and their index replace the
+    rows and ``at``.  An element list without readouts reads no ``at``: the
+    ideal-gate table passes basis rows with None.  Returns the rows, the
+    index, the product of the squared norms each trial kept before its
+    readouts and the list of readouts, one per trial.
     """
     plates = {"hwp": HWP.T, "qwp": QWP.T}
     norm_factor = 1.0
@@ -142,11 +145,11 @@ def _run_gates(rows, elements, gate, rng=None, spins=iter(())):
             raise ValueError(f"unknown circuit element {el!r}")
         out = apply_rows(rows, el[1:], op)
         if out.ndim > rows.ndim:   # a measured gate: one branch per readout in front
-            readout, out, weights = collapse(out, rng, next(spins, None))
-            norm_factor = norm_factor * weights.sum(axis=0)
+            readout, out, children_at, weights = collapse(out, at, rng, next(spins, None))
+            norm_factor, at = norm_factor * weights.sum(axis=0)[at], children_at
             readouts.append(readout)
         rows = out
-    return rows, norm_factor, readouts
+    return rows, at, norm_factor, readouts
 
 
 def run_protocol(
@@ -189,6 +192,10 @@ def _receiver(spec: ProtocolSpec):
 def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_spins=None):
     """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
 
+    Every trial starts on the one input row, and a trial's state depends
+    only on the readouts it has drawn, so within a round the batch carries
+    one row per distinct readout history and each trial's index into them
+    (``_run_gates``, ``collapse``); the tag readout leaves one row per trial.
     A trial leaves the batch when its classified tag declares an outcome;
     the rest run the recovery sequence, or, having none at four photons, end
     as ``failed_no_recovery`` unless the round was their last.  Draws go
@@ -202,11 +209,11 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     their gate readouts.
     """
     n = spec.n_photons
-    rows = np.repeat(conversion_input(n)[None], trials, axis=0)
+    rows, at = conversion_input(n)[None], np.zeros(trials, int)
     live = np.arange(trials)
     outcome = np.full(trials, "failed_max_iter", dtype=object)
     rounds = np.full(trials, spec.max_iterations)
-    final = np.empty_like(rows)
+    final = np.empty((trials, 1 << n), complex)
     survival = np.ones(trials)
     history = []
     gate = CNOT if spec.gate_mode == "ideal" else _kraus(spin_photon_map(spec.params))
@@ -217,9 +224,9 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     receiver = _receiver(spec)
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
-        rows, norm_factor, readouts = _run_gates(rows, elements, gate, rng, spin_iter)
+        rows, at, norm_factor, readouts = _run_gates(rows, at, elements, gate, rng, spin_iter)
         survival[live] *= norm_factor
-        tags, true, rows = read_rows(rows, receiver, rng, next(tag_iter, None))
+        tags, true, rows = read_rows(rows, at, receiver, rng, next(tag_iter, None))
         history.append((live, tags, true, readouts))
         done = declares[tags]
         if n == 4 and spec.standardize_flipped:   # HWP on every photon flips every bit
@@ -228,6 +235,7 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
         outcome[live[done]] = [success[int(k)] for k in tags[done]]
         rounds[live[done]] = iteration
         live, rows = live[~done], rows[~done]
+        at = np.arange(live.size)   # the tag readout left one row per trial
         if not live.size or iteration == spec.max_iterations:
             break
         if n == 4:
@@ -308,7 +316,7 @@ def _ideal_gate_table(spec: ProtocolSpec):
     keep = held.T @ (carry[:, None] * held)     # carry of a true-tag block of rho, 0 between blocks
     # the basis rows run through a circuit are its unitary, transposed; four
     # photons have no recovery, and every tag their circuit reads out declares
-    first, retry = (_run_gates(np.eye(1 << n, dtype=complex), elements, CNOT)[0].T
+    first, retry = (_run_gates(np.eye(1 << n, dtype=complex), None, elements, CNOT)[0].T
                     for elements in (circuit_wiring(n), recovery_sequence(n) if n != 4 else ()))
     rounds = spec.max_iterations
     cells = {(cls, m): 0.0 for cls in dict.fromkeys(success.values()) for m in range(1, rounds + 1)}
@@ -330,7 +338,7 @@ def ideal_tags(n_photons: int) -> frozenset[int]:
 
     Read off the first round: recovery reproduces its tags.
     """
-    rows, *_ = _run_gates(conversion_input(n_photons)[None], circuit_wiring(n_photons), CNOT)
+    rows, *_ = _run_gates(conversion_input(n_photons)[None], None, circuit_wiring(n_photons), CNOT)
     return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[:, 0]))
 
 
@@ -343,8 +351,10 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng) -> dict[tuple[str, int], i
     grow with ``trials``.  Realistic gates renormalize the state at every
     spin readout, which is not linear, so they are sampled trial by trial:
     each trial is one quantum trajectory, and the trials run together as
-    batches of up to ``_MC_CHUNK`` amplitude rows, all drawing with
-    ``rng.random``.  ``rng`` is a ``stream.Stream`` or a numpy ``Generator``.
+    batches of up to ``_MC_CHUNK`` trials, all drawing with ``rng.random``.
+    A batch carries one amplitude row per distinct readout history, not
+    one per trial (``_run_rounds``).  ``rng`` is a ``stream.Stream`` or a
+    numpy ``Generator``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

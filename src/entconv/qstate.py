@@ -120,15 +120,25 @@ def choose_branch(probs, rng=None, forced=None) -> np.ndarray:
     return k
 
 
-def collapse(branches: np.ndarray, rng=None, forced=None):
-    """Read out every row of ``branches``, shape (m, rows, dim), the unnormalized branches in front.
+def collapse(branches: np.ndarray, at, rng=None, forced=None):
+    """Read out a batch of trials from the unnormalized branches of their rows, shape (m, rows, dim).
 
-    ``choose_branch`` picks each row's branch from its weights, with a draw
-    from ``rng.random`` unless ``forced`` pins it.  Returns the chosen branch
-    index of each row, each row's chosen branch renormalized and the weight
-    of every branch, shape (m, rows).
+    Trial i holds row ``at[i]``, so trials that share a state share its row.
+    ``choose_branch`` picks each trial's branch from its row's weights, in
+    trial order, with a draw from ``rng.random`` unless ``forced`` pins it.
+    The children are every branch of every row, trial i at ``k * rows +
+    at[i]``, while there are no more of them than trials; past that, one
+    chosen branch per trial, trial i at row i.  Each child is divided by the
+    square root of its weight; a child of weight 0 is chosen by no trial and
+    is kept as it is.  Returns the chosen branch index of each trial, the
+    children, each trial's index into them and the weight of every branch,
+    shape (m, rows).
     """
     weights = row_norms2(branches)
-    k = choose_branch(weights, rng, forced)
-    each = np.arange(branches.shape[1])
-    return k, branches[k, each] / np.sqrt(weights[k, each])[:, None], weights
+    k = choose_branch(weights[:, at], rng, forced)
+    m, rows = weights.shape
+    if m * rows <= len(at):
+        children, child_weights, at = branches.reshape(m * rows, -1), weights.reshape(-1), k * rows + at
+    else:
+        children, child_weights, at = branches[k, at], weights[k, at], np.arange(len(at))
+    return k, children / np.sqrt(np.where(child_weights > 0, child_weights, 1.0))[:, None], at, weights

@@ -101,7 +101,7 @@ def branch_table(spec):
     rows = conversion_input(n)[None]
     for m in range(1, rounds + 1):
         if m == 1 or n != 4:
-            rows, *_ = _run_gates(rows, circuit_wiring(n) if m == 1 else recovery_sequence(n), CNOT)
+            rows, *_ = _run_gates(rows, None, circuit_wiring(n) if m == 1 else recovery_sequence(n), CNOT)
         carried = [np.zeros((0, 1 << n))]
         for true in range(n + 1):
             split = np.where(l_photons == true, rows, 0.0)

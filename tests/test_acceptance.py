@@ -66,7 +66,7 @@ def _verdict(number: int, text: str) -> None:
 def test_criterion_1_state_evolution_oracles():
     t0 = time.perf_counter()
     for n in (3, 4, 5):
-        rows, *_ = _run_gates(conversion_input(n)[None], circuit_wiring(n), CNOT)
+        rows, *_ = _run_gates(conversion_input(n)[None], None, circuit_wiring(n), CNOT)
         state = rows[0]
         np.testing.assert_allclose(state, uniform_vector(n, PRE_TAG_TERMS[n]), atol=1e-12)
         _, weights = tag_split(state)
@@ -74,7 +74,7 @@ def test_criterion_1_state_evolution_oracles():
         for tag, weight in BRANCH_WEIGHTS[n].items():
             assert abs(weights[tag] - float(weight)) < 1e-12
             # each branch keeps the pre-tag amplitudes on its own terms
-            _, _, collapsed = read_rows(state[None], None, forced_tag=tag)
+            _, _, collapsed = read_rows(state[None], [0], None, forced_tag=tag)
             np.testing.assert_allclose(collapsed[0], uniform_vector(n, BRANCH_TERMS[(n, tag)]), atol=1e-12)
     # five-photon outcome branches after renormalization
     run_w = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(1,))
@@ -158,7 +158,7 @@ def test_criterion_4_cnot_contract(rng):
         a, b, g, d = state
         want_vec = np.array([a, d, g, b])  # alpha|RR> + delta|RL> + gamma|LR> + beta|LL>
         for forced in (0, 1):
-            readouts, rows, _ = collapse(apply_rows(state[None], (2, 1), _kraus(IDEAL_BOUNCE)), forced=forced)
+            readouts, rows, _, _ = collapse(apply_rows(state[None], (2, 1), _kraus(IDEAL_BOUNCE)), [0], forced=forced)
             np.testing.assert_allclose(rows[0], want_vec, atol=1e-12)
             assert readouts[0] == forced
         again = apply_rows(apply_rows(state, (2, 1), CNOT), (2, 1), CNOT)
@@ -180,7 +180,7 @@ def test_criterion_5_fidelity_surface():
                     else:
                         uniform = uniform_vector(2, ["RR", "RL", "LR", "LL"])
                         kraus = _kraus(spin_photon_map(params))
-                        _, rows, _ = collapse(apply_rows(uniform[None], (2, 1), kraus), forced=outcome)
+                        _, rows, _, _ = collapse(apply_rows(uniform[None], (2, 1), kraus), [0], forced=outcome)
                         f = abs(np.vdot(rows[0], apply_rows(uniform, (2, 1), CNOT))) ** 2
                     surface[(round(float(gk), 9), round(float(gg), 9), outcome)] = f
         for outcome in (0, 1):

@@ -98,6 +98,7 @@ GRID = {"g_over_kappa": [0.5, 5.0], "g_over_gamma": [0.5, 5.0], "steps": 2}
         {"protocol": {"n_photons": 3, "params": {**REAL_PARAMS, "omega_p": math.nan}}},
         {"sweep": {**GRID, "g_over_kappa": ["a", 1]}},
         {"sweep": {**GRID, "g_over_kappa": [0.5, 1.0, 2.0]}},
+        {"sweep": {**GRID, "g_over_kappa": [0.5]}},
         {"protocol": {"n_photons": 3, "theta": True}},
         {"protocol": {"n_photons": 3, "params": {**REAL_PARAMS, "g": True}}},
         {"protocol": {"n_photons": 3, "standardize_flipped": "no"}},

@@ -75,7 +75,7 @@ def test_involution(rng):
 
 def compiled_cnot(state, control, target, factors, rng=None, forced=None):
     """The gate compiled from the bounce diagonal ``factors`` on a batch of one: row, readout, chosen weight, norm."""
-    readouts, rows, weights = collapse(apply_rows(state[None], (control, target), _kraus(factors)), rng, forced)
+    readouts, rows, _, weights = collapse(apply_rows(state[None], (control, target), _kraus(factors)), [0], rng, forced)
     return rows[0], int(readouts[0]), float(weights[readouts[0], 0]), float(weights.sum(axis=0)[0])
 
 
@@ -139,12 +139,12 @@ def test_compiled_gate_on_a_batch_matches_each_row():
     rows = gen.normal(size=(30, 32)) + 1j * gen.normal(size=(30, 32))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     for spin in (0, 1):
-        readouts, out, weights = collapse(apply_rows(rows, (4, 2), _kraus(factors)), forced=spin)
+        readouts, out, at, weights = collapse(apply_rows(rows, (4, 2), _kraus(factors)), np.arange(30), forced=spin)
         chosen, kept = weights[spin], weights.sum(axis=0)
         assert set(readouts) == {spin}
         for i, row in enumerate(rows):
             one, _, one_chosen, one_kept = compiled_cnot(row, 4, 2, factors, forced=spin)
-            np.testing.assert_allclose(out[i], one, atol=1e-14)
+            np.testing.assert_allclose(out[at[i]], one, atol=1e-14)
             assert chosen[i] == pytest.approx(one_chosen, abs=1e-14)
             assert kept[i] == pytest.approx(one_kept, abs=1e-14)
 

@@ -104,10 +104,10 @@ def test_ideal_readout_probabilities_three_photons(rng):
     _, weights = tag_split(state)
     assert abs(weights[1] - 0.75) < 1e-12
     assert abs(weights[3] - 0.25) < 1e-12
-    tags, true, rows = read_rows(state[None], None, forced_tag=1)
+    tags, true, rows = read_rows(state[None], [0], None, forced_tag=1)
     assert tags[0] == true[0] == 1
     assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-12
-    _, _, rows = read_rows(state[None], None, forced_tag=3)
+    _, _, rows = read_rows(state[None], [0], None, forced_tag=3)
     np.testing.assert_allclose(rows[0], uniform_vector(3, ["LLL"]), atol=1e-12)
 
 
@@ -121,29 +121,29 @@ def test_ideal_readout_probabilities_five_photons():
     for tag, weight in ((1, 5 / 16), (3, 10 / 16), (5, 1 / 16)):
         assert abs(weights[tag] - weight) < 1e-12
         # the forced readout keeps the branch, renormalized by the root of its weight
-        _, _, rows = read_rows(state[None], None, forced_tag=tag)
+        _, _, rows = read_rows(state[None], [0], None, forced_tag=tag)
         np.testing.assert_allclose(rows[0] * math.sqrt(weight), branches[tag], atol=1e-12)
 
 
 def test_single_branch_certain(rng):
     row = ket("RRRR")[None]
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0,))
-    tags, true, _ = read_rows(row, None, rng)
+    tags, true, _ = read_rows(row, [0], None, rng)
     assert tags[0] == true[0] == 0
-    _, true, _ = read_rows(row, _gaussian(model, 4), rng)
+    _, true, _ = read_rows(row, [0], _gaussian(model, 4), rng)
     assert true[0] == 0
 
 
 def test_forced_tag_absent():
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0, 1))
     with pytest.raises(ValueError, match="impossible outcome"):
-        read_rows(ket("RRR")[None], _gaussian(model, 3), forced_tag=1)
+        read_rows(ket("RRR")[None], [0], _gaussian(model, 3), forced_tag=1)
 
 
 def test_ideal_sampling_matches_weights(rng):
     state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     n = 40000
-    tags, _, _ = read_rows(np.repeat(state[None], n, axis=0), None, rng)
+    tags, _, _ = read_rows(state[None], np.zeros(n, int), None, rng)
     hits = int(np.sum(tags == 1))
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert abs(hits / n - 0.75) <= 3 * sigma
@@ -155,7 +155,7 @@ def test_gaussian_mode_collapses_to_true_branch(rng):
     state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     branches, weights = tag_split(state)
     model = HomodyneModel.for_tags(1.0, 0.02, tuple(weights))
-    tags, true, rows = read_rows(np.repeat(state[None], 300, axis=0), _gaussian(model, 3), rng)
+    tags, true, rows = read_rows(state[None], np.zeros(300, int), _gaussian(model, 3), rng)
     for k, row in zip(true, rows):
         np.testing.assert_allclose(row, branches[k] / math.sqrt(weights[k]), atol=1e-12)
     assert np.sum(tags != true) > 0
@@ -198,7 +198,7 @@ def test_batched_readout_matches_per_state_oracle(mode, theta, alpha):
     for n in (3, 4, 5):
         rows = _rows_with_tag_gaps(gen, n, 2000)
         receiver = _fixed_receiver(n, theta, alpha) if mode == "gaussian" else None
-        tags, true, collapsed = read_rows(rows, receiver, np.random.default_rng(n))
+        tags, true, collapsed = read_rows(rows, np.arange(len(rows)), receiver, np.random.default_rng(n))
         for row, k, got in zip(rows, true, collapsed):
             np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
         weights = np.array([[_popcount_weight(row, k) for k in range(n + 1)] for row in rows])
@@ -216,7 +216,7 @@ def test_batched_forced_readout_keeps_rows_apart():
         receiver = _fixed_receiver(n, THETA_REF, ALPHA_REF)
         for k in range(n + 1):
             rows = _rows_with_tag_gaps(gen, n, 50, kept_tag=k)
-            tags, true, collapsed = read_rows(rows, receiver, forced_tag=k)
+            tags, true, collapsed = read_rows(rows, np.arange(len(rows)), receiver, forced_tag=k)
             assert set(tags) == set(true) == {k}
             for row, got in zip(rows, collapsed):
                 np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
@@ -266,7 +266,7 @@ def test_sampled_decision_cells_follow_the_confusion_row(n):
     rng = np.random.default_rng(21)
     for k in range(n + 1):
         row = ket("L" * k + "R" * (n - k))
-        got, true, _ = read_rows(np.repeat(row[None], draws, axis=0), receiver, rng)
+        got, true, _ = read_rows(row[None], np.zeros(draws, int), receiver, rng)
         assert set(true.tolist()) == {k}
         observed = np.array([np.sum(got == t) for t in tags])
         expected = draws * confusion[k]

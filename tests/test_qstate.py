@@ -198,7 +198,7 @@ def test_spin_measurement_probabilities_half(rng):
     # oracle: direct amplitude sums of the element-by-element replay at each readout
     direct = [float(np.sum(np.abs(branch) ** 2)) for branch in readout_branches(c, 2, 1, IDEAL_BOUNCE)]
     for spin in (0, 1):
-        _, _, weights = collapse(apply_rows(c[None], (2, 1), IDEAL), forced=spin)
+        *_, weights = collapse(apply_rows(c[None], (2, 1), IDEAL), [0], forced=spin)
         chosen = weights[spin]
         assert abs(chosen[0] - direct[spin]) < 1e-12
         assert abs(chosen[0] - 0.5) < 1e-12
@@ -206,7 +206,7 @@ def test_spin_measurement_probabilities_half(rng):
 
 def test_eigenstate_measurement_certain(rng):
     s = ket("RL")   # every basis state holds one tag: its count of L photons
-    tags, _, out = read_rows(s[None], None, rng)
+    tags, _, out = read_rows(s[None], [0], None, rng)
     assert tags[0] == 1
     np.testing.assert_allclose(out[0], s, atol=1e-12)
 
@@ -214,7 +214,7 @@ def test_eigenstate_measurement_certain(rng):
 def test_forced_minus_collapse_keeps_minus_branch(rng):
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c = c / np.linalg.norm(c)
-    _, out, _ = collapse(apply_rows(c[None], (2, 1), IDEAL), forced=1)
+    _, out, _, _ = collapse(apply_rows(c[None], (2, 1), IDEAL), [0], forced=1)
     # the minus branch alpha|LR>+beta|RL>+gamma|RR>+delta|LL>, target flipped back by the feed-forward
     want = expected_vector(2, {"RR": c[0], "LL": c[1], "LR": c[2], "RL": c[3]})
     np.testing.assert_allclose(out[0], want, atol=1e-12)
@@ -278,7 +278,7 @@ def test_measurement_completeness(state, data):
     if row_photons(state) < 2:
         return
     control, target = data.draw(st.permutations(range(1, row_photons(state) + 1)))[:2]
-    _, _, weights = collapse(apply_rows(state[None], (control, target), IDEAL), forced=0)
+    *_, weights = collapse(apply_rows(state[None], (control, target), IDEAL), [0], forced=0)
     kept = weights.sum(axis=0)
     assert abs(kept[0] - 1.0) < 1e-12
 
@@ -287,8 +287,8 @@ def test_measurement_completeness(state, data):
 def test_collapse_idempotence(state, data):
     # a probe readout repeated on its own collapsed row is certain and leaves the row
     seeded = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    tags, _, collapsed = read_rows(state[None], None, seeded)
-    again_tags, _, again = read_rows(collapsed, None, seeded)
+    tags, _, collapsed = read_rows(state[None], [0], None, seeded)
+    again_tags, _, again = read_rows(collapsed, [0], None, seeded)
     assert again_tags[0] == tags[0]
     np.testing.assert_allclose(again, collapsed, atol=1e-12)
 

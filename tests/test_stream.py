@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entconv.cavity import CavityParams
+from entconv.protocols import ProtocolSpec, monte_carlo
 from entconv.stream import HANDOVER, Stream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 20260810, 3**8383]   # the last has 4000 digits
@@ -46,6 +48,16 @@ def test_a_run_of_draws_crosses_the_handover_in_step():
         taken += 1000
         assert (ours._numpy is None) == (taken <= HANDOVER)
     _same(ours.random((3,)), numpy.random((3,)))
+
+
+def test_a_realistic_ensemble_past_the_handover_counts_as_numpy_draws_it():
+    # 5000 realistic n=5 trials draw ~37 000 uniforms, so the batches after the
+    # first few draw from the numpy Generator that continues the stream
+    spec = ProtocolSpec(n_photons=5, max_iterations=8, gate_mode="realistic",
+                        params=CavityParams(g=0.3, kappa=26.0, gamma=0.0004))
+    ours = Stream(27)
+    assert monte_carlo(spec, 5000, ours) == monte_carlo(spec, 5000, _oracle(27))
+    assert ours._drawn <= HANDOVER and ours._numpy is not None
 
 
 @pytest.mark.parametrize("seed", [-1, -2**70])
