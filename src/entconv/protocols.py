@@ -121,20 +121,19 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
     return _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
 
 
-def _run_gates(rows, at, elements, gate, rng=None, spins=iter(())):
+def _run_gates(rows, at, elements, gate, rng=None):
     """Apply an element list to a batch of trials whose amplitude rows, shape (rows, 2**n), are ``rows[at]``.
 
     Every element goes through ``apply_rows`` on the rows, not on each
     trial: a plate as its transposed matrix, a CNOT as ``gate`` over
     (control, target).  ``gate`` is ``optics.CNOT`` or a realistic Kraus pair
     (``cnot._kraus``); an output with a leading readout axis is measured with
-    ``collapse``, each readout forced by the next of ``spins`` while they
-    last and drawn with ``rng.random`` after (``rng`` is a ``stream.Stream``
-    or a numpy ``Generator``), and its children and their index replace the
-    rows and ``at``.  An element list without readouts reads no ``at``: the
-    ideal-gate table passes basis rows with None.  Returns the rows, the
-    index, the product of the squared norms each trial kept before its
-    readouts and the list of readouts, one per trial.
+    ``collapse``, each trial's readout drawn with ``rng.random`` (``rng`` is
+    a ``stream.Stream`` or a numpy ``Generator``), and its children and their
+    index replace the rows and ``at``.  An element list without readouts
+    reads no ``at``: the ideal-gate table passes basis rows with None.
+    Returns the rows, the index, the product of the squared norms each trial
+    kept before its readouts and the list of readouts, one per trial.
     """
     plates = {"hwp": HWP.T, "qwp": QWP.T}
     norm_factor = 1.0
@@ -145,33 +144,28 @@ def _run_gates(rows, at, elements, gate, rng=None, spins=iter(())):
             raise ValueError(f"unknown circuit element {el!r}")
         out = apply_rows(rows, el[1:], op)
         if out.ndim > rows.ndim:   # a measured gate: one branch per readout in front
-            readout, out, children_at, weights = collapse(out, at, rng, next(spins, None))
+            readout, out, children_at, weights = collapse(out, at, rng)
             norm_factor, at = norm_factor * weights.sum(axis=0)[at], children_at
             readouts.append(readout)
         rows = out
     return rows, at, norm_factor, readouts
 
 
-def run_protocol(
-    spec: ProtocolSpec,
-    rng=None,
-    forced_tags=None,
-    forced_spins=None,
-) -> ProtocolRun:
+def run_protocol(spec: ProtocolSpec, rng=None, forced_tags=None) -> ProtocolRun:
     """Execute one conversion attempt with recovery iteration.
 
-    ``forced_tags`` (one per iteration) and ``forced_spins`` (one per
-    realistic gate) pin the stochastic choices for branch-by-branch analysis;
-    otherwise outcomes are sampled with ``rng.random``, where ``rng`` is a
-    ``stream.Stream`` or a numpy ``Generator``.  A forced sequence shorter
-    than the run pins the first choices only: the rest are drawn from
-    ``rng``, and without one the call raises ``ValueError``.  Control flow
-    follows the classified tag, so a gaussian-mode misclassification steers
-    the protocol down the wrong arm while the state keeps the true branch;
-    such events are counted on the run record, and the spin outcome of every
-    realistic gate is recorded in ``spin_outcomes``.
+    ``forced_tags`` (one per iteration) pins the tag readouts for
+    branch-by-branch analysis; every other readout is drawn with
+    ``rng.random``, where ``rng`` is a ``stream.Stream`` or a numpy
+    ``Generator``.  Forced tags shorter than the run pin the first rounds
+    only: the rest are drawn from ``rng``, and without one the call raises
+    ``ValueError``.  Control flow follows the classified tag, so a
+    gaussian-mode misclassification steers the protocol down the wrong arm
+    while the state keeps the true branch; such events are counted on the
+    run record, and the spin outcome of every realistic gate is recorded in
+    ``spin_outcomes``.
     """
-    outcome, rounds, final, survival, history = _run_rounds(spec, 1, rng, forced_tags, forced_spins)
+    outcome, rounds, final, survival, history = _run_rounds(spec, 1, rng, forced_tags)
     tags = tuple(int(tags[0]) for _, tags, _, _ in history)
     true_tags = tuple(int(true[0]) for _, _, true, _ in history)
     misses = sum(t != k for t, k in zip(tags, true_tags))
@@ -189,7 +183,7 @@ def _receiver(spec: ProtocolSpec):
     return model.confusion(range(spec.n_photons + 1)), model.tags
 
 
-def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_spins=None):
+def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None):
     """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
 
     Every trial starts on the one input row, and a trial's state depends
@@ -198,12 +192,13 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     (``_run_gates``, ``collapse``); the tag readout leaves one row per trial.
     A trial leaves the batch when its classified tag declares an outcome;
     the rest run the recovery sequence, or, having none at four photons, end
-    as ``failed_no_recovery`` unless the round was their last.  Draws go
-    trial by trial within each gate and each readout, so a batch of one
-    draws as a single run does.  Gaussian readout reads every round of
+    as ``failed_no_recovery`` unless the round was their last.  Each
+    readout takes one uniform per trial still in the batch, in trial order,
+    so a single run handed the uniforms one trial drew replays that trial,
+    misread and leaked tags included.  Gaussian readout reads every round of
     every trial with the one confusion matrix of ``_receiver``, built once
-    per call.  ``forced_tags`` and ``forced_spins`` pin readouts in
-    turn, as ``run_protocol`` states.  Returns, per trial, the outcome class,
+    per call.  ``forced_tags`` pins tag readouts in turn, as
+    ``run_protocol`` states.  Returns, per trial, the outcome class,
     rounds used, final amplitude row and product of kept gate norms, and per
     round the trials still in the batch, their classified and true tags and
     their gate readouts.
@@ -218,13 +213,12 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None, forced_s
     history = []
     gate = CNOT if spec.gate_mode == "ideal" else _kraus(spin_photon_map(spec.params))
     tag_iter = iter(forced_tags if forced_tags is not None else ())
-    spin_iter = iter(forced_spins if forced_spins is not None else ())
     success = _SUCCESS_TAGS[n]
     declares = np.array([k in success for k in range(n + 1)])   # by classified tag
     receiver = _receiver(spec)
     for iteration in range(1, spec.max_iterations + 1):
         elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
-        rows, at, norm_factor, readouts = _run_gates(rows, at, elements, gate, rng, spin_iter)
+        rows, at, norm_factor, readouts = _run_gates(rows, at, elements, gate, rng)
         survival[live] *= norm_factor
         tags, true, rows = read_rows(rows, at, receiver, rng, next(tag_iter, None))
         history.append((live, tags, true, readouts))

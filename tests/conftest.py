@@ -54,6 +54,24 @@ def tag_split(row):
     return {k: branches[k] for k in held}, {k: float(weights[k]) for k in held}
 
 
+class Uniforms:
+    """An ``rng`` that hands out the given uniforms in order, whatever the shapes asked for, as ``Generator.random`` does.
+
+    A readout takes one uniform per trial: 0.0 reads a trial's first
+    weighted branch and ``LAST_BRANCH`` its last.  Asking for more uniforms
+    than remain raises ``ValueError``.
+    """
+
+    def __init__(self, uniforms):
+        self.left = iter(uniforms)
+
+    def random(self, shape):
+        return np.fromiter(self.left, float, count=int(np.prod(shape))).reshape(shape)
+
+
+LAST_BRANCH = 1.0 - 2.0**-53
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(np.random.SeedSequence(20260810))

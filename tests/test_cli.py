@@ -280,12 +280,13 @@ def test_run_reports_four_photon_success(tmp_path):
     assert report["homodyne_tags"][0] in (1, 3)
 
 
-def test_run_seeded_byte_identical(tmp_path):
+def test_run_seeded_byte_identical(tmp_path, capsys):
     config = make_config(tmp_path, {"protocol": {"n_photons": 5, "max_iterations": 8}, "seed": 77})
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["run", "--config", config, "--out", str(a)]) == 0
     assert main(["run", "--config", config, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert main(["run", "--config", config]) == 0   # without --out, to stdout
+    assert a.read_bytes() == b.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_run_realistic_reports_norm_and_fidelity(tmp_path):
@@ -473,10 +474,11 @@ def test_huge_finite_probe_reads_every_tag(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_success_table_golden(tmp_path):
+def test_success_table_golden(tmp_path, capsys):
     out = tmp_path / "table.csv"
     assert main(["success-table", "--n", "3", "--rounds", "4", "--out", str(out)]) == 0
-    assert out.read_text() == (
+    assert main(["success-table", "--n", "3", "--rounds", "4"]) == 0   # without --out, to stdout
+    assert out.read_text() == capsys.readouterr().out == (
         "n_photons,outcome_class,round,per_round_probability,cumulative_probability\n"
         "3,W,1,0.75,0.75\n"
         "3,W,2,0.1875,0.9375\n"
@@ -484,6 +486,25 @@ def test_success_table_golden(tmp_path):
         "3,W,4,0.01171875,0.99609375\n"
         "3,W,limit,,1\n"
     )
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        {"gate_mode": "realistic", "homodyne_mode": "gaussian"},
+        {"gate_mode": "realistic", "homodyne_mode": "gaussian", "params": {"g": 5.0, "kappa": 1.0, "gamma": 1.0},
+         "theta": 0.02, "alpha": 1.0},
+    ],
+    ids=["modes", "modes_params_probe"],
+)
+def test_success_table_prints_the_ideal_closed_forms_whatever_the_config(tmp_path, protocol):
+    # the table reads only n_photons and max_iterations; when it learns to
+    # read the rest of the document, this test moves with it
+    doc = {"protocol": {"n_photons": 3, "max_iterations": 2, **protocol}}
+    from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+    assert main(["success-table", "--config", make_config(tmp_path, doc), "--out", str(from_config)]) == 0
+    assert main(["success-table", "--n", "3", "--rounds", "2", "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
 
 
 def test_success_table_five_photon_series(tmp_path):

@@ -31,7 +31,7 @@ from entconv.protocols import (
 from entconv.optics import CNOT
 from entconv.qstate import ket
 
-from conftest import class_frequency, expected_vector, tag_split, uniform_vector
+from conftest import LAST_BRANCH, Uniforms, class_frequency, expected_vector, tag_split, uniform_vector
 from oracle import IDEAL_BOUNCE, branch_table
 
 # hand-expanded pre-tag term lists for the three circuits
@@ -140,7 +140,8 @@ def test_ideal_bounce_kraus_pair_runs_as_the_controlled_flip(n, elements, spin):
     rows = gen.normal(size=(6, 1 << n)) + 1j * gen.normal(size=(6, 1 << n))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     want, *_ = _run_gates(rows, None, elements, CNOT)
-    got, at, kept, readouts = _run_gates(rows, np.arange(6), elements, _kraus(IDEAL_BOUNCE), None, itertools.repeat(spin))
+    draws = Uniforms(itertools.repeat((0.0, LAST_BRANCH)[spin]))   # the first weighted branch is plus, the last minus
+    got, at, kept, readouts = _run_gates(rows, np.arange(6), elements, _kraus(IDEAL_BOUNCE), draws)
     np.testing.assert_allclose(got[at], want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(kept, 1.0, rtol=0, atol=1e-12)
     assert len(readouts) == sum(el[0] == "cnot" for el in elements)
@@ -156,9 +157,9 @@ def test_unknown_circuit_element_is_named():
     "spec,forced",
     [
         (ProtocolSpec(n_photons=3, max_iterations=4), {"forced_tags": (3,)}),
-        (ProtocolSpec(n_photons=3, gate_mode="realistic"), {"forced_tags": (1,), "forced_spins": (0,)}),
+        (ProtocolSpec(n_photons=3, gate_mode="realistic"), {"forced_tags": (1,)}),
     ],
-    ids=["ideal_tags", "realistic_tags_and_spins"],
+    ids=["ideal_tags", "realistic_tags"],
 )
 def test_short_forced_sequences_pin_only_the_first_draws(spec, forced):
     # the draws past a forced sequence come from rng; with no rng the run
@@ -168,9 +169,10 @@ def test_short_forced_sequences_pin_only_the_first_draws(spec, forced):
     for seed in range(20):
         run = run_protocol(spec, np.random.default_rng(seed), **forced)
         assert run.true_tags[:1] == forced["forced_tags"]
-        assert run.spin_outcomes[:len(forced.get("forced_spins", ()))] == forced.get("forced_spins", ())
-        again = run_protocol(spec, forced_tags=run.true_tags, forced_spins=run.spin_outcomes)
-        assert (again.outcome_class, again.iterations_used) == (run.outcome_class, run.iterations_used)
+        # with every true tag forced, the same seed draws the same spin readouts
+        again = run_protocol(spec, np.random.default_rng(seed), forced_tags=run.true_tags)
+        assert (again.outcome_class, again.iterations_used, again.spin_outcomes) == (
+            run.outcome_class, run.iterations_used, run.spin_outcomes)
 
 
 def test_forced_tag_beyond_the_tags_is_named():
@@ -415,42 +417,51 @@ _ZPL = CavityParams(g=0.3, kappa=26.0, gamma=0.0004)
 
 
 @pytest.mark.parametrize(
-    "spec,trials",
+    "spec,trials,misreads",
     [
-        (ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK), 200),
+        (ProtocolSpec(n_photons=3, max_iterations=4, gate_mode="realistic", params=_WEAK), 200, 0),
         # at 20 trials the spin readouts soon branch into more rows than
         # trials, so collapse keeps every branch at first and one row per trial after
-        (ProtocolSpec(n_photons=5, max_iterations=4, gate_mode="realistic", homodyne_mode="gaussian", params=_ZPL), 20),
-        (ProtocolSpec(n_photons=5, max_iterations=4, gate_mode="realistic", homodyne_mode="gaussian", params=_ZPL), 300),
+        (ProtocolSpec(n_photons=5, max_iterations=4, gate_mode="realistic", homodyne_mode="gaussian", params=_ZPL), 20, 0),
+        (ProtocolSpec(n_photons=5, max_iterations=4, gate_mode="realistic", homodyne_mode="gaussian", params=_ZPL), 300, 5),
         (ProtocolSpec(n_photons=4, gate_mode="realistic", homodyne_mode="gaussian", params=_ZPL,
-                      standardize_flipped=True), 200),
+                      standardize_flipped=True), 200, 0),
+        (ProtocolSpec(n_photons=3, max_iterations=4, homodyne_mode="gaussian", theta=0.02, alpha=1.0), 300, 364),
     ],
-    ids=["n3_weak", "n5_gaussian_20", "n5_gaussian_300", "n4_gaussian_flipped"],
+    ids=["n3_weak", "n5_gaussian_20", "n5_gaussian_300", "n4_gaussian_flipped", "n3_ideal_gates_blurred"],
 )
-def test_batch_rows_replay_as_single_runs(spec, trials):
-    # every trial of a batch, replayed alone with its own readouts forced,
-    # ends in the same class and round with the same state and kept norm
+def test_batch_rows_replay_as_single_runs(spec, trials, misreads):
+    # each readout of a batch takes one uniform per trial still in it, in
+    # trial order, so every trial, run alone on the uniforms it drew, ends in
+    # the same class and round with the same readouts, state and kept norm
     n = spec.n_photons
     rng = np.random.default_rng(np.random.SeedSequence(23))
     outcome, rounds, final, survival, history = _run_rounds(spec, trials, rng)
-    trial_tags = [[] for _ in range(trials)]
-    trial_spins = [[] for _ in range(trials)]
-    misread = set()
+    # Generator.random draws its doubles in sequence whatever the call sizes,
+    # so the batch's uniforms can be drawn again from its seed
+    again = np.random.default_rng(np.random.SeedSequence(23))
+    uniforms, tags_of, true_of, spins_of = ([[] for _ in range(trials)] for _ in range(4))
+    misread = 0
     for round_index, (live, tags, true, readouts) in enumerate(history):
-        misread.update(live[tags != true].tolist())
         elements = circuit_wiring(n) if round_index == 0 else recovery_sequence(n)
-        assert len(readouts) == sum(el[0] == "cnot" for el in elements)
-        for gate in readouts:
-            for trial, spin in zip(live, gate):
-                trial_spins[trial].append(int(spin))
-        for trial, tag in zip(live, true):
-            trial_tags[trial].append(int(tag))
-    # a forced tag pins the classified tag too, so a trial with a misread or
-    # leaked tag (gaussian readout reads every tag as an ideal one) has no replay
-    assert len(misread) <= trials // 20
-    for i in sorted(set(range(trials)) - misread):
-        run = run_protocol(spec, forced_tags=trial_tags[i], forced_spins=trial_spins[i])
+        assert len(readouts) == (sum(el[0] == "cnot" for el in elements) if spec.gate_mode == "realistic" else 0)
+        for _ in range(len(readouts) + 1 + (spec.homodyne_mode == "gaussian")):   # spins, true tag, decision cell
+            for trial, u in zip(live, again.random(live.size)):
+                uniforms[trial].append(u)
+        for j, trial in enumerate(live):
+            tags_of[trial].append(int(tags[j]))
+            true_of[trial].append(int(true[j]))
+            spins_of[trial].extend(int(spins[j]) for spins in readouts)
+        misread += int((tags != true).sum())
+    assert again.bit_generator.state == rng.bit_generator.state
+    assert misread == misreads
+    for i in range(trials):
+        draws = Uniforms(uniforms[i])
+        run = run_protocol(spec, draws)
+        assert next(draws.left, None) is None   # the run drew every uniform of its trial, and no more
         assert (run.outcome_class, run.iterations_used) == (outcome[i], rounds[i])
+        assert (run.homodyne_tags, run.true_tags, run.spin_outcomes) == (
+            tuple(tags_of[i]), tuple(true_of[i]), tuple(spins_of[i]))
         np.testing.assert_allclose(final[i], run.final_state, rtol=0, atol=1e-12)
         assert survival[i] == pytest.approx(run.accumulated_norm, rel=1e-12)
 
@@ -541,7 +552,7 @@ def test_monte_carlo_reproducible():
 def test_realistic_run_records_loss():
     params = CavityParams.from_ratios(5.0, 5.0)
     spec = ProtocolSpec(n_photons=3, gate_mode="realistic", params=params)
-    run = run_protocol(spec, forced_tags=(1,), forced_spins=itertools.repeat(0))
+    run = run_protocol(spec, Uniforms(itertools.repeat(0.0)), forced_tags=(1,))
     assert 0.0 < run.accumulated_norm < 1.0
     assert run.outcome_class == "W"
 
@@ -554,7 +565,7 @@ def test_realistic_protocol_fidelity_converges_to_ideal():
     for ratio in (1.0, 25.0, 1000.0):
         params = CavityParams.from_ratios(math.sqrt(ratio), math.sqrt(ratio))
         spec = ProtocolSpec(n_photons=3, gate_mode="realistic", params=params)
-        run = run_protocol(spec, forced_tags=(1,), forced_spins=itertools.repeat(0))
+        run = run_protocol(spec, Uniforms(itertools.repeat(0.0)), forced_tags=(1,))
         fidelities.append(fidelity_vs_ideal(spec, run))
         assert len(run.spin_outcomes) == 2
     assert fidelities[0] < fidelities[1] < fidelities[2]
@@ -564,7 +575,7 @@ def test_realistic_protocol_fidelity_converges_to_ideal():
 def test_realistic_trace_gate_count_matches_iterations():
     params = CavityParams.from_ratios(10.0, 10.0)
     spec = ProtocolSpec(n_photons=5, gate_mode="realistic", params=params, max_iterations=3)
-    run = run_protocol(spec, forced_tags=(5, 1), forced_spins=itertools.repeat(0))
+    run = run_protocol(spec, Uniforms(itertools.repeat(0.0)), forced_tags=(5, 1))
     # 6 gates in round one, recovery adds 1 + 3 suffix gates
     assert len(run.spin_outcomes) == 10
     assert run.homodyne_tags == (5, 1)
