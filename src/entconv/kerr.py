@@ -87,7 +87,7 @@ def homodyne_pdf(x, alpha: float, k: int, theta: float):
     return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2) / math.sqrt(2.0 * math.pi)
 
 
-def read_rows(rows: np.ndarray, at, receiver: tuple[np.ndarray, tuple[int, ...]] | None, rng=None, forced_tag=None):
+def read_rows(rows: np.ndarray, at, receiver: tuple[np.ndarray, tuple[int, ...]] | None, rng):
     """Tag and read out a batch of trials whose photons-only amplitude rows are ``rows[at]``.
 
     The true tag of each trial is drawn by its row's branch weights with
@@ -97,12 +97,11 @@ def read_rows(rows: np.ndarray, at, receiver: tuple[np.ndarray, tuple[int, ...]]
     its true tag's row of the matrix and reports that cell's tag.  The
     receiver is fixed, so a tag of vanishing weight cannot move a decision
     threshold, and a leaked tag reads as the tag of the cell drawn from its
-    own row.  ``forced_tag`` pins both the true and the classified tag.
-    Returns the classified tags, the true tags and one row per trial, its
-    state collapsed onto its renormalized true branch.
+    own row.  Returns the classified tags, the true tags and one row per
+    trial, its state collapsed onto its renormalized true branch.
     """
-    true, collapsed, at, _ = collapse(_tag_branches(rows), at, rng, forced_tag)
-    if forced_tag is not None or receiver is None:
+    true, collapsed, at, _ = collapse(_tag_branches(rows), at, rng)
+    if receiver is None:
         return true, true, collapsed[at]
     confusion, tags = receiver
     return np.asarray(tags)[choose_branch(confusion[true].T, rng)], true, collapsed[at]

@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .cavity import CavityParams, spin_photon_map
 from .cnot import BENCHMARK_G, BENCHMARK_GAMMA_TOTAL, BENCHMARK_KAPPA, _kraus
 from .kerr import HomodyneModel, _tag_branches, read_rows
 from .optics import CNOT, HWP, QWP
-from .qstate import apply_rows, collapse, frozen, ket, row_inner, row_norms2, row_photons
+from .qstate import NORM_TOL, apply_rows, collapse, frozen, ket, row_inner, row_norms2, row_photons
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -34,8 +33,7 @@ _SUCCESS_TAGS = {3: {1: "W"}, 4: {1: "W", 3: "W"}, 5: {1: "W", 3: "Dicke"}}
 
 _MC_CHUNK = 1024
 
-# Most rounds of a run or a success table; the table's exact fractions take
-# ~0.04 s at 1000 rounds and seconds at 10 000.
+# Most rounds of a run, an ideal-gate ensemble table or a success table.
 MAX_ITERATIONS = 1000
 
 _RECOVERY_PREFIX = (("hwp", 2), ("qwp", 2), ("cnot", 2, 1))
@@ -121,6 +119,16 @@ def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
     return _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
 
 
+def _round_elements(n_photons: int, iteration: int) -> tuple[tuple, ...]:
+    return circuit_wiring(n_photons) if iteration == 1 else recovery_sequence(n_photons)
+
+
+def _standardize(spec: ProtocolSpec, rows: np.ndarray, tags: np.ndarray) -> None:
+    """With ``spec.standardize_flipped``, flip each four-photon row read as tag 3 to single-L form, in place (a HWP on every photon)."""
+    if spec.n_photons == 4 and spec.standardize_flipped:
+        rows[tags == 3] = rows[tags == 3][:, ::-1]
+
+
 def _run_gates(rows, at, elements, gate, rng=None):
     """Apply an element list to a batch of trials whose amplitude rows, shape (rows, 2**n), are ``rows[at]``.
 
@@ -128,12 +136,11 @@ def _run_gates(rows, at, elements, gate, rng=None):
     trial: a plate as its transposed matrix, a CNOT as ``gate`` over
     (control, target).  ``gate`` is ``optics.CNOT`` or a realistic Kraus pair
     (``cnot._kraus``); an output with a leading readout axis is measured with
-    ``collapse``, each trial's readout drawn with ``rng.random`` (``rng`` is
-    a ``stream.Stream`` or a numpy ``Generator``), and its children and their
-    index replace the rows and ``at``.  An element list without readouts
-    reads no ``at``: the ideal-gate table passes basis rows with None.
-    Returns the rows, the index, the product of the squared norms each trial
-    kept before its readouts and the list of readouts, one per trial.
+    ``collapse``, and its children and their index replace the rows and
+    ``at``.  ``optics.CNOT`` has no readout, so its callers may pass None
+    for ``at`` and ``rng``.  Returns the rows, the index, the product of the
+    squared norms each trial kept before its readouts and the list of
+    readouts, one per trial.
     """
     plates = {"hwp": HWP.T, "qwp": QWP.T}
     norm_factor = 1.0
@@ -151,21 +158,18 @@ def _run_gates(rows, at, elements, gate, rng=None):
     return rows, at, norm_factor, readouts
 
 
-def run_protocol(spec: ProtocolSpec, rng=None, forced_tags=None) -> ProtocolRun:
+def run_protocol(spec: ProtocolSpec, rng=None) -> ProtocolRun:
     """Execute one conversion attempt with recovery iteration.
 
-    ``forced_tags`` (one per iteration) pins the tag readouts for
-    branch-by-branch analysis; every other readout is drawn with
-    ``rng.random``, where ``rng`` is a ``stream.Stream`` or a numpy
-    ``Generator``.  Forced tags shorter than the run pin the first rounds
-    only: the rest are drawn from ``rng``, and without one the call raises
+    Every readout is drawn with ``rng.random``, where ``rng`` is a
+    ``stream.Stream`` or a numpy ``Generator``; without one the call raises
     ``ValueError``.  Control flow follows the classified tag, so a
     gaussian-mode misclassification steers the protocol down the wrong arm
     while the state keeps the true branch; such events are counted on the
     run record, and the spin outcome of every realistic gate is recorded in
     ``spin_outcomes``.
     """
-    outcome, rounds, final, survival, history = _run_rounds(spec, 1, rng, forced_tags)
+    outcome, rounds, final, survival, history = _run_rounds(spec, 1, rng)
     tags = tuple(int(tags[0]) for _, tags, _, _ in history)
     true_tags = tuple(int(true[0]) for _, _, true, _ in history)
     misses = sum(t != k for t, k in zip(tags, true_tags))
@@ -183,7 +187,7 @@ def _receiver(spec: ProtocolSpec):
     return model.confusion(range(spec.n_photons + 1)), model.tags
 
 
-def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None):
+def _run_rounds(spec: ProtocolSpec, trials: int, rng):
     """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
 
     Every trial starts on the one input row, and a trial's state depends
@@ -197,11 +201,10 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None):
     so a single run handed the uniforms one trial drew replays that trial,
     misread and leaked tags included.  Gaussian readout reads every round of
     every trial with the one confusion matrix of ``_receiver``, built once
-    per call.  ``forced_tags`` pins tag readouts in turn, as
-    ``run_protocol`` states.  Returns, per trial, the outcome class,
-    rounds used, final amplitude row and product of kept gate norms, and per
-    round the trials still in the batch, their classified and true tags and
-    their gate readouts.
+    per call.  Returns, per trial, the outcome class, rounds used, final
+    amplitude row and product of kept gate norms, and per round the trials
+    still in the batch, their classified and true tags and their gate
+    readouts.
     """
     n = spec.n_photons
     rows, at = conversion_input(n)[None], np.zeros(trials, int)
@@ -212,19 +215,16 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng, forced_tags=None):
     survival = np.ones(trials)
     history = []
     gate = CNOT if spec.gate_mode == "ideal" else _kraus(spin_photon_map(spec.params))
-    tag_iter = iter(forced_tags if forced_tags is not None else ())
     success = _SUCCESS_TAGS[n]
     declares = np.array([k in success for k in range(n + 1)])   # by classified tag
     receiver = _receiver(spec)
     for iteration in range(1, spec.max_iterations + 1):
-        elements = circuit_wiring(n) if iteration == 1 else recovery_sequence(n)
-        rows, at, norm_factor, readouts = _run_gates(rows, at, elements, gate, rng)
+        rows, at, norm_factor, readouts = _run_gates(rows, at, _round_elements(n, iteration), gate, rng)
         survival[live] *= norm_factor
-        tags, true, rows = read_rows(rows, at, receiver, rng, next(tag_iter, None))
+        tags, true, rows = read_rows(rows, at, receiver, rng)
         history.append((live, tags, true, readouts))
         done = declares[tags]
-        if n == 4 and spec.standardize_flipped:   # HWP on every photon flips every bit
-            rows[tags == 3] = rows[tags == 3][:, ::-1]
+        _standardize(spec, rows, tags)
         final[live] = rows
         outcome[live[done]] = [success[int(k)] for k in tags[done]]
         rounds[live[done]] = iteration
@@ -280,15 +280,13 @@ def success_series(n_photons: int, rounds: int) -> dict[str, tuple[tuple[float, 
     if not 1 <= rounds <= MAX_ITERATIONS:
         raise ValueError(f"rounds must be between 1 and {MAX_ITERATIONS}")
     if n_photons == 3:
-        raw = {"W": ([Fraction(3, 4) * Fraction(1, 4) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1))}
-    elif n_photons == 4:
-        raw = {"W": ([Fraction(1)] + [Fraction(0)] * (rounds - 1), Fraction(1))}
-    else:
-        raw = {
-            "W": ([Fraction(5, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(1, 3)),
-            "Dicke": ([Fraction(10, 16) * Fraction(1, 16) ** (m - 1) for m in range(1, rounds + 1)], Fraction(2, 3)),
-        }
-    return {label: (tuple(float(p) for p in per), float(lim)) for label, (per, lim) in raw.items()}
+        return {"W": (tuple(math.ldexp(3.0, -2 * m) for m in range(1, rounds + 1)), 1.0)}   # 3/4 * (1/4)**(m-1)
+    if n_photons == 4:
+        return {"W": ((1.0,) + (0.0,) * (rounds - 1), 1.0)}
+    return {
+        "W": (tuple(math.ldexp(5.0, -4 * m) for m in range(1, rounds + 1)), 1 / 3),          # 5/16 * (1/16)**(m-1)
+        "Dicke": (tuple(math.ldexp(5.0, 1 - 4 * m) for m in range(1, rounds + 1)), 2 / 3),   # 10/16 * (1/16)**(m-1)
+    }
 
 
 def _ideal_gate_table(spec: ProtocolSpec):
@@ -364,19 +362,29 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng) -> dict[tuple[str, int], i
 
 
 def fidelity_vs_ideal(spec: ProtocolSpec, run: ProtocolRun) -> float | None:
-    """Squared overlap of a realistic run's final state with the ideal circuit's on the same true tags.
+    """Squared overlap of a realistic run's final state with ``_ideal_branch`` on the run's true tags.
 
-    The ideal circuit runs once, its tags forced to the run's true tags.  The
-    run's spin readouts are not replayed, since there is nothing to replay
-    them on: an ideal CNOT is ``optics.CNOT``, which has no readout.  None
-    for ideal gates, and for a run with a misclassified readout or a leaked
-    true tag (one the ideal circuit never produces): the ideal circuit has
-    no branch for either to follow.
+    Spin readouts are not replayed: an ideal CNOT, ``optics.CNOT``, has none.
+    None for ideal gates, and for a run with a misclassified readout or a
+    leaked true tag (one the ideal circuit never produces): the ideal
+    circuit has no branch for either to follow.
     """
     if spec.gate_mode == "ideal" or run.misclassification_events or not set(run.true_tags) <= ideal_tags(spec.n_photons):
         return None
-    ideal_run = run_protocol(replace(spec, gate_mode="ideal"), forced_tags=run.true_tags)
-    return abs(complex(row_inner(run.final_state, ideal_run.final_state))) ** 2
+    return abs(complex(row_inner(run.final_state, _ideal_branch(spec, run.true_tags)))) ** 2
+
+
+def _ideal_branch(spec: ProtocolSpec, true_tags) -> np.ndarray:
+    """Final row of the ideal-gate circuit whose tag readouts read ``true_tags``, each branch renormalized as ``collapse`` does it."""
+    rows = conversion_input(spec.n_photons)[None]
+    for iteration, tag in enumerate(true_tags, start=1):
+        branches = _tag_branches(_run_gates(rows, None, _round_elements(spec.n_photons, iteration), CNOT)[0])
+        weights = row_norms2(branches)[:, 0]
+        if tag not in range(len(weights)) or weights[tag] <= NORM_TOL**2:
+            raise ValueError("impossible outcome")
+        rows = branches[tag] / np.sqrt(weights[tag])
+        _standardize(spec, rows, np.array([tag]))
+    return rows[0]
 
 
 def _cnot_count(elements) -> int:

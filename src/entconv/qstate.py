@@ -90,52 +90,44 @@ def row_norms2(amps: np.ndarray) -> np.ndarray:
     return row_inner(amps, amps).real
 
 
-def choose_branch(probs, rng=None, forced=None) -> np.ndarray:
+def choose_branch(probs, rng) -> np.ndarray:
     """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (m, ...).
 
-    ``forced`` picks the branch of every row.  Otherwise each row takes one
-    draw of ``rng.random(shape)``, in row order (``rng`` is a
-    ``stream.Stream`` or a numpy ``Generator``), scales it by the row's total
-    weight and picks the first branch whose cumulative weight exceeds it; a
-    draw that rounds up to the total takes the last weighted branch.  A
-    branch of weight at most ``NORM_TOL**2`` is an impossible outcome.
+    Each row takes one draw of ``rng.random(shape)`` in row order, scales it
+    by the row's total weight and picks the first branch whose cumulative
+    weight exceeds it; a draw that rounds up to the total takes the last
+    weighted branch.  A branch of weight at most ``NORM_TOL**2`` is an
+    impossible outcome.
     """
+    if rng is None:
+        raise ValueError("rng required: every readout is drawn with rng.random")
     probs = np.asarray(probs, dtype=float)
-    if forced is not None:
-        if forced not in range(len(probs)):
-            raise ValueError(f"cannot interpret forced outcome {forced!r}")
-        k = np.full(probs.shape[1:], int(forced))
-    elif rng is None:
-        raise ValueError("rng required when no outcome is forced")
-    else:
-        acc = list(itertools.accumulate(probs))   # the sequential partial sums np.cumsum takes
-        draw = rng.random(probs.shape[1:]) * acc[-1]
-        k = sum((a <= draw for a in acc[:-1]), np.zeros(probs.shape[1:], int))
+    acc = list(itertools.accumulate(probs))   # the sequential partial sums np.cumsum takes
+    draw = rng.random(probs.shape[1:]) * acc[-1]
+    k = sum((a <= draw for a in acc[:-1]), np.zeros(probs.shape[1:], int))
     empty = probs <= NORM_TOL**2
     if empty.any():   # with every branch weighted, no row can sit on an empty one
-        if forced is None:
-            k = np.minimum(k, len(probs) - 1 - np.argmax(probs[::-1] > 0, axis=0))
+        k = np.minimum(k, len(probs) - 1 - np.argmax(probs[::-1] > 0, axis=0))
         if np.take_along_axis(empty, k[None], 0).any():
             raise ValueError("impossible outcome")
     return k
 
 
-def collapse(branches: np.ndarray, at, rng=None, forced=None):
+def collapse(branches: np.ndarray, at, rng):
     """Read out a batch of trials from the unnormalized branches of their rows, shape (m, rows, dim).
 
     Trial i holds row ``at[i]``, so trials that share a state share its row.
     ``choose_branch`` picks each trial's branch from its row's weights, in
-    trial order, with a draw from ``rng.random`` unless ``forced`` pins it.
-    The children are every branch of every row, trial i at ``k * rows +
-    at[i]``, while there are no more of them than trials; past that, one
-    chosen branch per trial, trial i at row i.  Each child is divided by the
-    square root of its weight; a child of weight 0 is chosen by no trial and
-    is kept as it is.  Returns the chosen branch index of each trial, the
-    children, each trial's index into them and the weight of every branch,
-    shape (m, rows).
+    trial order, with a draw from ``rng.random``.  The children are every
+    branch of every row, trial i at ``k * rows + at[i]``, while there are no
+    more of them than trials; past that, one chosen branch per trial, trial
+    i at row i.  Each child is divided by the square root of its weight; a
+    child of weight 0 is chosen by no trial and is kept as it is.  Returns
+    the chosen branch index of each trial, the children, each trial's index
+    into them and the weight of every branch, shape (m, rows).
     """
     weights = row_norms2(branches)
-    k = choose_branch(weights[:, at], rng, forced)
+    k = choose_branch(weights[:, at], rng)
     m, rows = weights.shape
     if m * rows <= len(at):
         children, child_weights, at = branches.reshape(m * rows, -1), weights.reshape(-1), k * rows + at

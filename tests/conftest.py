@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,11 @@ class Uniforms:
 
 
 LAST_BRANCH = 1.0 - 2.0**-53
+
+
+def edge_draws(branch: int) -> Uniforms:
+    """Endless uniforms reading every readout's first weighted branch (0) or its last (1), the plus or minus spin of a gate."""
+    return Uniforms(itertools.repeat((0.0, LAST_BRANCH)[branch]))
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 from entconv.cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from entconv.cli import main
 from entconv.cnot import _fidelities, _kraus, benchmark_report
-from entconv.kerr import HomodyneModel, error_probability, peak_distances, quadrature_mean, read_rows
+from entconv.kerr import HomodyneModel, error_probability, peak_distances, quadrature_mean
 from entconv.protocols import (
     ProtocolSpec,
     circuit_wiring,
@@ -24,12 +24,13 @@ from entconv.protocols import (
     monte_carlo,
     run_protocol,
     success_series,
+    _ideal_branch,
     _run_gates,
 )
 from entconv.optics import CNOT
 from entconv.qstate import apply_rows, collapse, ket
 
-from conftest import class_frequency, tag_split, uniform_vector
+from conftest import Uniforms, class_frequency, edge_draws, tag_split, uniform_vector
 from oracle import IDEAL_BOUNCE, classify
 
 ALPHA_REF = math.sqrt(1.3e4)
@@ -74,12 +75,15 @@ def test_criterion_1_state_evolution_oracles():
         for tag, weight in BRANCH_WEIGHTS[n].items():
             assert abs(weights[tag] - float(weight)) < 1e-12
             # each branch keeps the pre-tag amplitudes on its own terms
-            _, _, collapsed = read_rows(state[None], [0], None, forced_tag=tag)
-            np.testing.assert_allclose(collapsed[0], uniform_vector(n, BRANCH_TERMS[(n, tag)]), atol=1e-12)
-    # five-photon outcome branches after renormalization
-    run_w = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(1,))
+            branch = _ideal_branch(ProtocolSpec(n_photons=n), (tag,))
+            np.testing.assert_allclose(branch, uniform_vector(n, BRANCH_TERMS[(n, tag)]), atol=1e-12)
+    # five-photon outcome branches after renormalization: 0.0 reads tag 1, and
+    # 0.5 falls in tag 3's cumulative interval (5/16, 15/16)
+    run_w = run_protocol(ProtocolSpec(n_photons=5), Uniforms([0.0]))
+    assert (run_w.true_tags, run_w.outcome_class) == ((1,), "W")
     np.testing.assert_allclose(run_w.final_state, uniform_vector(5, BRANCH_TERMS[(5, 1)]), atol=1e-12)
-    run_d = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(3,))
+    run_d = run_protocol(ProtocolSpec(n_photons=5), Uniforms([0.5]))
+    assert (run_d.true_tags, run_d.outcome_class) == ((3,), "Dicke")
     np.testing.assert_allclose(run_d.final_state, uniform_vector(5, BRANCH_TERMS[(5, 3)]), atol=1e-12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -157,10 +161,10 @@ def test_criterion_4_cnot_contract(rng):
         state = c / np.linalg.norm(c)
         a, b, g, d = state
         want_vec = np.array([a, d, g, b])  # alpha|RR> + delta|RL> + gamma|LR> + beta|LL>
-        for forced in (0, 1):
-            readouts, rows, _, _ = collapse(apply_rows(state[None], (2, 1), _kraus(IDEAL_BOUNCE)), [0], forced=forced)
+        for spin in (0, 1):
+            readouts, rows, _, _ = collapse(apply_rows(state[None], (2, 1), _kraus(IDEAL_BOUNCE)), [0], edge_draws(spin))
             np.testing.assert_allclose(rows[0], want_vec, atol=1e-12)
-            assert readouts[0] == forced
+            assert readouts[0] == spin
         again = apply_rows(apply_rows(state, (2, 1), CNOT), (2, 1), CNOT)
         np.testing.assert_allclose(again, state, atol=1e-12)
     _verdict(4, "both readout branches with feed-forward are exact; involution and truth table verified")
@@ -180,7 +184,8 @@ def test_criterion_5_fidelity_surface():
                     else:
                         uniform = uniform_vector(2, ["RR", "RL", "LR", "LL"])
                         kraus = _kraus(spin_photon_map(params))
-                        _, rows, _, _ = collapse(apply_rows(uniform[None], (2, 1), kraus), [0], forced=outcome)
+                        readouts, rows, _, _ = collapse(apply_rows(uniform[None], (2, 1), kraus), [0], edge_draws(outcome))
+                        assert readouts[0] == outcome
                         f = abs(np.vdot(rows[0], apply_rows(uniform, (2, 1), CNOT))) ** 2
                     surface[(round(float(gk), 9), round(float(gg), 9), outcome)] = f
         for outcome in (0, 1):

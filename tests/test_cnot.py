@@ -11,7 +11,7 @@ from entconv.cnot import _fidelities, _kraus, benchmark_report, fidelity_grid
 from entconv.optics import CNOT
 from entconv.qstate import apply_rows, collapse, ket
 
-from conftest import expected_vector, uniform_vector
+from conftest import edge_draws, expected_vector, uniform_vector
 from oracle import IDEAL_BOUNCE, readout_branches, replay_cnot
 
 TERMS = ("RR", "RL", "LR", "LL")
@@ -73,9 +73,9 @@ def test_involution(rng):
     np.testing.assert_allclose(out, state, atol=1e-12)
 
 
-def compiled_cnot(state, control, target, factors, rng=None, forced=None):
+def compiled_cnot(state, control, target, factors, rng):
     """The gate compiled from the bounce diagonal ``factors`` on a batch of one: row, readout, chosen weight, norm."""
-    readouts, rows, _, weights = collapse(apply_rows(state[None], (control, target), _kraus(factors)), [0], rng, forced)
+    readouts, rows, _, weights = collapse(apply_rows(state[None], (control, target), _kraus(factors)), [0], rng)
     return rows[0], int(readouts[0]), float(weights[readouts[0], 0]), float(weights.sum(axis=0)[0])
 
 
@@ -84,11 +84,11 @@ def test_feed_forward_determinism(rng):
     for _ in range(20):
         state = random_two_photon(rng)
         want = cnot_ideal(state, control=2, target=1)
-        for forced in (0, 1):
-            row, readout, chosen, _ = compiled_cnot(state, 2, 1, IDEAL_BOUNCE, forced=forced)
+        for spin in (0, 1):
+            row, readout, chosen, _ = compiled_cnot(state, 2, 1, IDEAL_BOUNCE, edge_draws(spin))
             np.testing.assert_allclose(row, want, atol=1e-12)
             assert abs(chosen - 0.5) < 1e-12
-            assert readout == forced
+            assert readout == spin
 
 
 def test_frozen_element_order_readout_branches(rng):
@@ -119,10 +119,10 @@ def test_compiled_gate_matches_element_replay(n, params, ideal):
     for control, target in itertools.permutations(range(1, n + 1), 2):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = amps / np.linalg.norm(amps)
-        for forced in (0, 1):
-            _, photons, weight, norm = replay_cnot(state, control, target, factors, forced=forced)
-            row, readout, chosen, kept = compiled_cnot(state, control, target, factors, forced=forced)
-            assert readout == forced
+        for spin in (0, 1):
+            _, photons, weight, norm = replay_cnot(state, control, target, factors, forced=spin)
+            row, readout, chosen, kept = compiled_cnot(state, control, target, factors, edge_draws(spin))
+            assert readout == spin
             np.testing.assert_allclose(row, photons, rtol=0, atol=1e-12)
             assert chosen == pytest.approx(weight, abs=1e-12)
             assert kept == pytest.approx(norm, abs=1e-12)
@@ -139,11 +139,11 @@ def test_compiled_gate_on_a_batch_matches_each_row():
     rows = gen.normal(size=(30, 32)) + 1j * gen.normal(size=(30, 32))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     for spin in (0, 1):
-        readouts, out, at, weights = collapse(apply_rows(rows, (4, 2), _kraus(factors)), np.arange(30), forced=spin)
+        readouts, out, at, weights = collapse(apply_rows(rows, (4, 2), _kraus(factors)), np.arange(30), edge_draws(spin))
         chosen, kept = weights[spin], weights.sum(axis=0)
         assert set(readouts) == {spin}
         for i, row in enumerate(rows):
-            one, _, one_chosen, one_kept = compiled_cnot(row, 4, 2, factors, forced=spin)
+            one, _, one_chosen, one_kept = compiled_cnot(row, 4, 2, factors, edge_draws(spin))
             np.testing.assert_allclose(out[at[i]], one, atol=1e-14)
             assert chosen[i] == pytest.approx(one_chosen, abs=1e-14)
             assert kept[i] == pytest.approx(one_kept, abs=1e-14)
@@ -151,7 +151,7 @@ def test_compiled_gate_on_a_batch_matches_each_row():
 
 def test_realistic_gate_loses_norm_but_stays_faithful(rng):
     state = random_two_photon(rng)
-    row, _, _, kept = compiled_cnot(state, 2, 1, spin_photon_map(STRONG), forced=0)
+    row, _, _, kept = compiled_cnot(state, 2, 1, spin_photon_map(STRONG), edge_draws(0))
     assert kept < 1.0
     ideal = cnot_ideal(state, 2, 1)
     assert abs(np.vdot(row, ideal)) ** 2 > 0.99
@@ -210,7 +210,7 @@ def test_fidelity_bounded(gk, gg, which, outcome):
 @pytest.mark.parametrize("input_mode", ["uniform", "basis_average"])
 def test_fidelity_grid_matches_gate_outputs(input_mode):
     # the grid reads fidelities off the Kraus pair in one array pass; the
-    # gate's own forced-spin output must give the same numbers, row for row,
+    # gate's own output on each spin readout must give the same numbers, row for row,
     # on a non-square grid with weak coupling included
     inputs = [uniform_vector(2, TERMS)] if input_mode == "uniform" else [ket(s) for s in TERMS]
     gks, ggs = (0.3, 2.0, 0.5), (0.4, 7.0)
@@ -220,7 +220,8 @@ def test_fidelity_grid_matches_gate_outputs(input_mode):
         factors = spin_photon_map(CavityParams.from_ratios(gk, gg))
         route = []
         for state in inputs:
-            real, *_ = compiled_cnot(state, 2, 1, factors, forced=outcome)
+            real, readout, *_ = compiled_cnot(state, 2, 1, factors, edge_draws(outcome))
+            assert readout == outcome
             route.append(abs(np.vdot(real, cnot_ideal(state, 2, 1))) ** 2)
         assert abs(fidelities[i, j, outcome] - float(np.mean(route))) <= 1e-12, (gk, gg, outcome)
 
@@ -246,7 +247,8 @@ def test_grid_point_with_an_extinguished_branch_raises():
     point = CavityParams.from_ratios(0.5, 0.5)
     with pytest.raises(ValueError, match="branch extinguished"):
         _fidelities(point, dark[None])
-    plus, *_ = compiled_cnot(dark, 2, 1, spin_photon_map(point), forced=0)
+    plus, readout, *_ = compiled_cnot(dark, 2, 1, spin_photon_map(point), edge_draws(0))
+    assert readout == 0
     assert 0 <= abs(np.vdot(plus, cnot_ideal(dark, 2, 1))) ** 2 <= 1 + 1e-12
 
 

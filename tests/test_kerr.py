@@ -10,7 +10,7 @@ from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_di
 from entconv.protocols import ProtocolSpec, _receiver
 from entconv.qstate import ket
 
-from conftest import basis_index, tag_split, uniform_vector
+from conftest import LAST_BRANCH, Uniforms, basis_index, tag_split, uniform_vector
 from oracle import classify
 
 ALPHA_REF = math.sqrt(1.3e4)
@@ -104,10 +104,11 @@ def test_ideal_readout_probabilities_three_photons(rng):
     _, weights = tag_split(state)
     assert abs(weights[1] - 0.75) < 1e-12
     assert abs(weights[3] - 0.25) < 1e-12
-    tags, true, rows = read_rows(state[None], [0], None, forced_tag=1)
+    tags, true, rows = read_rows(state[None], [0], None, Uniforms([0.0]))   # the first weighted tag
     assert tags[0] == true[0] == 1
     assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-12
-    _, _, rows = read_rows(state[None], [0], None, forced_tag=3)
+    tags, _, rows = read_rows(state[None], [0], None, Uniforms([LAST_BRANCH]))
+    assert tags[0] == 3
     np.testing.assert_allclose(rows[0], uniform_vector(3, ["LLL"]), atol=1e-12)
 
 
@@ -118,10 +119,12 @@ def test_ideal_readout_probabilities_five_photons():
     ).split()
     state = uniform_vector(5, terms)
     branches, weights = tag_split(state)
-    for tag, weight in ((1, 5 / 16), (3, 10 / 16), (5, 1 / 16)):
+    # the uniforms fall in the cumulative intervals (0, 5/16), (5/16, 15/16) and (15/16, 1)
+    for tag, weight, u in ((1, 5 / 16, 0.0), (3, 10 / 16, 0.5), (5, 1 / 16, LAST_BRANCH)):
         assert abs(weights[tag] - weight) < 1e-12
-        # the forced readout keeps the branch, renormalized by the root of its weight
-        _, _, rows = read_rows(state[None], [0], None, forced_tag=tag)
+        # the readout keeps the branch, renormalized by the root of its weight
+        tags, _, rows = read_rows(state[None], [0], None, Uniforms([u]))
+        assert tags[0] == tag
         np.testing.assert_allclose(rows[0] * math.sqrt(weight), branches[tag], atol=1e-12)
 
 
@@ -132,12 +135,6 @@ def test_single_branch_certain(rng):
     assert tags[0] == true[0] == 0
     _, true, _ = read_rows(row, [0], _gaussian(model, 4), rng)
     assert true[0] == 0
-
-
-def test_forced_tag_absent():
-    model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0, 1))
-    with pytest.raises(ValueError, match="impossible outcome"):
-        read_rows(ket("RRR")[None], [0], _gaussian(model, 3), forced_tag=1)
 
 
 def test_ideal_sampling_matches_weights(rng):
@@ -210,14 +207,23 @@ def test_batched_readout_matches_per_state_oracle(mode, theta, alpha):
 
 
 def test_batched_forced_readout_keeps_rows_apart():
-    # rows with different tag sets in one batch each collapse onto their own branch
+    # rows with different tag sets in one batch each collapse onto their own
+    # branch: each row's uniform is forced to the middle of tag k's cumulative
+    # interval, and each decision to the middle of its likeliest cell
     gen = np.random.default_rng(6)
     for n in (3, 4, 5):
         receiver = _fixed_receiver(n, THETA_REF, ALPHA_REF)
+        confusion, cell_tags = receiver
+        cell = confusion.argmax(axis=1)
         for k in range(n + 1):
             rows = _rows_with_tag_gaps(gen, n, 50, kept_tag=k)
-            tags, true, collapsed = read_rows(rows, np.arange(len(rows)), receiver, forced_tag=k)
-            assert set(tags) == set(true) == {k}
+            weights = np.array([[_popcount_weight(row, j) for j in range(n + 1)] for row in rows])
+            below = weights[:, :k].sum(axis=1)
+            on_tag = (below + weights[:, k] / 2) / weights.sum(axis=1)
+            on_cell = (confusion[k, :cell[k]].sum() + confusion[k, cell[k]] / 2) / confusion[k].sum()
+            draws = Uniforms(np.concatenate([on_tag, np.full(len(rows), on_cell)]))
+            tags, true, collapsed = read_rows(rows, np.arange(len(rows)), receiver, draws)
+            assert set(true) == {k} and set(tags) == {cell_tags[cell[k]]}
             for row, got in zip(rows, collapsed):
                 np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
 

@@ -3,7 +3,8 @@ spin-register primitives live only in the test oracle, and amplitude rows are
 the only state type.  Importing the CLI leaves ``numpy.random`` unimported,
 and so do a seeded run and a realistic ensemble that draw from
 ``stream.Stream``; a command line is read without an argument parser
-library, and configs are checked without the test extras."""
+library, the success table without ``fractions`` or ``decimal``, and configs
+are checked without the test extras."""
 
 import ast
 import importlib
@@ -71,6 +72,15 @@ def test_importing_the_cli_leaves_numpy_random_unimported():
     # only run and montecarlo draw, and they draw from stream.Stream; the import costs 13–18 ms
     code = f"import sys, entconv.cli; print({NUMPY_RANDOM})"
     assert _fresh_interpreter(code) == "[]"
+
+
+def test_the_success_table_loads_no_exact_arithmetic_module():
+    # the closed forms are written as exact binary floats; fractions and decimal
+    # took ~2 ms of every CLI import
+    code = ("import os, sys; from entconv.cli import main; "
+            "codes = [main(['success-table', '--n', str(n), '--rounds', '1000', '--out', os.devnull]) for n in (3, 4, 5)]; "
+            "print(codes, sorted({'fractions', 'decimal', '_decimal'} & set(sys.modules)))")
+    assert _fresh_interpreter(code) == "[0, 0, 0] []"
 
 
 def _commands_in_fresh_interpreter(tmp_path, gate_mode: str, *commands) -> str:

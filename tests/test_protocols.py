@@ -1,4 +1,3 @@
-import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -22,7 +21,9 @@ from entconv.protocols import (
     recovery_sequence,
     run_protocol,
     success_series,
+    MAX_ITERATIONS,
     _MC_CHUNK,
+    _ideal_branch,
     _ideal_gate_table,
     _receiver,
     _run_gates,
@@ -31,7 +32,7 @@ from entconv.protocols import (
 from entconv.optics import CNOT
 from entconv.qstate import ket
 
-from conftest import LAST_BRANCH, Uniforms, class_frequency, expected_vector, tag_split, uniform_vector
+from conftest import LAST_BRANCH, Uniforms, class_frequency, edge_draws, expected_vector, tag_split, uniform_vector
 from oracle import IDEAL_BOUNCE, branch_table
 
 # hand-expanded pre-tag term lists for the three circuits
@@ -98,8 +99,10 @@ def test_partition_branch_weights(n, expected):
 
 def test_partition_branches_hold_expected_terms():
     state = pre_tag_state(5)
-    for tag, terms in ((1, W5_TERMS), (3, DICKE5_TERMS), (5, ["LLLLL"])):
-        _, _, rows = read_rows(state[None], [0], None, forced_tag=tag)
+    # the uniforms fall in the cumulative intervals (0, 5/16), (5/16, 15/16) and (15/16, 1)
+    for tag, terms, u in ((1, W5_TERMS, 0.0), (3, DICKE5_TERMS, 0.5), (5, ["LLLLL"], LAST_BRANCH)):
+        tags, _, rows = read_rows(state[None], [0], None, Uniforms([u]))
+        assert tags[0] == tag
         np.testing.assert_allclose(rows[0], uniform_vector(5, terms), atol=1e-12)
 
 
@@ -119,7 +122,8 @@ def test_recovery_five_photons_on_all_l():
 def test_recovery_fixed_point(n):
     state1 = pre_tag_state(n)
     branches1, _ = tag_split(state1)
-    _, _, retry = read_rows(state1[None], [0], None, forced_tag=max(branches1))
+    tags, _, retry = read_rows(state1[None], [0], None, Uniforms([LAST_BRANCH]))
+    assert tags[0] == max(branches1)
     rows2, *_ = _run_gates(retry, None, recovery_sequence(n), CNOT)
     branches2, _ = tag_split(rows2[0])
     assert tuple(branches1) == tuple(branches2)
@@ -140,8 +144,8 @@ def test_ideal_bounce_kraus_pair_runs_as_the_controlled_flip(n, elements, spin):
     rows = gen.normal(size=(6, 1 << n)) + 1j * gen.normal(size=(6, 1 << n))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     want, *_ = _run_gates(rows, None, elements, CNOT)
-    draws = Uniforms(itertools.repeat((0.0, LAST_BRANCH)[spin]))   # the first weighted branch is plus, the last minus
-    got, at, kept, readouts = _run_gates(rows, np.arange(6), elements, _kraus(IDEAL_BOUNCE), draws)
+    # the first weighted branch is plus, the last minus
+    got, at, kept, readouts = _run_gates(rows, np.arange(6), elements, _kraus(IDEAL_BOUNCE), edge_draws(spin))
     np.testing.assert_allclose(got[at], want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(kept, 1.0, rtol=0, atol=1e-12)
     assert len(readouts) == sum(el[0] == "cnot" for el in elements)
@@ -154,30 +158,13 @@ def test_unknown_circuit_element_is_named():
 
 
 @pytest.mark.parametrize(
-    "spec,forced",
-    [
-        (ProtocolSpec(n_photons=3, max_iterations=4), {"forced_tags": (3,)}),
-        (ProtocolSpec(n_photons=3, gate_mode="realistic"), {"forced_tags": (1,)}),
-    ],
-    ids=["ideal_tags", "realistic_tags"],
+    "spec", [ProtocolSpec(n_photons=3, max_iterations=4), ProtocolSpec(n_photons=3, gate_mode="realistic")],
+    ids=["ideal", "realistic"],
 )
-def test_short_forced_sequences_pin_only_the_first_draws(spec, forced):
-    # the draws past a forced sequence come from rng; with no rng the run
-    # raises a ValueError, never a StopIteration that would end a caller's loop
+def test_run_protocol_without_rng_is_named(spec):
+    # the first readout has nothing to draw from: a ValueError, never an AttributeError
     with pytest.raises(ValueError, match="rng required"):
-        run_protocol(spec, **forced)
-    for seed in range(20):
-        run = run_protocol(spec, np.random.default_rng(seed), **forced)
-        assert run.true_tags[:1] == forced["forced_tags"]
-        # with every true tag forced, the same seed draws the same spin readouts
-        again = run_protocol(spec, np.random.default_rng(seed), forced_tags=run.true_tags)
-        assert (again.outcome_class, again.iterations_used, again.spin_outcomes) == (
-            run.outcome_class, run.iterations_used, run.spin_outcomes)
-
-
-def test_forced_tag_beyond_the_tags_is_named():
-    with pytest.raises(ValueError, match="cannot interpret forced outcome 7"):
-        run_protocol(ProtocolSpec(n_photons=3), forced_tags=[7])
+        run_protocol(spec)
 
 
 def test_monte_carlo_needs_a_trial(rng):
@@ -192,8 +179,9 @@ def test_no_recovery_path_for_four_photons():
 
 
 def test_run_three_photon_success_round_one():
-    run = run_protocol(ProtocolSpec(n_photons=3), forced_tags=(1,))
+    run = run_protocol(ProtocolSpec(n_photons=3), Uniforms([0.0]))   # the first weighted tag, 1
     assert run.outcome_class == "W"
+    assert run.true_tags == (1,)
     assert run.iterations_used == 1
     np.testing.assert_allclose(
         run.final_state, uniform_vector(3, ["RLR", "LRR", "RRL"]), atol=1e-12
@@ -201,24 +189,26 @@ def test_run_three_photon_success_round_one():
 
 
 def test_run_four_photon_flipped_branch():
-    run = run_protocol(ProtocolSpec(n_photons=4), forced_tags=(3,))
+    run = run_protocol(ProtocolSpec(n_photons=4), Uniforms([LAST_BRANCH]))
     assert run.outcome_class == "W"
+    assert run.true_tags == (3,)
     np.testing.assert_allclose(
         run.final_state, uniform_vector(4, ["RLLL", "LRLL", "LLRL", "LLLR"]), atol=1e-12
     )
     assert classify_state(run.final_state)["kind"] == "W_flipped"
-    run = run_protocol(ProtocolSpec(n_photons=4, standardize_flipped=True), forced_tags=(3,))
+    run = run_protocol(ProtocolSpec(n_photons=4, standardize_flipped=True), Uniforms([LAST_BRANCH]))
     assert classify_state(run.final_state)["kind"] == "W"
 
 
 def test_run_five_photon_dicke_branch():
-    run = run_protocol(ProtocolSpec(n_photons=5), forced_tags=(3,))
+    run = run_protocol(ProtocolSpec(n_photons=5), Uniforms([0.5]))   # in tag 3's interval (5/16, 15/16)
     assert run.outcome_class == "Dicke"
+    assert run.true_tags == (3,)
     np.testing.assert_allclose(run.final_state, uniform_vector(5, DICKE5_TERMS), atol=1e-12)
 
 
 def test_run_five_photon_w_after_two_recoveries():
-    run = run_protocol(ProtocolSpec(n_photons=5, max_iterations=4), forced_tags=(5, 5, 1))
+    run = run_protocol(ProtocolSpec(n_photons=5, max_iterations=4), Uniforms([LAST_BRANCH, LAST_BRANCH, 0.0]))
     assert run.outcome_class == "W"
     assert run.iterations_used == 3
     assert run.homodyne_tags == (5, 5, 1)
@@ -226,8 +216,9 @@ def test_run_five_photon_w_after_two_recoveries():
 
 
 def test_run_fails_at_max_iterations():
-    run = run_protocol(ProtocolSpec(n_photons=3, max_iterations=2), forced_tags=(3, 3))
+    run = run_protocol(ProtocolSpec(n_photons=3, max_iterations=2), Uniforms([LAST_BRANCH, LAST_BRANCH]))
     assert run.outcome_class == "failed_max_iter"
+    assert run.true_tags == (3, 3)
     assert run.iterations_used == 2
     np.testing.assert_allclose(run.final_state, uniform_vector(3, ["LLL"]), atol=1e-12)
 
@@ -286,6 +277,26 @@ def test_success_series_five_photons():
     assert w_limit == pytest.approx(1 / 3, abs=1e-15)
     assert dicke_limit == pytest.approx(2 / 3, abs=1e-15)
     assert sum(w) + sum(dicke) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_success_series_is_the_exact_series_rounded_once(n):
+    # oracle: the exact rational series, each term rounded to the nearest float
+    # by Fraction; the closed forms must match it bit for bit in every round
+    exact = {
+        3: {"W": (lambda m: Fraction(3, 4) * Fraction(1, 4) ** (m - 1), Fraction(1))},
+        4: {"W": (lambda m: Fraction(int(m == 1)), Fraction(1))},
+        5: {"W": (lambda m: Fraction(5, 16) * Fraction(1, 16) ** (m - 1), Fraction(1, 3)),
+            "Dicke": (lambda m: Fraction(10, 16) * Fraction(1, 16) ** (m - 1), Fraction(2, 3))},
+    }[n]
+    series = success_series(n, MAX_ITERATIONS)
+    assert list(series) == list(exact)
+    for label, (term, limit) in exact.items():
+        per_round, got_limit = series[label]
+        want = tuple(float(term(m)) for m in range(1, MAX_ITERATIONS + 1))
+        assert per_round == want and repr(per_round) == repr(want), label
+        assert got_limit == float(limit) and repr(got_limit) == repr(float(limit)), label
+    assert success_series(n, 7) == {label: (per[:7], lim) for label, (per, lim) in series.items()}
 
 
 def test_success_series_bad_input():
@@ -552,8 +563,9 @@ def test_monte_carlo_reproducible():
 def test_realistic_run_records_loss():
     params = CavityParams.from_ratios(5.0, 5.0)
     spec = ProtocolSpec(n_photons=3, gate_mode="realistic", params=params)
-    run = run_protocol(spec, Uniforms(itertools.repeat(0.0)), forced_tags=(1,))
+    run = run_protocol(spec, Uniforms([0.0, 0.0, 0.5]))   # two plus spins, then 0.5 in tag 1's interval
     assert 0.0 < run.accumulated_norm < 1.0
+    assert run.true_tags == (1,)
     assert run.outcome_class == "W"
 
 
@@ -565,7 +577,8 @@ def test_realistic_protocol_fidelity_converges_to_ideal():
     for ratio in (1.0, 25.0, 1000.0):
         params = CavityParams.from_ratios(math.sqrt(ratio), math.sqrt(ratio))
         spec = ProtocolSpec(n_photons=3, gate_mode="realistic", params=params)
-        run = run_protocol(spec, Uniforms(itertools.repeat(0.0)), forced_tags=(1,))
+        run = run_protocol(spec, Uniforms([0.0, 0.0, 0.5]))
+        assert run.true_tags == (1,)
         fidelities.append(fidelity_vs_ideal(spec, run))
         assert len(run.spin_outcomes) == 2
     assert fidelities[0] < fidelities[1] < fidelities[2]
@@ -575,12 +588,13 @@ def test_realistic_protocol_fidelity_converges_to_ideal():
 def test_realistic_trace_gate_count_matches_iterations():
     params = CavityParams.from_ratios(10.0, 10.0)
     spec = ProtocolSpec(n_photons=5, gate_mode="realistic", params=params, max_iterations=3)
-    run = run_protocol(spec, Uniforms(itertools.repeat(0.0)), forced_tags=(5, 1))
-    # 6 gates in round one, recovery adds 1 + 3 suffix gates
+    # 6 gates in round one, recovery adds 1 + 3 suffix gates; every spin reads
+    # plus, the first tag its last (5) and the second 0.15, in tag 1's interval
+    run = run_protocol(spec, Uniforms([0.0] * 6 + [LAST_BRANCH] + [0.0] * 4 + [0.15]))
     assert len(run.spin_outcomes) == 10
     assert run.homodyne_tags == (5, 1)
-    ideal = run_protocol(replace(spec, gate_mode="ideal"), forced_tags=(5, 1))
-    assert ideal.outcome_class == run.outcome_class == "W"
+    assert run.outcome_class == "W"
+    assert classify_state(_ideal_branch(spec, (5, 1)))["kind"] == "W"
     assert 0 <= fidelity_vs_ideal(spec, run) <= 1 + 1e-12
 
 
@@ -588,7 +602,7 @@ def test_fidelity_vs_ideal_needs_a_realistic_run_on_ideal_branches():
     # ideal gates have nothing to compare, and a misread tag sends the run down
     # an arm the ideal circuit on the true tags does not take
     spec = ProtocolSpec(n_photons=3, max_iterations=1)
-    assert fidelity_vs_ideal(spec, run_protocol(spec, forced_tags=(1,))) is None
+    assert fidelity_vs_ideal(spec, run_protocol(spec, Uniforms([0.0]))) is None
     spec = replace(spec, gate_mode="realistic", homodyne_mode="gaussian", theta=THETA_LOW, alpha=ALPHA_LOW)
     rng = np.random.default_rng(np.random.SeedSequence(27))
     runs = [run_protocol(spec, rng=rng) for _ in range(100)]
@@ -596,6 +610,30 @@ def test_fidelity_vs_ideal_needs_a_realistic_run_on_ideal_branches():
     assert misread and all(fidelity_vs_ideal(spec, r) is None for r in misread)
     read_true = [r for r in runs if not r.misclassification_events and set(r.true_tags) <= {1, 3}]
     assert read_true and all(0 <= fidelity_vs_ideal(spec, r) <= 1 + 1e-12 for r in read_true)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ideal_branch_is_the_final_row_of_an_ideal_run_on_its_tags(n, flip):
+    # the ideal run and the direct walk divide each kept branch alike, to the bit
+    spec = ProtocolSpec(n_photons=n, max_iterations=5, standardize_flipped=flip)
+    rng = np.random.default_rng(np.random.SeedSequence(29))
+    seen = set()
+    for _ in range(200):
+        run = run_protocol(spec, rng)
+        seen.add(run.true_tags)
+        assert _ideal_branch(spec, run.true_tags).tobytes() == run.final_state.tobytes(), run.true_tags
+    assert len(seen) >= {3: 4, 4: 2, 5: 4}[n]
+
+
+@pytest.mark.parametrize(
+    "n,true_tags",
+    [(3, (0,)), (3, (2,)), (3, (7,)), (3, (-1,)), (5, (5, 4)), (4, (2,))],
+    ids=["absent", "between", "beyond", "negative", "absent_in_recovery", "absent_at_four"],
+)
+def test_ideal_branch_on_a_tag_without_weight_is_impossible(n, true_tags):
+    with pytest.raises(ValueError, match="impossible outcome"):
+        _ideal_branch(ProtocolSpec(n_photons=n), true_tags)
 
 
 def test_composite_fidelity_products():

@@ -12,7 +12,7 @@ from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
 from entconv.qstate import apply_rows, choose_branch, collapse, ket, label, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
-from conftest import basis_index, expected_vector, uniform_vector
+from conftest import LAST_BRANCH, Uniforms, basis_index, expected_vector, uniform_vector
 from oracle import IDEAL_BOUNCE, SPIN_READY, readout_branches
 
 IDEAL = _kraus(IDEAL_BOUNCE)   # the compiled gate with ideal bounces
@@ -61,7 +61,7 @@ def test_states_handed_out_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             conversion_input(n)[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        run_protocol(ProtocolSpec(n_photons=3), forced_tags=(1,)).final_state[0] = 1.0
+        run_protocol(ProtocolSpec(n_photons=3), Uniforms([0.0])).final_state[0] = 1.0
 
 
 def test_superpose_ghz_pair():
@@ -198,7 +198,7 @@ def test_spin_measurement_probabilities_half(rng):
     # oracle: direct amplitude sums of the element-by-element replay at each readout
     direct = [float(np.sum(np.abs(branch) ** 2)) for branch in readout_branches(c, 2, 1, IDEAL_BOUNCE)]
     for spin in (0, 1):
-        *_, weights = collapse(apply_rows(c[None], (2, 1), IDEAL), [0], forced=spin)
+        *_, weights = collapse(apply_rows(c[None], (2, 1), IDEAL), [0], Uniforms([0.0]))
         chosen = weights[spin]
         assert abs(chosen[0] - direct[spin]) < 1e-12
         assert abs(chosen[0] - 0.5) < 1e-12
@@ -214,20 +214,23 @@ def test_eigenstate_measurement_certain(rng):
 def test_forced_minus_collapse_keeps_minus_branch(rng):
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c = c / np.linalg.norm(c)
-    _, out, _, _ = collapse(apply_rows(c[None], (2, 1), IDEAL), [0], forced=1)
+    readouts, out, _, _ = collapse(apply_rows(c[None], (2, 1), IDEAL), [0], Uniforms([LAST_BRANCH]))
+    assert readouts[0] == 1
     # the minus branch alpha|LR>+beta|RL>+gamma|RR>+delta|LL>, target flipped back by the feed-forward
     want = expected_vector(2, {"RR": c[0], "LL": c[1], "LR": c[2], "RL": c[3]})
     np.testing.assert_allclose(out[0], want, atol=1e-12)
 
 
-def test_forced_impossible_outcome():
-    with pytest.raises(ValueError, match="impossible outcome"):
-        choose_branch([[1.0], [0.0]], forced=1)
+def test_row_without_weight_is_an_impossible_outcome():
+    # no uniform finds a branch in a row whose every branch is empty
+    for u in (0.0, 0.5, LAST_BRANCH):
+        with pytest.raises(ValueError, match="impossible outcome"):
+            choose_branch([[1.0, 0.0], [0.0, 0.0]], Uniforms([0.0, u]))
 
 
-def test_measure_requires_rng_or_forced():
-    with pytest.raises(ValueError, match="rng"):
-        choose_branch([[0.36], [0.64]])
+def test_measure_requires_rng():
+    with pytest.raises(ValueError, match="rng required"):
+        choose_branch([[0.36], [0.64]], None)
 
 
 # --- hypothesis strategies -------------------------------------------------
@@ -278,7 +281,7 @@ def test_measurement_completeness(state, data):
     if row_photons(state) < 2:
         return
     control, target = data.draw(st.permutations(range(1, row_photons(state) + 1)))[:2]
-    *_, weights = collapse(apply_rows(state[None], (control, target), IDEAL), [0], forced=0)
+    *_, weights = collapse(apply_rows(state[None], (control, target), IDEAL), [0], Uniforms([0.0]))
     kept = weights.sum(axis=0)
     assert abs(kept[0] - 1.0) < 1e-12
 
