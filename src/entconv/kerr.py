@@ -97,14 +97,15 @@ def read_rows(rows: np.ndarray, at, receiver: tuple[np.ndarray, tuple[int, ...]]
     its true tag's row of the matrix and reports that cell's tag.  The
     receiver is fixed, so a tag of vanishing weight cannot move a decision
     threshold, and a leaked tag reads as the tag of the cell drawn from its
-    own row.  Returns the classified tags, the true tags and one row per
-    trial, its state collapsed onto its renormalized true branch.
+    own row.  Returns the classified tags, the true tags, and the children
+    and each trial's index into them as ``collapse`` returns them: each
+    chosen true branch once, renormalized.
     """
     true, collapsed, at, _ = collapse(_tag_branches(rows), at, rng)
     if receiver is None:
-        return true, true, collapsed[at]
+        return true, true, collapsed, at
     confusion, tags = receiver
-    return np.asarray(tags)[choose_branch(confusion[true].T, rng)], true, collapsed[at]
+    return np.asarray(tags)[choose_branch(confusion[true].T, rng)], true, collapsed, at
 
 
 def error_probability(x_d: float) -> float:

@@ -21,7 +21,7 @@ from .cavity import CavityParams, spin_photon_map
 from .cnot import BENCHMARK_G, BENCHMARK_GAMMA_TOTAL, BENCHMARK_KAPPA, _kraus
 from .kerr import HomodyneModel, _tag_branches, read_rows
 from .optics import CNOT, HWP, QWP
-from .qstate import NORM_TOL, apply_rows, collapse, frozen, ket, row_inner, row_norms2, row_photons
+from .qstate import NORM_TOL, apply_rows, collapse, frozen, held, ket, row_inner, row_norms2, row_photons
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -123,10 +123,11 @@ def _round_elements(n_photons: int, iteration: int) -> tuple[tuple, ...]:
     return circuit_wiring(n_photons) if iteration == 1 else recovery_sequence(n_photons)
 
 
-def _standardize(spec: ProtocolSpec, rows: np.ndarray, tags: np.ndarray) -> None:
-    """With ``spec.standardize_flipped``, flip each four-photon row read as tag 3 to single-L form, in place (a HWP on every photon)."""
+def _standardize(spec: ProtocolSpec, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """``rows``, with ``spec.standardize_flipped`` each four-photon row read as tag 3 flipped to single-L form (a HWP on every photon)."""
     if spec.n_photons == 4 and spec.standardize_flipped:
-        rows[tags == 3] = rows[tags == 3][:, ::-1]
+        return np.where((tags == 3)[:, None], rows[:, ::-1], rows)
+    return rows
 
 
 def _run_gates(rows, at, elements, gate, rng=None):
@@ -190,21 +191,19 @@ def _receiver(spec: ProtocolSpec):
 def _run_rounds(spec: ProtocolSpec, trials: int, rng):
     """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
 
-    Every trial starts on the one input row, and a trial's state depends
-    only on the readouts it has drawn, so within a round the batch carries
-    one row per distinct readout history and each trial's index into them
-    (``_run_gates``, ``collapse``); the tag readout leaves one row per trial.
-    A trial leaves the batch when its classified tag declares an outcome;
-    the rest run the recovery sequence, or, having none at four photons, end
-    as ``failed_no_recovery`` unless the round was their last.  Each
-    readout takes one uniform per trial still in the batch, in trial order,
-    so a single run handed the uniforms one trial drew replays that trial,
-    misread and leaked tags included.  Gaussian readout reads every round of
-    every trial with the one confusion matrix of ``_receiver``, built once
-    per call.  Returns, per trial, the outcome class, rounds used, final
-    amplitude row and product of kept gate norms, and per round the trials
-    still in the batch, their classified and true tags and their gate
-    readouts.
+    A trial's state depends only on the readouts it has drawn, so from the
+    input row to the outcome the batch carries the rows of its distinct
+    readout histories, each once (``collapse``, ``held``), and each trial's
+    index into them; no row is written once made.  A trial leaves when its
+    classified tag declares an outcome; the rest run the recovery sequence,
+    or, with none at four photons, end as ``failed_no_recovery`` unless the
+    round was their last.  Each readout takes one uniform per trial still in
+    the batch, in trial order, so a single run handed the uniforms one trial
+    drew replays that trial, misread and leaked tags included.  Gaussian
+    readout reads with the one confusion matrix of ``_receiver``.  Returns,
+    per trial, the outcome class, rounds used, final amplitude row and
+    product of kept gate norms, and per round the trials still in the
+    batch, their classified and true tags and their gate readouts.
     """
     n = spec.n_photons
     rows, at = conversion_input(n)[None], np.zeros(trials, int)
@@ -221,15 +220,14 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng):
     for iteration in range(1, spec.max_iterations + 1):
         rows, at, norm_factor, readouts = _run_gates(rows, at, _round_elements(n, iteration), gate, rng)
         survival[live] *= norm_factor
-        tags, true, rows = read_rows(rows, at, receiver, rng)
+        tags, true, rows, at = read_rows(rows, at, receiver, rng)
         history.append((live, tags, true, readouts))
         done = declares[tags]
-        _standardize(spec, rows, tags)
-        final[live] = rows
+        final[live] = _standardize(spec, rows[at], tags)
         outcome[live[done]] = [success[int(k)] for k in tags[done]]
         rounds[live[done]] = iteration
-        live, rows = live[~done], rows[~done]
-        at = np.arange(live.size)   # the tag readout left one row per trial
+        used, at = held(at[~done], len(rows))   # the rows a trial still running holds
+        live, rows = live[~done], rows[used]
         if not live.size or iteration == spec.max_iterations:
             break
         if n == 4:
@@ -382,8 +380,7 @@ def _ideal_branch(spec: ProtocolSpec, true_tags) -> np.ndarray:
         weights = row_norms2(branches)[:, 0]
         if tag not in range(len(weights)) or weights[tag] <= NORM_TOL**2:
             raise ValueError("impossible outcome")
-        rows = branches[tag] / np.sqrt(weights[tag])
-        _standardize(spec, rows, np.array([tag]))
+        rows = _standardize(spec, branches[tag] / np.sqrt(weights[tag]), np.array([tag]))
     return rows[0]
 
 

@@ -113,24 +113,24 @@ def choose_branch(probs, rng) -> np.ndarray:
     return k
 
 
+def held(at, size: int):
+    """Mask of the rows, of ``size``, that trials ``at`` hold, and each trial's index into the held rows, in row order."""
+    used = np.zeros(size, bool)
+    used[at] = True
+    return used, np.cumsum(used)[at] - 1
+
+
 def collapse(branches: np.ndarray, at, rng):
     """Read out a batch of trials from the unnormalized branches of their rows, shape (m, rows, dim).
 
-    Trial i holds row ``at[i]``, so trials that share a state share its row.
-    ``choose_branch`` picks each trial's branch from its row's weights, in
-    trial order, with a draw from ``rng.random``.  The children are every
-    branch of every row, trial i at ``k * rows + at[i]``, while there are no
-    more of them than trials; past that, one chosen branch per trial, trial
-    i at row i.  Each child is divided by the square root of its weight; a
-    child of weight 0 is chosen by no trial and is kept as it is.  Returns
-    the chosen branch index of each trial, the children, each trial's index
-    into them and the weight of every branch, shape (m, rows).
+    Trial i holds row ``at[i]``; ``choose_branch`` picks its branch from that
+    row's weights, in trial order, with a draw from ``rng.random``.  Returns
+    each trial's branch index, the children (each chosen branch of each row
+    once, as ``held`` keeps them, divided by the root of its weight), each
+    trial's index into them and every branch weight, shape (m, rows).
     """
     weights = row_norms2(branches)
     k = choose_branch(weights[:, at], rng)
-    m, rows = weights.shape
-    if m * rows <= len(at):
-        children, child_weights, at = branches.reshape(m * rows, -1), weights.reshape(-1), k * rows + at
-    else:
-        children, child_weights, at = branches[k, at], weights[k, at], np.arange(len(at))
-    return k, children / np.sqrt(np.where(child_weights > 0, child_weights, 1.0))[:, None], at, weights
+    used, at = held(k * weights.shape[1] + at, weights.size)
+    children = branches.reshape(weights.size, -1)[used]
+    return k, children / np.sqrt(weights.reshape(-1)[used])[:, None], at, weights

@@ -104,12 +104,12 @@ def test_ideal_readout_probabilities_three_photons(rng):
     _, weights = tag_split(state)
     assert abs(weights[1] - 0.75) < 1e-12
     assert abs(weights[3] - 0.25) < 1e-12
-    tags, true, rows = read_rows(state[None], [0], None, Uniforms([0.0]))   # the first weighted tag
+    tags, true, rows, at = read_rows(state[None], [0], None, Uniforms([0.0]))   # the first weighted tag
     assert tags[0] == true[0] == 1
-    assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-12
-    tags, _, rows = read_rows(state[None], [0], None, Uniforms([LAST_BRANCH]))
+    assert abs(np.linalg.norm(rows[at[0]]) - 1.0) < 1e-12
+    tags, _, rows, at = read_rows(state[None], [0], None, Uniforms([LAST_BRANCH]))
     assert tags[0] == 3
-    np.testing.assert_allclose(rows[0], uniform_vector(3, ["LLL"]), atol=1e-12)
+    np.testing.assert_allclose(rows[at[0]], uniform_vector(3, ["LLL"]), atol=1e-12)
 
 
 def test_ideal_readout_probabilities_five_photons():
@@ -123,24 +123,24 @@ def test_ideal_readout_probabilities_five_photons():
     for tag, weight, u in ((1, 5 / 16, 0.0), (3, 10 / 16, 0.5), (5, 1 / 16, LAST_BRANCH)):
         assert abs(weights[tag] - weight) < 1e-12
         # the readout keeps the branch, renormalized by the root of its weight
-        tags, _, rows = read_rows(state[None], [0], None, Uniforms([u]))
+        tags, _, rows, at = read_rows(state[None], [0], None, Uniforms([u]))
         assert tags[0] == tag
-        np.testing.assert_allclose(rows[0] * math.sqrt(weight), branches[tag], atol=1e-12)
+        np.testing.assert_allclose(rows[at[0]] * math.sqrt(weight), branches[tag], atol=1e-12)
 
 
 def test_single_branch_certain(rng):
     row = ket("RRRR")[None]
     model = HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (0,))
-    tags, true, _ = read_rows(row, [0], None, rng)
+    tags, true, *_ = read_rows(row, [0], None, rng)
     assert tags[0] == true[0] == 0
-    _, true, _ = read_rows(row, [0], _gaussian(model, 4), rng)
+    _, true, *_ = read_rows(row, [0], _gaussian(model, 4), rng)
     assert true[0] == 0
 
 
 def test_ideal_sampling_matches_weights(rng):
     state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     n = 40000
-    tags, _, _ = read_rows(state[None], np.zeros(n, int), None, rng)
+    tags, *_ = read_rows(state[None], np.zeros(n, int), None, rng)
     hits = int(np.sum(tags == 1))
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert abs(hits / n - 0.75) <= 3 * sigma
@@ -152,8 +152,8 @@ def test_gaussian_mode_collapses_to_true_branch(rng):
     state = uniform_vector(3, ["RLR", "LRR", "RRL", "LLL"])
     branches, weights = tag_split(state)
     model = HomodyneModel.for_tags(1.0, 0.02, tuple(weights))
-    tags, true, rows = read_rows(state[None], np.zeros(300, int), _gaussian(model, 3), rng)
-    for k, row in zip(true, rows):
+    tags, true, rows, at = read_rows(state[None], np.zeros(300, int), _gaussian(model, 3), rng)
+    for k, row in zip(true, rows[at]):
         np.testing.assert_allclose(row, branches[k] / math.sqrt(weights[k]), atol=1e-12)
     assert np.sum(tags != true) > 0
 
@@ -195,8 +195,8 @@ def test_batched_readout_matches_per_state_oracle(mode, theta, alpha):
     for n in (3, 4, 5):
         rows = _rows_with_tag_gaps(gen, n, 2000)
         receiver = _fixed_receiver(n, theta, alpha) if mode == "gaussian" else None
-        tags, true, collapsed = read_rows(rows, np.arange(len(rows)), receiver, np.random.default_rng(n))
-        for row, k, got in zip(rows, true, collapsed):
+        tags, true, collapsed, at = read_rows(rows, np.arange(len(rows)), receiver, np.random.default_rng(n))
+        for row, k, got in zip(rows, true, collapsed[at]):
             np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
         weights = np.array([[_popcount_weight(row, k) for k in range(n + 1)] for row in rows])
         for k in range(n + 1):
@@ -222,9 +222,9 @@ def test_batched_forced_readout_keeps_rows_apart():
             on_tag = (below + weights[:, k] / 2) / weights.sum(axis=1)
             on_cell = (confusion[k, :cell[k]].sum() + confusion[k, cell[k]] / 2) / confusion[k].sum()
             draws = Uniforms(np.concatenate([on_tag, np.full(len(rows), on_cell)]))
-            tags, true, collapsed = read_rows(rows, np.arange(len(rows)), receiver, draws)
+            tags, true, collapsed, at = read_rows(rows, np.arange(len(rows)), receiver, draws)
             assert set(true) == {k} and set(tags) == {cell_tags[cell[k]]}
-            for row, got in zip(rows, collapsed):
+            for row, got in zip(rows, collapsed[at]):
                 np.testing.assert_allclose(got, _popcount_collapse(row, k), rtol=0, atol=1e-14)
 
 
@@ -272,7 +272,7 @@ def test_sampled_decision_cells_follow_the_confusion_row(n):
     rng = np.random.default_rng(21)
     for k in range(n + 1):
         row = ket("L" * k + "R" * (n - k))
-        got, true, _ = read_rows(row[None], np.zeros(draws, int), receiver, rng)
+        got, true, *_ = read_rows(row[None], np.zeros(draws, int), receiver, rng)
         assert set(true.tolist()) == {k}
         observed = np.array([np.sum(got == t) for t in tags])
         expected = draws * confusion[k]

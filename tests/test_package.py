@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import entconv
-from entconv import cavity, cnot, optics, qstate
+from entconv import cavity, cli, cnot, optics, qstate
 
 TEST_TREE = {"tests", "conftest", "oracle"}
 MODULES = ("qstate", "cavity", "optics", "cnot", "kerr", "protocols", "config", "cli", "stream")
@@ -63,6 +63,17 @@ def _fresh_interpreter(code: str) -> str:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     return out.stdout.strip()
+
+
+def test_the_cli_module_runs_as_a_script():
+    # python -m entconv.cli reads sys.argv and exits with main's code: the usage
+    # on stdout for --help (exit 0), and on stderr for an unknown command (exit 2)
+    src = str(Path(entconv.__file__).resolve().parent.parent)
+    shown, bad = (subprocess.run([sys.executable, "-m", "entconv.cli", arg], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src}) for arg in ("--help", "frobnicate"))
+    assert (shown.returncode, shown.stdout, shown.stderr) == (0, cli.USAGE, "")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith(cli.USAGE) and "invalid choice: 'frobnicate'" in bad.stderr
 
 
 NUMPY_RANDOM = "sorted(m for m in sys.modules if m.startswith('numpy.random'))"

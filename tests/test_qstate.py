@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from entconv.cnot import _kraus
 from entconv.kerr import read_rows
 from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
-from entconv.qstate import apply_rows, choose_branch, collapse, ket, label, row_inner, row_norms2, row_photons
+from entconv.qstate import apply_rows, choose_branch, collapse, held, ket, label, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import LAST_BRANCH, Uniforms, basis_index, expected_vector, uniform_vector
@@ -206,9 +206,9 @@ def test_spin_measurement_probabilities_half(rng):
 
 def test_eigenstate_measurement_certain(rng):
     s = ket("RL")   # every basis state holds one tag: its count of L photons
-    tags, _, out = read_rows(s[None], [0], None, rng)
+    tags, _, out, at = read_rows(s[None], [0], None, rng)
     assert tags[0] == 1
-    np.testing.assert_allclose(out[0], s, atol=1e-12)
+    np.testing.assert_allclose(out[at[0]], s, atol=1e-12)
 
 
 def test_forced_minus_collapse_keeps_minus_branch(rng):
@@ -219,6 +219,38 @@ def test_forced_minus_collapse_keeps_minus_branch(rng):
     # the minus branch alpha|LR>+beta|RL>+gamma|RR>+delta|LL>, target flipped back by the feed-forward
     want = expected_vector(2, {"RR": c[0], "LL": c[1], "LR": c[2], "RL": c[3]})
     np.testing.assert_allclose(out[0], want, atol=1e-12)
+
+
+def test_held_keeps_each_held_row_once_in_order():
+    used, at = held(np.array([4, 0, 4, 2, 0]), 6)
+    assert used.tolist() == [True, False, True, False, True, False]
+    assert at.tolist() == [2, 0, 2, 1, 0]
+    used, at = held(np.array([], int), 3)
+    assert (used.tolist(), at.tolist()) == ([False] * 3, [])
+
+
+@pytest.mark.parametrize("m,rows,trials", [(2, 3, 50), (4, 1, 8), (5, 40, 30)])
+def test_collapse_keeps_each_chosen_branch_once(m, rows, trials):
+    # with more trials than branches or fewer, the children are the distinct
+    # chosen (branch, row) pairs, each once, at unit norm, and each is its
+    # branch divided by the root of its weight to the byte; a branch of
+    # weight 0 is chosen by no trial and kept by none
+    gen = np.random.default_rng(m * rows + trials)
+    branches = gen.normal(size=(m, rows, 8)) + 1j * gen.normal(size=(m, rows, 8))
+    branches[-1, 0] = 0.0
+    at = gen.integers(rows, size=trials)
+    k, children, new_at, weights = collapse(branches, at, np.random.default_rng(trials))
+    np.testing.assert_allclose(weights, (np.abs(branches) ** 2).sum(axis=-1), rtol=1e-12)
+    pairs = set(zip(k.tolist(), at.tolist()))
+    assert len(children) == len(pairs) < m * rows
+    assert len(set(zip(k.tolist(), at.tolist(), new_at.tolist()))) == len(pairs)
+    assert set(new_at.tolist()) == set(range(len(children)))
+    flat = dict(zip(new_at.tolist(), (k * rows + at).tolist()))   # child -> its branch-major index
+    assert [flat[j] for j in range(len(children))] == sorted(flat.values())
+    np.testing.assert_allclose(np.linalg.norm(children, axis=1), 1.0, rtol=0, atol=1e-12)
+    for i in range(trials):
+        want = branches[k[i], at[i]] / np.sqrt(weights[k[i], at[i]])
+        assert children[new_at[i]].tobytes() == want.tobytes()
 
 
 def test_row_without_weight_is_an_impossible_outcome():
@@ -290,10 +322,10 @@ def test_measurement_completeness(state, data):
 def test_collapse_idempotence(state, data):
     # a probe readout repeated on its own collapsed row is certain and leaves the row
     seeded = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    tags, _, collapsed = read_rows(state[None], [0], None, seeded)
-    again_tags, _, again = read_rows(collapsed, [0], None, seeded)
+    tags, _, collapsed, at = read_rows(state[None], [0], None, seeded)
+    again_tags, _, again, again_at = read_rows(collapsed, at, None, seeded)
     assert again_tags[0] == tags[0]
-    np.testing.assert_allclose(again, collapsed, atol=1e-12)
+    np.testing.assert_allclose(again[again_at], collapsed[at], atol=1e-12)
 
 
 @given(states(), unitaries(), unitaries(), st.data())
