@@ -19,7 +19,7 @@ import numpy as np
 
 from .cnot import fidelity_grid
 from .config import ConfigError, load_config
-from .kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, quadrature_mean
+from .kerr import HomodyneModel, error_probability, homodyne_pdf
 from .protocols import (
     PROBE_ALPHA,
     PROBE_THETA,
@@ -171,9 +171,7 @@ def cmd_homodyne_curves(config: dict, flags: dict) -> int:
     alpha = spec.alpha if spec is not None else PROBE_ALPHA
     theta = spec.theta if spec is not None else PROBE_THETA
     model = HomodyneModel.for_tags(alpha, theta, CURVE_TAGS)   # rejects overflowing or coinciding means
-    lo = quadrature_mean(alpha, theta, model.tags[0]) - CURVE_MARGIN
-    hi = quadrature_mean(alpha, theta, model.tags[-1]) + CURVE_MARGIN
-    xs, step = np.linspace(lo, hi, CURVE_SAMPLES, retstep=True)
+    xs, step = np.linspace(model.means[0] - CURVE_MARGIN, model.means[-1] + CURVE_MARGIN, CURVE_SAMPLES, retstep=True)
     if step > CURVE_MAX_STEP:
         raise ValueError(f"curve step {step:.3g} exceeds {CURVE_MAX_STEP}: the probe means spread too far to sample")
     pdfs = {k: homodyne_pdf(xs, alpha, k, theta) for k in CURVE_TAGS}
@@ -182,7 +180,7 @@ def cmd_homodyne_curves(config: dict, flags: dict) -> int:
         ["curve", x, pdfs[1][i], pdfs[3][i], pdfs[5][i], None]
         for i, x in enumerate(xs)
     ]
-    distances = peak_distances(alpha, theta, CURVE_TAGS)
+    distances = [hi - lo for lo, hi in zip(model.means, model.means[1:])][::-1]   # from the highest mean down
     for i, x_d in enumerate(distances, start=1):
         rows.append([f"x_d{i}", None, None, None, None, x_d])
     for i, x_d in enumerate(distances, start=1):

@@ -1,14 +1,14 @@
 """Probe-phase tagging of photonic branches and X-quadrature readout.
 
-The coherent probe is tracked symbolically: a basis component containing k
-L-polarized photons rotates the probe by k phase units, so the state splits
+The coherent probe is tracked symbolically: a basis component with k L photons
+(``qstate.l_photons``) rotates the probe by k phase units, so the state splits
 into branches keyed by the integer tag k.  Readout models the X quadrature of
-the rotated probe as a unit-variance Gaussian centered at 2*alpha*cos(k*theta)
-and classifies with maximum-likelihood midpoint thresholds.  Gaussian readout
-draws the decision cell from the true tag's row of the confusion matrix, and
-never a quadrature value.  A wrong cell reports a wrong tag while the signal
-state still collapses to the true branch: the error is informational and
-surfaces as a wrong feed-forward decision downstream.
+the rotated probe as a unit-variance Gaussian centered at 2*alpha*cos(k*theta);
+``HomodyneModel`` orders the means, whose gaps are the peak distances x_d, and
+classifies with midpoint thresholds.  Gaussian readout draws the decision cell
+from the true tag's row of the confusion matrix, never a quadrature value.  A
+wrong cell reports a wrong tag while the state still collapses to the true
+branch, so the error surfaces only as a wrong feed-forward decision.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import choose_branch, collapse, row_photons
+from .qstate import choose_branch, collapse, l_photons, row_photons
 
 MIN_MEAN_GAP = 1e-9
 
@@ -26,9 +26,7 @@ MIN_MEAN_GAP = 1e-9
 def _tag_branches(rows: np.ndarray) -> np.ndarray:
     """Each row split into one branch per tag 0..n, tags in front of the rows; tag k keeps the basis states with k L photons."""
     n = row_photons(rows)
-    idx = np.arange(1 << n)
-    counts = sum((idx >> b) & 1 for b in range(n))   # L photons of each basis state
-    return np.where(counts == np.arange(n + 1).reshape((-1,) + (1,) * rows.ndim), rows, 0.0)
+    return np.where(l_photons(n) == np.arange(n + 1).reshape((-1,) + (1,) * rows.ndim), rows, 0.0)
 
 
 def quadrature_mean(alpha: float, theta: float, k: int) -> float:
@@ -40,15 +38,16 @@ def quadrature_mean(alpha: float, theta: float, k: int) -> float:
 class HomodyneModel:
     """Gaussian decision thresholds for a set of probe tags.
 
-    ``tags`` run in order of mean, ascending; ``thresholds`` are the
-    midpoints between adjacent means, the maximum-likelihood rule for
-    equal-variance Gaussians.  ``confusion`` gives the chance of each
-    decision; binning drawn quadratures is the tests' oracle for it.
+    ``tags`` run in order of mean, ascending, as do their quadrature
+    ``means``; ``thresholds`` are the midpoints between adjacent means, the
+    maximum-likelihood rule for equal-variance Gaussians.  ``confusion`` gives
+    the chance of each decision; binning drawn quadratures is the tests' oracle.
     """
 
     alpha: float
     theta: float
     tags: tuple[int, ...]
+    means: tuple[float, ...]
     thresholds: tuple[float, ...]
 
     @classmethod
@@ -56,16 +55,14 @@ class HomodyneModel:
         tags = [int(k) for k in tags]
         if not tags:
             raise ValueError("no tags to discriminate")
-        means = [quadrature_mean(alpha, theta, k) for k in tags]
-        if not math.isfinite(max(means) - min(means)):
+        means, tags = zip(*sorted((quadrature_mean(alpha, theta, k), k) for k in tags))
+        if not math.isfinite(means[-1] - means[0]):
             raise ValueError("probe quadrature means overflow")
-        by_mean = sorted(zip(means, tags))
-        for (m_lo, _), (m_hi, _) in zip(by_mean, by_mean[1:]):
-            if not m_hi - m_lo > MIN_MEAN_GAP:
-                raise ValueError("degenerate phase configuration")
+        if not all(hi - lo > MIN_MEAN_GAP for lo, hi in zip(means, means[1:])):
+            raise ValueError("degenerate phase configuration")
         # lo/2 + hi/2 is (lo + hi)/2 to the bit, and cannot overflow
-        thresholds = tuple(lo[0] / 2.0 + hi[0] / 2.0 for lo, hi in zip(by_mean, by_mean[1:]))
-        return cls(alpha, theta, tuple(t for _, t in by_mean), thresholds)
+        thresholds = tuple(lo / 2.0 + hi / 2.0 for lo, hi in zip(means, means[1:]))
+        return cls(alpha, theta, tags, means, thresholds)
 
     def confusion(self, true_tags) -> np.ndarray:
         """Chance that a quadrature of each true tag (rows) lands in the decision cell of each of ``tags`` (columns).
@@ -117,13 +114,3 @@ def error_probability(x_d: float) -> float:
     if x_d < 0:
         raise ValueError("peak distance must be nonnegative")
     return 0.5 * math.erfc(x_d / (2.0 * math.sqrt(2.0)))
-
-
-def peak_distances(alpha: float, theta: float, tags) -> list[float]:
-    """Distances between adjacent quadrature means, from the highest mean down.
-
-    While the means fall as the tag rises (5*theta <= pi for tags up to 5)
-    this is tag order.
-    """
-    means = sorted((quadrature_mean(alpha, theta, k) for k in tags), reverse=True)
-    return [means[i] - means[i + 1] for i in range(len(means) - 1)]

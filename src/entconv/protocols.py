@@ -21,7 +21,7 @@ from .cavity import CavityParams, spin_photon_map
 from .cnot import BENCHMARK_G, BENCHMARK_GAMMA_TOTAL, BENCHMARK_KAPPA, _kraus
 from .kerr import HomodyneModel, _tag_branches, read_rows
 from .optics import CNOT, HWP, QWP
-from .qstate import NORM_TOL, apply_rows, collapse, frozen, held, ket, row_inner, row_norms2, row_photons
+from .qstate import NORM_TOL, apply_rows, collapse, frozen, held, ket, l_photons, row_inner, row_norms2, row_photons
 
 PROBE_THETA = 0.1
 PROBE_ALPHA = math.sqrt(1.3e4)
@@ -256,7 +256,7 @@ def classify_state(amps: np.ndarray) -> dict:
         return _state_class("other")
     mags = np.abs(amps[support])
     equal_mags = bool(np.all(np.abs(mags - 1.0 / math.sqrt(support.size)) <= _CLASSIFY_TOL))
-    l_counts = np.array([bin(int(i)).count("1") for i in support])
+    l_counts = l_photons(n)[support]
     phases_uniform = bool(np.all(np.abs(amps[support] / amps[support[0]] - 1.0) <= _CLASSIFY_TOL))
     if equal_mags and np.all(l_counts == l_counts[0]):
         c = int(l_counts[0])
@@ -302,8 +302,8 @@ def _ideal_gate_table(spec: ProtocolSpec):
     success = _SUCCESS_TAGS[n]
     confusion, read_as = _receiver(spec) or (np.eye(n + 1), range(n + 1))
     carry = confusion[:, [k not in success for k in read_as]].sum(axis=1)
-    held = _tag_branches(np.ones(1 << n))       # [tag, basis]: 1 where the basis state holds the tag
-    keep = held.T @ (carry[:, None] * held)     # carry of a true-tag block of rho, 0 between blocks
+    in_tag = l_photons(n) == np.arange(n + 1)[:, None]   # [tag, basis]: where the basis state holds the tag
+    keep = in_tag.T @ (carry[:, None] * in_tag)          # carry of a true-tag block of rho, 0 between blocks
     # the basis rows run through a circuit are its unitary, transposed; four
     # photons have no recovery, and every tag their circuit reads out declares
     first, retry = (_run_gates(np.eye(1 << n, dtype=complex), None, elements, CNOT)[0].T
@@ -314,7 +314,7 @@ def _ideal_gate_table(spec: ProtocolSpec):
     rho = np.outer(psi, psi.conj())
     for m, u in enumerate([first] + [retry] * (rounds - 1), start=1):
         rho = u @ rho @ u.conj().T
-        for tag, p in zip(read_as, (held * rho.diagonal().real).sum(axis=1) @ confusion):
+        for tag, p in zip(read_as, (in_tag * rho.diagonal().real).sum(axis=1) @ confusion):
             if tag in success:
                 cells[(success[tag], m)] += float(p)
         rho = keep * rho

@@ -3,8 +3,8 @@
 A register holds up to eight polarization qubits.  The basis index
 convention is fixed package-wide: photon 1 occupies the most significant bit.
 R maps to bit value 0, L to bit value 1.  This module alone maps photons to
-bits: ``ket`` and ``label`` turn strings into indices and back, and
-``apply_rows`` takes photon numbers.
+bits: ``ket`` and ``label`` turn strings into indices and back, ``apply_rows``
+takes photon numbers and ``l_photons`` counts the L photons of each index.
 
 A state is a flat amplitude row of length 2**n, and every state the library
 hands out is read-only.  Normalization happens only at readout collapse, so
@@ -44,6 +44,12 @@ def ket(pol_string: str) -> np.ndarray:
 def label(index: int, n: int) -> str:
     """Polarization string of basis index ``index`` of an n-photon row: the inverse of ``ket``."""
     return format(index, f"0{n}b").replace("0", "R").replace("1", "L")
+
+
+@functools.lru_cache(maxsize=None)
+def l_photons(n: int) -> np.ndarray:
+    """Read-only number of L photons (bits of value 1) in each basis index of an n-photon row."""
+    return frozen(sum((np.arange(1 << n) >> b) & 1 for b in range(n)))
 
 
 # Row forms: ``amps`` holds one amplitude vector per row, shape (..., dim), so

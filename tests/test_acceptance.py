@@ -15,7 +15,7 @@ import pytest
 from entconv.cavity import CavityParams, empty_reflection, reflection_coefficient, spin_photon_map
 from entconv.cli import main
 from entconv.cnot import _fidelities, _kraus, benchmark_report
-from entconv.kerr import HomodyneModel, error_probability, peak_distances, quadrature_mean
+from entconv.kerr import HomodyneModel, error_probability, quadrature_mean
 from entconv.protocols import (
     ProtocolSpec,
     circuit_wiring,
@@ -220,7 +220,7 @@ def test_criterion_5_fidelity_surface():
 def test_criterion_6_homodyne_error_model():
     t0 = time.perf_counter()
     assert error_probability(0.0) == 0.5
-    d1, d2 = peak_distances(ALPHA_REF, THETA_REF, (1, 3, 5))
+    d1, d2 = np.diff(HomodyneModel.for_tags(ALPHA_REF, THETA_REF, (1, 3, 5)).means)[::-1]   # x_d from the highest mean down
     p1 = error_probability(d1)
     assert p1 < 1e-5
     mp.mp.dps = 50

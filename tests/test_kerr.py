@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, peak_distances, quadrature_mean, read_rows
+from entconv.kerr import HomodyneModel, error_probability, homodyne_pdf, quadrature_mean, read_rows
 from entconv.protocols import ProtocolSpec, _receiver
 from entconv.qstate import ket
 
@@ -20,6 +20,11 @@ THETA_REF = 0.1
 def _classify_draws(model, true_tag, n, rng):
     """Classified tags of n quadrature draws from one tag's Gaussian, binned by the physical receiver."""
     return classify(model, rng.normal(quadrature_mean(model.alpha, model.theta, true_tag), 1.0, size=n))
+
+
+def _peak_distances(alpha, theta, tags):
+    """Peak distances x_d of the receiver for ``tags``: the gaps between its adjacent means, from the highest mean down."""
+    return list(np.diff(HomodyneModel.for_tags(alpha, theta, tags).means)[::-1])
 
 
 def _gaussian(model, n):
@@ -244,7 +249,7 @@ def test_confusion_matrix_generalizes_error_probability(theta, alpha):
     # each row, leaked true tags included, is a distribution over the decision cells
     model = HomodyneModel.for_tags(alpha, theta, (1, 3))
     two = model.confusion(model.tags)   # rows and columns in order of mean
-    miss = error_probability(peak_distances(alpha, theta, (1, 3))[0])
+    miss = error_probability(_peak_distances(alpha, theta, (1, 3))[0])
     np.testing.assert_allclose(two, [[1 - miss, miss], [miss, 1 - miss]], rtol=0, atol=1e-15)
     confusion = HomodyneModel.for_tags(alpha, theta, (1, 3, 5)).confusion(range(6))
     assert confusion.shape == (6, 3) and confusion.min() >= 0.0
@@ -288,30 +293,37 @@ def test_error_probability_reference_point_against_mp_oracle():
     alpha = mp.sqrt(13000)
     xd1 = 2 * alpha * (mp.cos(mp.mpf("0.1")) - mp.cos(mp.mpf("0.3")))
     oracle = float(mp.erfc(xd1 / (2 * mp.sqrt(2))) / 2)
-    got = error_probability(peak_distances(ALPHA_REF, THETA_REF, (1, 3))[0])
+    got = error_probability(_peak_distances(ALPHA_REF, THETA_REF, (1, 3))[0])
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(3.05e-6, rel=0.05)  # two significant figures
     assert got < 1e-5
 
 
 def test_peak_distance_closed_form():
-    (d,) = peak_distances(1.0, math.pi / 6, (1, 3))
+    (d,) = _peak_distances(1.0, math.pi / 6, (1, 3))
     assert d == pytest.approx(math.sqrt(3), abs=1e-12)
 
 
 def test_peak_distances_reference_values():
-    d1, d2 = peak_distances(ALPHA_REF, THETA_REF, (1, 3, 5))
+    d1, d2 = _peak_distances(ALPHA_REF, THETA_REF, (1, 3, 5))
     assert d1 == pytest.approx(9.0456219039560245, abs=1e-9)
     assert d2 == pytest.approx(17.730623407711915, abs=1e-9)
 
 
-def test_peak_distances_degenerate_theta():
-    d1, d2 = peak_distances(ALPHA_REF, 1e-9, (1, 3, 5))
-    assert d1 < 1e-6 and d2 < 1e-6
-
-
 def test_peak_distances_single_tag_empty():
-    assert peak_distances(1.0, 0.1, (1,)) == []
+    model = HomodyneModel.for_tags(1.0, 0.1, (1,))
+    assert model.means == (quadrature_mean(1.0, 0.1, 1),) and model.thresholds == ()
+    assert _peak_distances(1.0, 0.1, (1,)) == []
+
+
+@pytest.mark.parametrize("theta,alpha,tags", [(THETA_REF, ALPHA_REF, (5, 1, 3)), (0.8, 3.0, (0, 1, 2, 3, 4, 5)), (2.0, 1.0, (3, 1))])
+def test_means_ascend_aligned_with_tags(theta, alpha, tags):
+    # at theta = 0.8 and 2.0 the means do not fall as the tag rises, so mean order is not tag order
+    model = HomodyneModel.for_tags(alpha, theta, tags)
+    assert sorted(model.tags) == sorted(tags) and len(model.means) == len(tags)
+    assert list(model.means) == [quadrature_mean(alpha, theta, k) for k in model.tags]
+    assert all(lo < hi for lo, hi in zip(model.means, model.means[1:]))
+    assert model.thresholds == tuple((lo + hi) / 2 for lo, hi in zip(model.means, model.means[1:]))
 
 
 def test_degenerate_model_rejected():
@@ -340,7 +352,7 @@ def test_out_of_domain_input_is_named(call, message):
 def test_classifier_rate_matches_formula(rng):
     # moderate separation so errors are common enough for a cheap check
     model = HomodyneModel.for_tags(alpha=2.0, theta=0.5, tags=(1, 3))
-    (xd,) = peak_distances(2.0, 0.5, (1, 3))
+    (xd,) = _peak_distances(2.0, 0.5, (1, 3))
     p = error_probability(xd)
     n = 200000
     miss = int(np.sum(_classify_draws(model, 1, n, rng) != 1))

@@ -3,11 +3,12 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from entconv.cavity import CavityParams, spin_photon_map
-from entconv.cnot import _kraus
+from entconv.cnot import BENCHMARK_G, BENCHMARK_GAMMA_TOTAL, BENCHMARK_GAMMA_ZPL, BENCHMARK_KAPPA, _kraus
 from entconv.kerr import HomodyneModel, read_rows
 from entconv.protocols import (
     ProtocolSpec,
@@ -31,9 +32,10 @@ from entconv.protocols import (
 )
 from entconv.optics import CNOT
 from entconv.qstate import ket
+from entconv.stream import Stream
 
 from conftest import LAST_BRANCH, Uniforms, class_frequency, edge_draws, expected_vector, tag_split, uniform_vector
-from oracle import IDEAL_BOUNCE, branch_table
+from oracle import IDEAL_BOUNCE, branch_table, realistic_table
 
 # hand-expanded pre-tag term lists for the three circuits
 PRE_TAG_TERMS = {
@@ -343,6 +345,34 @@ def test_ideal_gate_table_matches_branch_enumeration(n, readout, probe, rounds):
     assert list(cells) == list(want)
     for cell, p in want.items():
         assert abs(cells[cell] - p) <= 1e-12, cell
+
+
+@pytest.mark.parametrize("gamma", [BENCHMARK_GAMMA_ZPL, BENCHMARK_GAMMA_TOTAL])
+@pytest.mark.parametrize("readout", ["ideal", "gaussian"])
+@pytest.mark.parametrize("n,rounds", [(3, 4), (4, 1), (5, 2)])
+def test_realistic_sampler_matches_the_history_enumeration(n, rounds, readout, gamma):
+    # G-test of a seeded realistic ensemble against the exact table of every
+    # readout history, with cells expecting fewer than 5 trials pooled; each
+    # case is tested at 1e-3
+    spec = ProtocolSpec(n, max_iterations=rounds, gate_mode="realistic", homodyne_mode=readout,
+                        params=CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=gamma))
+    cells = realistic_table(spec)
+    assert min(cells.values()) >= 0.0
+    assert abs(sum(cells.values()) - 1.0) <= 1e-12
+    trials = 20000
+    counts = monte_carlo(spec, trials, Stream(11))
+    assert set(counts) <= {cell for cell, p in cells.items() if p > 0}
+    expected = trials * np.array(list(cells.values()))
+    observed = np.array([counts.get(cell, 0) for cell in cells])
+    few = expected < 5
+    if few.any():
+        expected = np.append(expected[~few], expected[few].sum())
+        observed = np.append(observed[~few], observed[few].sum())
+    seen = observed > 0
+    g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+    dof = len(expected) - 1
+    p = float(mp.gammainc(dof / 2, g / 2, mp.inf, regularized=True)) if dof else float(g < 1e-9)
+    assert p > 1e-3, (g, dof, counts, cells)
 
 
 @pytest.mark.parametrize("n,tags", [(3, {1, 3}), (4, {1, 3}), (5, {1, 3, 5})])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from entconv.cnot import _kraus
 from entconv.kerr import read_rows
 from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
-from entconv.qstate import apply_rows, choose_branch, collapse, held, ket, label, row_inner, row_norms2, row_photons
+from entconv.qstate import apply_rows, choose_branch, collapse, held, ket, l_photons, label, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import LAST_BRANCH, Uniforms, basis_index, expected_vector, uniform_vector
@@ -62,6 +62,16 @@ def test_states_handed_out_are_read_only():
             conversion_input(n)[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         run_protocol(ProtocolSpec(n_photons=3), Uniforms([0.0])).final_state[0] = 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_l_photons_counts_the_l_of_each_basis_state(n):
+    # counted over the characters of every polarization string, photon 1 first
+    terms = ["".join(t) for t in itertools.product("RL", repeat=n)]
+    assert l_photons(n).tolist() == [t.count("L") for t in terms]
+    assert [basis_index(t) for t in terms] == list(range(1 << n))
+    with pytest.raises(ValueError, match="read-only"):
+        l_photons(n)[0] = 1
 
 
 def test_superpose_ghz_pair():
