@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +160,7 @@ def _run_gates(rows, at, elements, gate, rng=None):
 
 
 def run_protocol(spec: ProtocolSpec, rng=None) -> ProtocolRun:
-    """Execute one conversion attempt with recovery iteration.
+    """Execute one conversion attempt with recovery iteration: ``_run_rounds`` on one trial, folded.
 
     Every readout is drawn with ``rng.random``, where ``rng`` is a
     ``stream.Stream`` or a numpy ``Generator``; without one the call raises
@@ -168,16 +168,17 @@ def run_protocol(spec: ProtocolSpec, rng=None) -> ProtocolRun:
     gaussian-mode misclassification steers the protocol down the wrong arm
     while the state keeps the true branch; such events are counted on the
     run record, and the spin outcome of every realistic gate is recorded in
-    ``spin_outcomes``.
+    ``spin_outcomes``.  The kept norms multiply in round order from 1.0.
     """
-    outcome, rounds, final, survival, history = _run_rounds(spec, 1, rng)
-    tags = tuple(int(tags[0]) for _, tags, _, _ in history)
-    true_tags = tuple(int(true[0]) for _, _, true, _ in history)
+    records = list(_run_rounds(spec, 1, rng))
+    last = records[-1]
+    tags = tuple(int(r.tags[0]) for r in records)
+    true_tags = tuple(int(r.true[0]) for r in records)
     misses = sum(t != k for t, k in zip(tags, true_tags))
-    spin_outcomes = tuple(int(s[0]) for *_, readouts in history for s in readouts)
-    return ProtocolRun(
-        int(rounds[0]), outcome[0], frozen(final[0].copy()), tags, true_tags, misses, float(survival[0]), spin_outcomes
-    )
+    spin_outcomes = tuple(int(s[0]) for r in records for s in r.readouts)
+    norm = math.prod((r.norms[0] for r in records), start=1.0)
+    final = frozen(_standardize(spec, last.rows[last.at], last.tags)[0])
+    return ProtocolRun(last.iteration, str(last.ends[0]), final, tags, true_tags, misses, float(norm), spin_outcomes)
 
 
 def _receiver(spec: ProtocolSpec):
@@ -188,53 +189,41 @@ def _receiver(spec: ProtocolSpec):
     return model.confusion(range(spec.n_photons + 1)), model.tags
 
 
-def _run_rounds(spec: ProtocolSpec, trials: int, rng):
-    """Rounds of circuit, tag and readout on a batch of trials until each succeeds.
+_Round = namedtuple("_Round", "iteration live readouts norms tags true rows at ends")
 
-    A trial's state depends only on the readouts it has drawn, so from the
-    input row to the outcome the batch carries the rows of its distinct
-    readout histories, each once (``collapse``, ``held``), and each trial's
-    index into them; no row is written once made.  A trial leaves when its
-    classified tag declares an outcome; the rest run the recovery sequence,
-    or, with none at four photons, end as ``failed_no_recovery`` unless the
-    round was their last.  Each readout takes one uniform per trial still in
-    the batch, in trial order, so a single run handed the uniforms one trial
+
+def _run_rounds(spec: ProtocolSpec, trials: int, rng):
+    """Yield one ``_Round`` per round of circuit, tag and readout on a batch of trials, until none runs on.
+
+    A round holds its number, the trials still in the batch (``live``),
+    their gate ``readouts`` (one array per measured gate) and kept gate
+    ``norms``, their classified and ``true`` tags, the collapsed ``rows``
+    (each readout history's row once, ``collapse``, ``held``) and each
+    trial's index ``at`` into them, and the class each trial ``ends`` in,
+    or "" while it runs on.  A declaring tag ends a trial in its class;
+    any other tag ends it as ``failed_max_iter`` in the last round and as
+    ``failed_no_recovery`` at four photons, and sends it into recovery
+    otherwise.  Each readout takes one uniform per trial still in the
+    batch, in trial order, so a single run handed the uniforms one trial
     drew replays that trial, misread and leaked tags included.  Gaussian
-    readout reads with the one confusion matrix of ``_receiver``.  Returns,
-    per trial, the outcome class, rounds used, final amplitude row and
-    product of kept gate norms, and per round the trials still in the
-    batch, their classified and true tags and their gate readouts.
+    readout reads with the one confusion matrix of ``_receiver``.
     """
     n = spec.n_photons
     rows, at = conversion_input(n)[None], np.zeros(trials, int)
     live = np.arange(trials)
-    outcome = np.full(trials, "failed_max_iter", dtype=object)
-    rounds = np.full(trials, spec.max_iterations)
-    final = np.empty((trials, 1 << n), complex)
-    survival = np.ones(trials)
-    history = []
     gate = CNOT if spec.gate_mode == "ideal" else _kraus(spin_photon_map(spec.params))
-    success = _SUCCESS_TAGS[n]
-    declares = np.array([k in success for k in range(n + 1)])   # by classified tag
     receiver = _receiver(spec)
     for iteration in range(1, spec.max_iterations + 1):
-        rows, at, norm_factor, readouts = _run_gates(rows, at, _round_elements(n, iteration), gate, rng)
-        survival[live] *= norm_factor
+        rows, at, norms, readouts = _run_gates(rows, at, _round_elements(n, iteration), gate, rng)
         tags, true, rows, at = read_rows(rows, at, receiver, rng)
-        history.append((live, tags, true, readouts))
-        done = declares[tags]
-        final[live] = _standardize(spec, rows[at], tags)
-        outcome[live[done]] = [success[int(k)] for k in tags[done]]
-        rounds[live[done]] = iteration
-        used, at = held(at[~done], len(rows))   # the rows a trial still running holds
-        live, rows = live[~done], rows[used]
-        if not live.size or iteration == spec.max_iterations:
-            break
-        if n == 4:
-            outcome[live] = "failed_no_recovery"
-            rounds[live] = iteration
-            break
-    return outcome, rounds, final, survival, history
+        stuck = "failed_max_iter" if iteration == spec.max_iterations else "failed_no_recovery" if n == 4 else ""
+        ends = np.array([_SUCCESS_TAGS[n].get(k, stuck) for k in range(n + 1)])[tags]
+        yield _Round(iteration, live, readouts, np.broadcast_to(norms, live.shape), tags, true, rows, at, ends)
+        running = ends == ""
+        if not running.any():
+            return
+        used, at = held(at[running], len(rows))   # the rows a trial still running holds
+        live, rows = live[running], rows[used]
 
 
 def _state_class(kind: str, l_excitations: int | None = None, r_excitations: int | None = None) -> dict:
@@ -342,9 +331,9 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng) -> dict[tuple[str, int], i
     spin readout, which is not linear, so they are sampled trial by trial:
     each trial is one quantum trajectory, and the trials run together as
     batches of up to ``_MC_CHUNK`` trials, all drawing with ``rng.random``.
-    A batch carries one amplitude row per distinct readout history, not
-    one per trial (``_run_rounds``).  ``rng`` is a ``stream.Stream`` or a
-    numpy ``Generator``.
+    Each round a batch yields (``_run_rounds``) tallies its ending trials
+    by (class, round); no per-trial row is kept.  ``rng`` is a
+    ``stream.Stream`` or a numpy ``Generator``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -354,8 +343,8 @@ def monte_carlo(spec: ProtocolSpec, trials: int, rng) -> dict[tuple[str, int], i
         return {cell: int(c) for cell, c in zip(cells, counts) if c}
     tally: Counter = Counter()
     for start in range(0, trials, _MC_CHUNK):
-        outcome, rounds, *_ = _run_rounds(spec, min(_MC_CHUNK, trials - start), rng)
-        tally.update(zip(outcome.tolist(), rounds.tolist()))
+        for r in _run_rounds(spec, min(_MC_CHUNK, trials - start), rng):
+            tally.update((cls, r.iteration) for cls in r.ends[r.ends != ""].tolist())
     return dict(tally)
 
 

@@ -29,6 +29,7 @@ from entconv.protocols import (
     _receiver,
     _run_gates,
     _run_rounds,
+    _standardize,
 )
 from entconv.optics import CNOT
 from entconv.qstate import ket
@@ -404,8 +405,8 @@ def test_batched_ideal_trajectories_agree_with_table():
     # the table the ensemble draws from against batched ideal-gate trajectories
     spec = ProtocolSpec(n_photons=3, max_iterations=4)
     trials = 4000
-    outcome, rounds, *_ = _run_rounds(spec, trials, np.random.default_rng(np.random.SeedSequence(7)))
-    sampled = Counter(zip(outcome.tolist(), rounds.tolist()))
+    records = _run_rounds(spec, trials, np.random.default_rng(np.random.SeedSequence(7)))
+    sampled = Counter((cls, r.iteration) for r in records for cls in r.ends[r.ends != ""].tolist())
     cells = _ideal_gate_table(spec)
     assert set(sampled) <= set(cells)
     for cell, p in cells.items():
@@ -478,34 +479,68 @@ def test_batch_rows_replay_as_single_runs(spec, trials, misreads):
     # state and kept norm: no output byte depends on which trials share a row
     n = spec.n_photons
     rng = np.random.default_rng(np.random.SeedSequence(23))
-    outcome, rounds, final, survival, history = _run_rounds(spec, trials, rng)
+    records = list(_run_rounds(spec, trials, rng))
     # Generator.random draws its doubles in sequence whatever the call sizes,
     # so the batch's uniforms can be drawn again from its seed
     again = np.random.default_rng(np.random.SeedSequence(23))
     uniforms, tags_of, true_of, spins_of = ([[] for _ in range(trials)] for _ in range(4))
+    ended, final, survival = {}, {}, np.ones(trials)
     misread = 0
-    for round_index, (live, tags, true, readouts) in enumerate(history):
-        elements = circuit_wiring(n) if round_index == 0 else recovery_sequence(n)
-        assert len(readouts) == (sum(el[0] == "cnot" for el in elements) if spec.gate_mode == "realistic" else 0)
-        for _ in range(len(readouts) + 1 + (spec.homodyne_mode == "gaussian")):   # spins, true tag, decision cell
-            for trial, u in zip(live, again.random(live.size)):
+    for r in records:
+        elements = circuit_wiring(n) if r.iteration == 1 else recovery_sequence(n)
+        assert len(r.readouts) == (sum(el[0] == "cnot" for el in elements) if spec.gate_mode == "realistic" else 0)
+        for _ in range(len(r.readouts) + 1 + (spec.homodyne_mode == "gaussian")):   # spins, true tag, decision cell
+            for trial, u in zip(r.live, again.random(r.live.size)):
                 uniforms[trial].append(u)
-        for j, trial in enumerate(live):
-            tags_of[trial].append(int(tags[j]))
-            true_of[trial].append(int(true[j]))
-            spins_of[trial].extend(int(spins[j]) for spins in readouts)
-        misread += int((tags != true).sum())
+        for j, trial in enumerate(r.live):
+            tags_of[trial].append(int(r.tags[j]))
+            true_of[trial].append(int(r.true[j]))
+            spins_of[trial].extend(int(spins[j]) for spins in r.readouts)
+        misread += int((r.tags != r.true).sum())
+        # a trial's kept norm multiplies in round order from 1.0, and its final
+        # row is the standardized row it holds in the round it ends in
+        survival[r.live] *= r.norms
+        rows = _standardize(spec, r.rows[r.at], r.tags)
+        for j in np.flatnonzero(r.ends != ""):
+            ended[r.live[j]] = (str(r.ends[j]), r.iteration)
+            final[r.live[j]] = rows[j]
     assert again.bit_generator.state == rng.bit_generator.state
     assert misread == misreads
     for i in range(trials):
         draws = Uniforms(uniforms[i])
         run = run_protocol(spec, draws)
         assert next(draws.left, None) is None   # the run drew every uniform of its trial, and no more
-        assert (run.outcome_class, run.iterations_used) == (outcome[i], rounds[i])
+        assert (run.outcome_class, run.iterations_used) == ended[i]
         assert (run.homodyne_tags, run.true_tags, run.spin_outcomes) == (
             tuple(tags_of[i]), tuple(true_of[i]), tuple(spins_of[i]))
         assert final[i].tobytes() == run.final_state.tobytes()
         assert survival[i] == run.accumulated_norm
+
+
+@pytest.mark.parametrize(
+    "spec,classes",
+    [
+        (ProtocolSpec(n_photons=3, max_iterations=1), {"W", "failed_max_iter"}),
+        (ProtocolSpec(n_photons=4, gate_mode="realistic", params=_WEAK), {"W", "failed_no_recovery"}),
+        (ProtocolSpec(n_photons=5), {"W", "Dicke"}),
+    ],
+    ids=["n3_one_round", "n4_weak", "n5"],
+)
+def test_round_records_end_each_trial_once(spec, classes):
+    # every trial ends in exactly one round; the trials a round leaves running
+    # are the next round's batch, and no later round holds an ended trial
+    trials = 300
+    records = list(_run_rounds(spec, trials, np.random.default_rng(np.random.SeedSequence(25))))
+    ends: Counter = Counter()
+    for r, following in zip(records, records[1:] + [None]):
+        for per_trial in (r.norms, r.tags, r.true, r.at, r.ends, *r.readouts):
+            assert per_trial.shape == r.live.shape
+        assert not set(r.live.tolist()) & set(ends)
+        done = r.ends != ""
+        ends.update(r.live[done].tolist())
+        assert np.array_equal(r.live[~done], following.live if following else [])
+    assert ends == Counter(range(trials))
+    assert {cls for r in records for cls in r.ends.tolist()} - {""} == classes
 
 
 @pytest.mark.parametrize("max_iterations,stuck", [(4, "failed_no_recovery"), (1, "failed_max_iter")])
