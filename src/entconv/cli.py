@@ -174,17 +174,13 @@ def cmd_homodyne_curves(config: dict, flags: dict) -> int:
     xs, step = np.linspace(model.means[0] - CURVE_MARGIN, model.means[-1] + CURVE_MARGIN, CURVE_SAMPLES, retstep=True)
     if step > CURVE_MAX_STEP:
         raise ValueError(f"curve step {step:.3g} exceeds {CURVE_MAX_STEP}: the probe means spread too far to sample")
-    pdfs = {k: homodyne_pdf(xs, alpha, k, theta) for k in CURVE_TAGS}
-    header = ["kind", "x", "pdf_k1", "pdf_k3", "pdf_k5", "value"]
-    rows = [
-        ["curve", x, pdfs[1][i], pdfs[3][i], pdfs[5][i], None]
-        for i, x in enumerate(xs)
-    ]
+    pdfs = np.array([homodyne_pdf(xs, alpha, k, theta) for k in CURVE_TAGS]).T   # [x, tag]
+    header = ["kind", "x", *(f"pdf_k{k}" for k in CURVE_TAGS), "value"]
+    rows = [["curve", x, *pdf, None] for x, pdf in zip(xs, pdfs)]
+    blank = [None] * (len(CURVE_TAGS) + 1)   # the x and pdf cells of a summary row
     distances = [hi - lo for lo, hi in zip(model.means, model.means[1:])][::-1]   # from the highest mean down
-    for i, x_d in enumerate(distances, start=1):
-        rows.append([f"x_d{i}", None, None, None, None, x_d])
-    for i, x_d in enumerate(distances, start=1):
-        rows.append([f"P_error{i}", None, None, None, None, error_probability(x_d)])
+    rows += [[f"x_d{i}", *blank, x_d] for i, x_d in enumerate(distances, start=1)]
+    rows += [[f"P_error{i}", *blank, error_probability(x_d)] for i, x_d in enumerate(distances, start=1)]
     _emit_table(config, header, rows)
     return 0
 

@@ -10,7 +10,6 @@ failure branch is recovered and re-enters the tagging suffix.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
@@ -112,11 +111,9 @@ def circuit_wiring(n_photons: int) -> tuple[tuple, ...]:
 
 
 def recovery_sequence(n_photons: int) -> tuple[tuple, ...]:
-    """Recovery of the all-L failure branch followed by re-entry into the circuit's plates and fold stage."""
-    if n_photons not in (3, 5):
-        raise ValueError("no recovery path")
+    """Recovery of the all-L failure branch followed by re-entry into the circuit's plates and fold stage; empty at four photons, whose tags all declare."""
     wiring = circuit_wiring(n_photons)
-    return _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
+    return () if n_photons == 4 else _RECOVERY_PREFIX + wiring[wiring.index(("hwp", 3)):]
 
 
 def _round_elements(n_photons: int, iteration: int) -> tuple[tuple, ...]:
@@ -202,21 +199,22 @@ def _run_rounds(spec: ProtocolSpec, trials: int, rng):
     trial's index ``at`` into them, and the class each trial ``ends`` in,
     or "" while it runs on.  A declaring tag ends a trial in its class;
     any other tag ends it as ``failed_max_iter`` in the last round and as
-    ``failed_no_recovery`` at four photons, and sends it into recovery
-    otherwise.  Each readout takes one uniform per trial still in the
-    batch, in trial order, so a single run handed the uniforms one trial
-    drew replays that trial, misread and leaked tags included.  Gaussian
-    readout reads with the one confusion matrix of ``_receiver``.
+    ``failed_no_recovery`` where ``recovery_sequence`` is empty, and sends
+    it into recovery otherwise.  Each readout takes one uniform per trial
+    still in the batch, in trial order, so a single run handed the uniforms
+    one trial drew replays that trial, misread and leaked tags included.
+    Gaussian readout reads with the one confusion matrix of ``_receiver``.
     """
     n = spec.n_photons
     rows, at = conversion_input(n)[None], np.zeros(trials, int)
     live = np.arange(trials)
     gate = CNOT if spec.gate_mode == "ideal" else _kraus(spin_photon_map(spec.params))
     receiver = _receiver(spec)
+    recovers = bool(recovery_sequence(n))
     for iteration in range(1, spec.max_iterations + 1):
         rows, at, norms, readouts = _run_gates(rows, at, _round_elements(n, iteration), gate, rng)
         tags, true, rows, at = read_rows(rows, at, receiver, rng)
-        stuck = "failed_max_iter" if iteration == spec.max_iterations else "failed_no_recovery" if n == 4 else ""
+        stuck = "failed_max_iter" if iteration == spec.max_iterations else "" if recovers else "failed_no_recovery"
         ends = np.array([_SUCCESS_TAGS[n].get(k, stuck) for k in range(n + 1)])[tags]
         yield _Round(iteration, live, readouts, np.broadcast_to(norms, live.shape), tags, true, rows, at, ends)
         running = ends == ""
@@ -281,11 +279,12 @@ def _ideal_gate_table(spec: ProtocolSpec):
 
     Ideal gates and either readout are a linear instrument, so the running
     trials share one unnormalized density matrix rho.  A round maps rho to
-    U rho U† with its circuit's unitary U, books the classified weight of
-    each declaring tag (rho's true-tag diagonal weights times the identity,
-    or times the receiver's confusion matrix in gaussian mode) and keeps each
-    true-tag block, scaled by its chance to be read as a tag that declares
-    nothing.  Cells run by class, then round; the trace left fails, last.
+    U rho U† with the unitary U of ``_round_elements`` (the identity for an
+    empty recovery), books the classified weight of each declaring tag (rho's
+    true-tag diagonal weights times the identity, or times the receiver's
+    confusion matrix in gaussian mode) and keeps each true-tag block, scaled
+    by its chance to be read as a tag that declares nothing.  Cells run by
+    class, then round; the trace left fails, last.
     """
     n = spec.n_photons
     success = _SUCCESS_TAGS[n]
@@ -293,10 +292,8 @@ def _ideal_gate_table(spec: ProtocolSpec):
     carry = confusion[:, [k not in success for k in read_as]].sum(axis=1)
     in_tag = l_photons(n) == np.arange(n + 1)[:, None]   # [tag, basis]: where the basis state holds the tag
     keep = in_tag.T @ (carry[:, None] * in_tag)          # carry of a true-tag block of rho, 0 between blocks
-    # the basis rows run through a circuit are its unitary, transposed; four
-    # photons have no recovery, and every tag their circuit reads out declares
-    first, retry = (_run_gates(np.eye(1 << n, dtype=complex), None, elements, CNOT)[0].T
-                    for elements in (circuit_wiring(n), recovery_sequence(n) if n != 4 else ()))
+    # the basis rows run through a round are its unitary, transposed
+    first, retry = (_run_gates(np.eye(1 << n, dtype=complex), None, _round_elements(n, m), CNOT)[0].T for m in (1, 2))
     rounds = spec.max_iterations
     cells = {(cls, m): 0.0 for cls in dict.fromkeys(success.values()) for m in range(1, rounds + 1)}
     psi = conversion_input(n)
@@ -311,14 +308,14 @@ def _ideal_gate_table(spec: ProtocolSpec):
     return cells
 
 
-@functools.lru_cache(maxsize=None)
 def ideal_tags(n_photons: int) -> frozenset[int]:
     """Probe tags the ideal circuit of n photons reads out in any round; every other tag is leaked by realistic gates.
 
-    Read off the first round: recovery reproduces its tags.
+    The declaring tags, plus the all-L tag ``n`` where ``recovery_sequence``
+    recovers it; recovery reproduces the first round's tags.
     """
-    rows, *_ = _run_gates(conversion_input(n_photons)[None], None, circuit_wiring(n_photons), CNOT)
-    return frozenset(int(k) for k in np.flatnonzero(row_norms2(_tag_branches(rows))[:, 0]))
+    recovered = {n_photons} if recovery_sequence(n_photons) else set()
+    return frozenset(_SUCCESS_TAGS[n_photons]) | recovered
 
 
 def monte_carlo(spec: ProtocolSpec, trials: int, rng) -> dict[tuple[str, int], int]:
@@ -395,8 +392,7 @@ def composite_fidelity_report() -> list[dict]:
         ("five_photon_rounds4", 5, 4, 0.897),
     ):
         first = _cnot_count(circuit_wiring(n))
-        retry = _cnot_count(recovery_sequence(n)) if rounds > 1 else 0
-        suffix = first + (rounds - 1) * retry
+        suffix = first + (rounds - 1) * _cnot_count(recovery_sequence(n))
         full = first + (rounds - 1) * (_cnot_count(_RECOVERY_PREFIX) + first)
         rows.append({"label": label, "suffix_gates": suffix, "full_gates": full, "reference": reference,
                      "product_suffix": COMPOSITE_GATE_FIDELITY ** suffix,
