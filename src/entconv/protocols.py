@@ -29,6 +29,9 @@ _INPUT_TERMS = {3: ("RLR", "LRL"), 4: ("RLRR", "LRLL"), 5: ("RLRRR", "LRLLL")}
 
 # classified tag -> declared outcome; absent tags trigger recovery
 _SUCCESS_TAGS = {3: {1: "W"}, 4: {1: "W", 3: "W"}, 5: {1: "W", 3: "Dicke"}}
+# declared outcome -> its chance in every round with ideal gates and readout; the rest of a round
+# recovers.  Each is a binary fraction, so success_series rounds each value it derives once.
+_FIRST_ROUND = {3: {"W": 0.75}, 4: {"W": 1.0}, 5: {"W": 0.3125, "Dicke": 0.625}}
 
 _MC_CHUNK = 1024
 
@@ -260,18 +263,14 @@ def classify_state(amps: np.ndarray) -> dict:
 
 
 def success_series(n_photons: int, rounds: int) -> dict[str, tuple[tuple[float, ...], float]]:
-    """Closed-form conversion probabilities by outcome class: ``(per_round, limit)``, the limit over unbounded rounds."""
+    """Closed-form probabilities by outcome class, ``(per_round, limit)``: round m declares ``p * fails**(m - 1)`` of
+    each ``_FIRST_ROUND`` chance p, where ``fails`` is what a round leaves, and the limit is ``p / (1 - fails)``."""
     _check_photons(n_photons)
     if not 1 <= rounds <= MAX_ITERATIONS:
         raise ValueError(f"rounds must be between 1 and {MAX_ITERATIONS}")
-    if n_photons == 3:
-        return {"W": (tuple(math.ldexp(3.0, -2 * m) for m in range(1, rounds + 1)), 1.0)}   # 3/4 * (1/4)**(m-1)
-    if n_photons == 4:
-        return {"W": ((1.0,) + (0.0,) * (rounds - 1), 1.0)}
-    return {
-        "W": (tuple(math.ldexp(5.0, -4 * m) for m in range(1, rounds + 1)), 1 / 3),          # 5/16 * (1/16)**(m-1)
-        "Dicke": (tuple(math.ldexp(5.0, 1 - 4 * m) for m in range(1, rounds + 1)), 2 / 3),   # 10/16 * (1/16)**(m-1)
-    }
+    first = _FIRST_ROUND[n_photons]
+    fails = 1.0 - sum(first.values())
+    return {cls: (tuple(p * fails ** (m - 1) for m in range(1, rounds + 1)), p / (1.0 - fails)) for cls, p in first.items()}
 
 
 def _ideal_gate_table(spec: ProtocolSpec):

@@ -15,7 +15,6 @@ loss.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -97,25 +96,22 @@ def row_norms2(amps: np.ndarray) -> np.ndarray:
 
 
 def choose_branch(probs, rng) -> np.ndarray:
-    """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (m, ...).
+    """Readout branch index of each row from the unnormalized branch weights ``probs[k]``, shape (m, rows).
 
-    Each row takes one draw of ``rng.random(shape)`` in row order, scales it
+    Each row takes one draw of ``rng.random(rows)`` in row order, scales it
     by the row's total weight and picks the first branch whose cumulative
-    weight exceeds it; a draw that rounds up to the total takes the last
-    weighted branch.  A branch of weight at most ``NORM_TOL**2`` is an
+    weight exceeds it.  A branch of weight at most ``NORM_TOL**2`` is an
     impossible outcome.
     """
     if rng is None:
         raise ValueError("rng required: every readout is drawn with rng.random")
     probs = np.asarray(probs, dtype=float)
-    acc = list(itertools.accumulate(probs))   # the sequential partial sums np.cumsum takes
-    draw = rng.random(probs.shape[1:]) * acc[-1]
-    k = sum((a <= draw for a in acc[:-1]), np.zeros(probs.shape[1:], int))
-    empty = probs <= NORM_TOL**2
-    if empty.any():   # with every branch weighted, no row can sit on an empty one
-        k = np.minimum(k, len(probs) - 1 - np.argmax(probs[::-1] > 0, axis=0))
-        if np.take_along_axis(empty, k[None], 0).any():
-            raise ValueError("impossible outcome")
+    acc = np.cumsum(probs, axis=0)
+    # a uniform below 1 scales to below any total of at least the smallest normal
+    # float, so some branch exceeds it; a smaller total holds only empty branches
+    k = (acc[:-1] <= rng.random(probs.shape[1]) * acc[-1]).sum(axis=0)
+    if (probs[k, np.arange(len(k))] <= NORM_TOL**2).any():
+        raise ValueError("impossible outcome")
     return k
 
 

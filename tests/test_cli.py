@@ -20,7 +20,7 @@ from entconv.config import (
     load_config,
     schema_path,
 )
-from entconv.protocols import _ideal_branch, run_protocol
+from entconv.protocols import MAX_ITERATIONS, ProtocolSpec, _ideal_branch, run_protocol
 
 
 def make_config(tmp_path, data, name="config.json"):
@@ -55,6 +55,28 @@ def read_rows(path):
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def test_library_bounds_are_the_schema_bounds():
+    # ProtocolSpec restates these bounds; were the two to drift, a document the
+    # schema accepts would end as a runtime error (exit 3) instead of a config error
+    protocol = json.loads(schema_path().read_text())["properties"]["protocol"]["properties"]
+    assert MAX_ITERATIONS == protocol["max_iterations"]["maximum"]
+    assert protocol["max_iterations"]["minimum"] == 1
+
+    def accepted(field, values):
+        taken = []
+        for value in values:
+            with contextlib.suppress(ValueError):
+                ProtocolSpec(**{"n_photons": 3, field: value})
+                taken.append(value)
+        return taken
+
+    assert accepted("max_iterations", [0, 1, MAX_ITERATIONS, MAX_ITERATIONS + 1]) == [1, MAX_ITERATIONS]
+    assert accepted("n_photons", range(-1, 10)) == protocol["n_photons"]["enum"]
+    modes = dict.fromkeys(protocol["gate_mode"]["enum"] + protocol["homodyne_mode"]["enum"] + ["", "Ideal"])
+    for field in ("gate_mode", "homodyne_mode"):
+        assert accepted(field, modes) == protocol[field]["enum"]
 
 
 def test_config_examples_validate_against_schema():
@@ -586,10 +608,11 @@ def test_help_prints_the_usage_text(capsys, argv):
 
 
 def test_readme_cli_block_is_the_usage_text():
+    # to the byte, once the "usage: " prefix and the continuation indent under it are gone
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
-    assert [line.strip() for line in block.splitlines()] == \
-        [line.removeprefix("usage:").strip() for line in USAGE.splitlines()]
+    prefix = "usage: "
+    assert block == USAGE.removeprefix(prefix).replace("\n" + " " * len(prefix), "\n")
 
 
 def test_json_format_flag(tmp_path):

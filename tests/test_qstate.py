@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from entconv.cnot import _kraus
 from entconv.kerr import read_rows
 from entconv.protocols import ProtocolSpec, conversion_input, run_protocol
-from entconv.qstate import apply_rows, choose_branch, collapse, held, ket, l_photons, label, row_inner, row_norms2, row_photons
+from entconv.qstate import NORM_TOL, apply_rows, choose_branch, collapse, held, ket, l_photons, label, row_inner, row_norms2, row_photons
 from entconv.optics import CNOT, HWP, SPIN_HADAMARD
 
 from conftest import LAST_BRANCH, Uniforms, basis_index, expected_vector, uniform_vector
@@ -268,6 +268,58 @@ def test_row_without_weight_is_an_impossible_outcome():
     for u in (0.0, 0.5, LAST_BRANCH):
         with pytest.raises(ValueError, match="impossible outcome"):
             choose_branch([[1.0, 0.0], [0.0, 0.0]], Uniforms([0.0, u]))
+
+
+def scalar_branch(weights, u):
+    """One row's readout, branch by branch: the first branch whose running sum exceeds ``u`` times the total."""
+    total = 0.0
+    for w in weights:
+        total += w
+    draw, acc = u * total, 0.0
+    for k, w in enumerate(weights):
+        acc += w
+        if acc > draw:
+            break
+    else:   # the draw rounded up to the total
+        k = max(j for j, w in enumerate(weights) if w > 0) if total > 0 else len(weights) - 1
+    if weights[k] <= NORM_TOL**2:
+        raise ValueError("impossible outcome")
+    return k
+
+
+def test_choose_branch_is_the_scalar_loop_on_every_row():
+    # differential: the vectorized draw against the per-row loop, with exact zeros
+    # in leading, inner and trailing branches, weights too small to count, rows of
+    # subnormal weights (whose scaled draw can round up to the total) and uniforms
+    # at both ends; a batch with an impossible row raises as a whole, and without
+    # those rows it picks the loop's branch in every row
+    gen = np.random.default_rng(20261021)
+    raised = picked = 0
+    for _ in range(400):
+        m, rows = gen.integers(1, 7), gen.integers(1, 51)
+        probs = gen.random((m, rows)) * 10.0 ** gen.integers(-3, 4, size=(m, rows))
+        probs[gen.random((m, rows)) < gen.choice([0.0, 0.3, 0.6])] = 0.0
+        probs[gen.random((m, rows)) < 0.02] = NORM_TOL**2 * gen.choice([1e-6, 1.0])
+        probs[:, gen.random(rows) < 0.02] *= 1e-310
+        u = gen.random(rows)
+        u[gen.random(rows) < 0.2] = 0.0
+        u[gen.random(rows) < 0.2] = LAST_BRANCH
+        want = []
+        for i in range(rows):
+            try:
+                want.append(scalar_branch(probs[:, i].tolist(), float(u[i])))
+            except ValueError:
+                want.append(None)
+        ok = np.array([k is not None for k in want])
+        if not ok.all():
+            raised += 1
+            with pytest.raises(ValueError, match="impossible outcome"):
+                choose_branch(probs, Uniforms(u))
+        if ok.any():
+            picked += 1
+            got = choose_branch(probs[:, ok], Uniforms(u[ok]))
+            assert got.tolist() == [k for k in want if k is not None]
+    assert raised > 50 and picked > 50
 
 
 def test_measure_requires_rng():
