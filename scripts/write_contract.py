@@ -159,6 +159,23 @@ def other_calls():
     yield "homodyne-curves alpha=10000", ["homodyne-curves"], {"protocol": {"n_photons": 3, "alpha": 10000.0}}
 
 
+def format_calls():
+    """(label, argv, config) of the output forms the calls above leave out: ``run`` as CSV, and each table as JSON."""
+    for n, gate, readout in itertools.product((3, 4, 5), ("ideal", "realistic"), ("ideal", "gaussian")):
+        protocol = {"n_photons": n, "gate_mode": gate, "homodyne_mode": readout, "params": PARAMS["paper"]}
+        name = f"n={n} gate={gate} readout={readout} params=paper probe=paper seed=0"
+        yield f"run {name} format=csv", ["run", "--format", "csv"], {"protocol": protocol, "seed": 0}
+    as_json = ["--format", "json"]
+    protocol = {"n_photons": 5, "gate_mode": "realistic", "homodyne_mode": "gaussian", "params": PARAMS["paper"],
+                "max_iterations": 8}
+    yield ("montecarlo n=5 gate=realistic readout=gaussian params=paper probe=paper seed=0 format=json",
+           ["montecarlo", *as_json], {"protocol": protocol, "seed": 0, "trials": MONTECARLO_TRIALS})
+    yield ("sweep-fidelity weak_descending input=basis-average format=json",
+           ["sweep-fidelity", "--input", "basis-average", *as_json], {"sweep": SWEEPS["weak_descending"]})
+    yield "homodyne-curves probe=paper format=json", ["homodyne-curves", *as_json], {"protocol": {"n_photons": 3}}
+    yield "success-table n=5 rounds=8 format=json", ["success-table", "--n", "5", "--rounds", "8", *as_json], None
+
+
 def digest_lines(work: Path):
     """One ``<sha256> <exit code> <call>`` line per seeded CLI call, each call writing into ``work``.
 
@@ -168,9 +185,10 @@ def digest_lines(work: Path):
     paper's and a low-alpha probe and a few seeds, adds four-photon runs with
     ``standardize_flipped`` on, and adds ``sweep-fidelity``, ``success-table``
     and ``homodyne-curves`` calls, one of them at a probe too strong for the
-    curve grid.
+    curve grid.  It ends with each output form that no call before reaches:
+    ``run`` as CSV, and each table command as JSON.
     """
-    for label, argv, config in itertools.chain(protocol_calls(), other_calls()):
+    for label, argv, config in itertools.chain(protocol_calls(), other_calls(), format_calls()):
         yield f"{digest(work, argv, config)} {label}"
 
 

@@ -45,34 +45,24 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
+def _emit(config: dict, header: list[str], rows: list[list], report: dict | None = None) -> None:
+    """Write a command's output: a table, or a report whose CSV form is the table.
+
+    A report is JSON unless CSV is asked for, and a table is CSV unless JSON
+    is; a table's JSON is a list of one object per row.
+    """
+    output = config.get("output") or {}
+    if output.get("format", "json" if report is not None else "csv") == "csv":
+        text = "\n".join(",".join(map(_fmt, row)) for row in [header, *rows]) + "\n"
+    else:
+        text = json.dumps(report if report is not None else [dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    if output.get("path") is None:
         sys.stdout.write(text)
     else:
         try:
-            Path(path).write_bytes(text.encode())
+            Path(output["path"]).write_bytes(text.encode())
         except OSError as err:
             raise ValueError(f"cannot write output: {err}") from err
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _rows_as_json(header: list[str], rows: list[list]) -> str:
-    return _json_text([dict(zip(header, row)) for row in rows])
-
-
-def _emit_table(config: dict, header: list[str], rows: list[list]) -> None:
-    output = config.get("output") or {}
-    text = _csv(header, rows) if output.get("format", "csv") == "csv" else _rows_as_json(header, rows)
-    _write_text(output.get("path"), text)
 
 
 def _require_protocol(config: dict) -> ProtocolSpec:
@@ -119,21 +109,10 @@ def cmd_run(config: dict, flags: dict) -> int:
         "state_class": classify_state(run.final_state),
         "final_state": _state_terms(run.final_state),
     }
-    output = config.get("output") or {}
-    if output.get("format", "json") == "json":
-        _write_text(output.get("path"), _json_text(report))
-    else:
-        header = ["key", "value"]
-        rows = []
-        for key, value in report.items():
-            if key == "final_state":
-                value = ";".join(f"{t['term']}:{_fmt(t['amplitude'][0])}{t['amplitude'][1]:+.12g}j" for t in value)
-            elif key == "state_class":
-                value = value["kind"]
-            elif isinstance(value, list):
-                value = ";".join(str(v) for v in value)
-            rows.append([key, value])
-        _emit_table(config, header, rows)
+    terms = ";".join(f"{t['term']}:{_fmt(t['amplitude'][0])}{t['amplitude'][1]:+.12g}j" for t in report["final_state"])
+    rows = [[key, ";".join(map(str, value)) if isinstance(value, list) else value]
+            for key, value in {**report, "state_class": report["state_class"]["kind"], "final_state": terms}.items()]
+    _emit(config, ["key", "value"], rows, report)
     return 0
 
 
@@ -148,7 +127,7 @@ def cmd_montecarlo(config: dict, flags: dict) -> int:
         [cls, iters, count, count / trials]
         for (cls, iters), count in sorted(counts.items())
     ]
-    _emit_table(config, header, rows)
+    _emit(config, header, rows)
     return 0
 
 
@@ -162,7 +141,7 @@ def cmd_sweep_fidelity(config: dict, flags: dict) -> int:
     fidelities = fidelity_grid(gks, ggs, flags.get("input", "uniform").replace("-", "_")).reshape(-1).tolist()
     cells = itertools.product(gks, ggs, ("plus", "minus"))   # the grid's axis order
     rows = [[gk, gg, outcome, fidelity] for (gk, gg, outcome), fidelity in zip(cells, fidelities)]
-    _emit_table(config, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
+    _emit(config, ["g_over_kappa", "g_over_gamma", "outcome", "fidelity"], rows)
     return 0
 
 
@@ -181,7 +160,7 @@ def cmd_homodyne_curves(config: dict, flags: dict) -> int:
     distances = [hi - lo for lo, hi in zip(model.means, model.means[1:])][::-1]   # from the highest mean down
     rows += [[f"x_d{i}", *blank, x_d] for i, x_d in enumerate(distances, start=1)]
     rows += [[f"P_error{i}", *blank, error_probability(x_d)] for i, x_d in enumerate(distances, start=1)]
-    _emit_table(config, header, rows)
+    _emit(config, header, rows)
     return 0
 
 
@@ -196,7 +175,7 @@ def cmd_success_table(config: dict, flags: dict) -> int:
             acc += p
             rows.append([n, cls, m, p, acc])
         rows.append([n, cls, "limit", None, limit])
-    _emit_table(config, header, rows)
+    _emit(config, header, rows)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +44,6 @@ _CLASSIFY_TOL = 1e-9              # support and equal-weight tolerance of classi
 COMPOSITE_GATE_FIDELITY = 0.996   # the per-gate fidelity the paper's conversion fidelities are products of
 
 
-def _default_params() -> CavityParams:
-    return CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=BENCHMARK_GAMMA_TOTAL)
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Everything one conversion run depends on."""
@@ -56,7 +52,7 @@ class ProtocolSpec:
     max_iterations: int = 4
     gate_mode: str = "ideal"          # "ideal" | "realistic"
     homodyne_mode: str = "ideal"      # "ideal" | "gaussian"
-    params: CavityParams = field(default_factory=_default_params)
+    params: CavityParams = CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=BENCHMARK_GAMMA_TOTAL)
     theta: float = PROBE_THETA
     alpha: float = PROBE_ALPHA
     standardize_flipped: bool = False  # flip the four-photon single-R branch to single-L form
@@ -234,11 +230,13 @@ def _state_class(kind: str, l_excitations: int | None = None, r_excitations: int
 def classify_state(amps: np.ndarray) -> dict:
     """The ``state_class`` of ``entconv run``: a normalized amplitude row classified by its basis support pattern.
 
-    ``kind`` is "W", "W_flipped", "Dicke", "GHZ_like" or "other".  For the W
-    forms and Dicke support both excitation conventions are reported: the L-count of
-    the support terms (``l_excitations``) and its complement
-    (``r_excitations``), since either polarization may be read as the
-    excited mode; both are None for the other kinds.
+    A row is "W" (c = 1), "W_flipped" (c = n - 1) or "Dicke" (otherwise) when
+    it is an equal-weight, equal-phase superposition of every basis state with
+    c L photons, 0 < c < n.  For these both excitation conventions are
+    reported: c (``l_excitations``) and n - c (``r_excitations``), since
+    either polarization may be read as the excited mode.  Two equal-weight
+    terms that differ in every photon are "GHZ_like", anything else "other",
+    and both counts are None for these.
     """
     n = row_photons(amps)
     support = np.flatnonzero(np.abs(amps) > _CLASSIFY_TOL)
@@ -247,16 +245,10 @@ def classify_state(amps: np.ndarray) -> dict:
     mags = np.abs(amps[support])
     equal_mags = bool(np.all(np.abs(mags - 1.0 / math.sqrt(support.size)) <= _CLASSIFY_TOL))
     l_counts = l_photons(n)[support]
-    phases_uniform = bool(np.all(np.abs(amps[support] / amps[support[0]] - 1.0) <= _CLASSIFY_TOL))
-    if equal_mags and np.all(l_counts == l_counts[0]):
-        c = int(l_counts[0])
-        if support.size == math.comb(n, c):
-            if c == 1 and phases_uniform:
-                return _state_class("W", 1, n - 1)
-            if c == n - 1 and phases_uniform:
-                return _state_class("W_flipped", n - 1, 1)
-            if 2 <= c <= n - 2:
-                return _state_class("Dicke", c, n - c)
+    c = int(l_counts[0])
+    every_c_term = bool(np.all(l_counts == c)) and support.size == math.comb(n, c) and 0 < c < n
+    if equal_mags and every_c_term and np.all(np.abs(amps[support] / amps[support[0]] - 1.0) <= _CLASSIFY_TOL):
+        return _state_class("W" if c == 1 else "W_flipped" if c == n - 1 else "Dicke", c, n - c)
     if support.size == 2 and equal_mags and (int(support[0]) ^ int(support[1])) == len(amps) - 1:
         return _state_class("GHZ_like")
     return _state_class("other")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -246,6 +247,17 @@ def test_classify_dicke_reports_both_conventions():
     assert cls["kind"] == "Dicke"
     assert cls["l_excitations"] == 3
     assert cls["r_excitations"] == 2
+
+
+@pytest.mark.parametrize("c, kind", [(2, "Dicke"), (1, "W")])
+@pytest.mark.parametrize("n", [4, 5])
+def test_classify_reads_a_symmetric_support_with_one_negated_term_as_other(n, c, kind):
+    # W and Dicke are one rule: equal weights AND equal phases over every term with c L photons
+    terms = ["".join("L" if p in chosen else "R" for p in range(n)) for chosen in itertools.combinations(range(n), c)]
+    state = uniform_vector(n, terms)
+    assert classify_state(state)["kind"] == kind
+    state[np.flatnonzero(state)[-1]] *= -1
+    assert classify_state(state) == {"kind": "other", "l_excitations": None, "r_excitations": None}
 
 
 def test_classify_ghz_like_and_other():
