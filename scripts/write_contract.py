@@ -42,6 +42,7 @@ PROBES = {"paper": {}, "low_alpha": {"theta": 0.02, "alpha": 1.0}}
 RUN_SEEDS = range(5)
 MONTECARLO_SEEDS = range(2)
 MONTECARLO_TRIALS = 2000
+HANDOVER_TRIALS = 5000   # a realistic five-photon ensemble of this size draws past stream.HANDOVER
 SWEEPS = {
     "results": {"g_over_kappa": [0.5, 10.0], "g_over_gamma": [0.5, 10.0], "steps": 20},
     "weak_descending": {"g_over_kappa": [3.0, 0.05], "g_over_gamma": [0.4, 2.0], "steps": 7},
@@ -176,6 +177,15 @@ def format_calls():
     yield "success-table n=5 rounds=8 format=json", ["success-table", "--n", "5", "--rounds", "8", *as_json], None
 
 
+def handover_calls():
+    """(label, argv, config) of realistic five-photon ensembles whose draws pass ``stream.HANDOVER``, so numpy's side of the stream is pinned."""
+    for readout, params in itertools.product(("ideal", "gaussian"), PARAMS):
+        protocol = {"n_photons": 5, "gate_mode": "realistic", "homodyne_mode": readout, "params": PARAMS[params],
+                    "max_iterations": 8}
+        name = f"n=5 gate=realistic readout={readout} params={params} probe=paper seed=0 trials={HANDOVER_TRIALS}"
+        yield f"montecarlo {name}", ["montecarlo"], {"protocol": protocol, "seed": 0, "trials": HANDOVER_TRIALS}
+
+
 def digest_lines(work: Path):
     """One ``<sha256> <exit code> <call>`` line per seeded CLI call, each call writing into ``work``.
 
@@ -186,9 +196,10 @@ def digest_lines(work: Path):
     ``standardize_flipped`` on, and adds ``sweep-fidelity``, ``success-table``
     and ``homodyne-curves`` calls, one of them at a probe too strong for the
     curve grid.  It ends with each output form that no call before reaches:
-    ``run`` as CSV, and each table command as JSON.
+    ``run`` as CSV, and each table command as JSON, and then with the
+    ensembles that draw past the stream's hand-over to numpy.
     """
-    for label, argv, config in itertools.chain(protocol_calls(), other_calls(), format_calls()):
+    for label, argv, config in itertools.chain(protocol_calls(), other_calls(), format_calls(), handover_calls()):
         yield f"{digest(work, argv, config)} {label}"
 
 

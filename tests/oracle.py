@@ -8,18 +8,18 @@ product, so the replay shares no arithmetic with ``qstate.apply_rows``.
 ``classify`` is the physical receiver: it bins a drawn quadrature value by
 the thresholds, which the runtime never does.
 
-``branch_table`` is the ideal-gate ensemble table enumerated history by
-history, one amplitude row per history, where the runtime carries one
-density matrix.  ``realistic_table`` enumerates the readout histories of a
-realistic-gate ensemble the same way, under the rule the trajectory sampler
-follows, with every gate a pair of dense operators from ``readout_branches``.
+``history_tables`` walks every readout history of an ensemble, one
+unnormalized amplitude row per history, where the runtime carries one
+density matrix or samples trajectories.  It reads the walk two ways: the
+trajectory sampler's renormalized chances, and the lossy instrument's
+squared norms.
 """
 
 import numpy as np
 
 from entconv.cavity import spin_photon_map
-from entconv.optics import CNOT, HWP, QWP, SPIN_HADAMARD
-from entconv.protocols import _receiver, _run_gates, circuit_wiring, conversion_input, recovery_sequence
+from entconv.optics import HWP, QWP, SPIN_HADAMARD
+from entconv.protocols import _receiver, circuit_wiring, conversion_input, ideal_tags, recovery_sequence
 
 PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))   # onto bit value 0 and 1
 SPIN_READY = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -81,6 +81,12 @@ def dense_gate(n: int, control: int, target: int, factors) -> tuple[np.ndarray, 
     return plus, embed(HWP, target - 1, n - target) @ minus
 
 
+def dense_cnot(n: int, control: int, target: int) -> np.ndarray:
+    """The ideal gate on n photons as a dense permutation matrix: the target flips where the control is L."""
+    flipped = [i ^ (1 << (n - target)) if (i >> (n - control)) & 1 else i for i in range(1 << n)]
+    return np.eye(1 << n)[:, flipped]
+
+
 def l_count(n: int) -> np.ndarray:
     """Number of L photons (bit value 1) of each basis index, counted from its binary digits."""
     return np.array([bin(i).count("1") for i in range(1 << n)])
@@ -95,107 +101,96 @@ def classify(model, x):
 # classified tag -> the outcome it declares, as the paper reads each circuit out
 DECLARED = {3: {1: "W"}, 4: {1: "W", 3: "W"}, 5: {1: "W", 3: "Dicke"}}
 
+IMPOSSIBLE = 1e-24   # a share of a history's weight no ensemble of feasible size reads out: dropped
 
-def branch_table(spec):
-    """Exact (outcome class, rounds used) probabilities of an ideal-gate ensemble, one amplitude row per history.
 
-    A history is the sequence of true and classified tags of every round.
-    Each round runs the round's circuit on every row, splits each row by
-    true tag (the basis states with that many L photons) and each split by
-    classified tag, scaled by the root of the chance to read the one as the
-    other: the true tag alone for ideal readout, every entry of the true
-    tag's row of the receiver's confusion matrix for gaussian readout.  A
-    history whose classified tag declares ends in its cell; the rest run
-    on, and the weight left after the last round fails.  Four photons have
-    no recovery, so their rows stay as they are.  No row is dropped or
-    merged, and no density matrix is formed.
+def history_tables(spec):
+    """Exact (outcome class, rounds used) probabilities of an ensemble, read two ways off one walk: (sampled, linear).
+
+    The walk carries one unnormalized amplitude row per readout history: the
+    spin readout of every gate, and the true and classified tag of every
+    round.  Every element is a tuple of dense operators, one per readout:
+    ``embed``'s plate, ``dense_cnot`` for an ideal gate, ``dense_gate``'s
+    plus and minus pair for a realistic one.  A round runs its circuit on
+    every row, splits each row by true tag (the basis states with that many
+    L photons) and each split by classified tag, scaled by the root of the
+    chance to read the one as the other: the true tag alone for ideal
+    readout, every entry of the true tag's row of the receiver's confusion
+    matrix for gaussian readout.  A branch of at most ``IMPOSSIBLE`` of its
+    history's weight (squared norm) is dropped.
+
+    ``sampled`` is the trajectory sampler's rule, which renormalizes at every
+    readout: a branch's chance is its share of its siblings' summed weight.
+    ``linear`` is the instrument's: a cell holds its histories' weight, and
+    a round of realistic gates books the weight they lose as ``lost``.  A
+    classified tag that declares ends its history in its cell.  With ideal
+    readout, ``linear`` ends a true tag outside ``ideal_tags(n)`` as
+    ``failed_leaked``.  Any other history ends as ``failed_max_iter`` in the
+    last round, before it as ``failed_no_recovery`` where there is no
+    recovery (four photons), and runs the recovery sequence otherwise.  Both
+    tables start with the declaring cells by class, then round, and
+    ``failed_max_iter``.
     """
     n, rounds = spec.n_photons, spec.max_iterations
     declared = DECLARED[n]
     receiver = _receiver(spec)
-    l_photons = l_count(n)
-    cells = {(cls, m): 0.0 for cls in dict.fromkeys(declared.values()) for m in range(1, rounds + 1)}
-    rows = conversion_input(n)[None]
-    for m in range(1, rounds + 1):
-        if m == 1 or n != 4:
-            rows, *_ = _run_gates(rows, None, circuit_wiring(n) if m == 1 else recovery_sequence(n), CNOT)
-        carried = [np.zeros((0, 1 << n))]
-        for true in range(n + 1):
-            split = np.where(l_photons == true, rows, 0.0)
-            # (classified tag, chance) pairs; a gaussian receiver is (confusion, tags)
-            reads = [(true, 1.0)] if receiver is None else zip(receiver[1], receiver[0][true])
-            for tag, chance in reads:
-                history = split * np.sqrt(chance)
-                if tag in declared:
-                    cells[(declared[tag], m)] += float(np.sum(np.abs(history) ** 2))
-                else:
-                    carried.append(history)
-        rows = np.concatenate(carried)
-    cells[("failed_max_iter", rounds)] = float(np.sum(np.abs(rows) ** 2))
-    return cells
-
-
-IMPOSSIBLE = 1e-24   # a branch weight no ensemble of feasible size reads out: dropped, not renormalized
-
-
-def realistic_table(spec):
-    """Exact (outcome class, rounds used) probabilities of a realistic-gate ensemble, one amplitude row per readout history.
-
-    The rule is the trajectory sampler's.  A gate's spin readout s has the
-    chance ||K_s phi||^2 / (||K_0 phi||^2 + ||K_1 phi||^2) on the
-    normalized row phi, with K_s from ``dense_gate``, and its child K_s phi
-    is renormalized.  The true tag is drawn by branch weight, the basis
-    states with that many L photons, and renormalized.  The classified tag
-    is the true tag for ideal readout, and for gaussian readout is drawn
-    from the true tag's row of the receiver's confusion matrix.  A history
-    whose classified tag declares ends in its cell.  The others end as
-    ``failed_max_iter`` in the last round; before it they end as
-    ``failed_no_recovery`` at four photons, which have no recovery, and run
-    the recovery sequence otherwise.  A branch of weight at most
-    ``IMPOSSIBLE`` is dropped.
-    """
-    n, rounds = spec.n_photons, spec.max_iterations
-    declared = DECLARED[n]
-    receiver = _receiver(spec)
+    realistic = spec.gate_mode == "realistic"
     factors = spin_photon_map(spec.params)
-    tag_of = l_count(n)
     plates = {"hwp": HWP, "qwp": QWP}
-    cells = {}
 
-    def book(cell, p):
-        cells[cell] = cells.get(cell, 0.0) + float(np.sum(p))
+    def operators(el):
+        if el[0] != "cnot":
+            return (embed(plates[el[0]], el[1] - 1, n - el[1]),)
+        return dense_gate(n, el[1], el[2], factors) if realistic else (dense_cnot(n, el[1], el[2]),)
 
-    def children(probs, branches):
-        """Each branch of each history, its chance times the history's, renormalized; impossible ones dropped."""
-        weights = [np.sum(np.abs(b) ** 2, axis=1) for b in branches]
-        total = sum(weights)
-        kept = [w > IMPOSSIBLE for w in weights]
-        return ([(probs * w / total)[k] for w, k in zip(weights, kept)],
-                [b[k] / np.sqrt(w[k])[:, None] for b, w, k in zip(branches, weights, kept)])
+    circuits = [[operators(el) for el in elements] for elements in (circuit_wiring(n), recovery_sequence(n))]
+    sampled = {(cls, m): 0.0 for cls in dict.fromkeys(declared.values()) for m in range(1, rounds + 1)}
+    sampled[("failed_max_iter", rounds)] = 0.0
+    linear = dict(sampled)
 
-    probs, rows = np.ones(1), conversion_input(n)[None]
+    def weight(rows):
+        return np.sum(np.abs(rows) ** 2, axis=1)
+
+    def book(cells, cell, weights):
+        if weights.size:
+            cells[cell] = cells.get(cell, 0.0) + float(np.sum(weights))
+
+    def branch(probs, live, rows, branches):
+        """(sampled chance, still in ``linear``, row) of each history's kept branch, one triple per branch."""
+        weights = [weight(b) for b in branches]
+        total, parent = sum(weights), weight(rows)
+        kept = [w > IMPOSSIBLE * parent for w in weights]
+        return [(probs[k] * w[k] / total[k], live[k], b[k]) for b, w, k in zip(branches, weights, kept)]
+
+    def end(tag, m):
+        """The class a history read as ``tag`` in round ``m`` ends in; None while it runs on."""
+        if tag in declared:
+            return declared[tag]
+        return "failed_max_iter" if m == rounds else None if recovery_sequence(n) else "failed_no_recovery"
+
+    probs, live, rows = np.ones(1), np.ones(1, bool), conversion_input(n)[None]
     for m in range(1, rounds + 1):
-        for el in circuit_wiring(n) if m == 1 else recovery_sequence(n):
-            if el[0] == "cnot":
-                p, r = children(probs, [rows @ k.T for k in dense_gate(n, el[1], el[2], factors)])
-                probs, rows = np.concatenate(p), np.concatenate(r)
-            else:
-                rows = rows @ embed(plates[el[0]], el[1] - 1, n - el[1]).T
-        p, r = children(probs, [np.where(tag_of == k, rows, 0.0) for k in range(n + 1)])
-        carried_probs, carried_rows = [np.zeros(0)], [np.zeros((0, 1 << n))]
-        for true in range(n + 1):
-            reads = [(true, 1.0)] if receiver is None else zip(receiver[1], receiver[0][true])
-            for tag, chance in reads:
-                if tag in declared:
-                    book((declared[tag], m), p[true] * chance)
-                elif m == rounds:
-                    book(("failed_max_iter", m), p[true] * chance)
-                elif n == 4:
-                    book(("failed_no_recovery", m), p[true] * chance)
-                elif chance > 0:
-                    carried_probs.append(p[true] * chance)
-                    carried_rows.append(r[true])
-        probs, rows = np.concatenate(carried_probs), np.concatenate(carried_rows)
+        before = np.sum(weight(rows[live]))
+        for ops in circuits[m > 1]:
+            probs, live, rows = map(np.concatenate, zip(*branch(probs, live, rows, [rows @ k.T for k in ops])))
+        if realistic:
+            linear[("lost", m)] = float(before - np.sum(weight(rows[live])))
+        carried = [(np.zeros(0), np.zeros(0, bool), np.zeros((0, 1 << n)))]
+        splits = branch(probs, live, rows, [np.where(l_count(n) == k, rows, 0.0) for k in range(n + 1)])
+        for true, (p, alive, r) in enumerate(splits):
+            w = np.where(alive, weight(r), 0.0)
+            leaked = receiver is None and true not in ideal_tags(n)
+            for tag, chance in [(true, 1.0)] if receiver is None else zip(receiver[1], receiver[0][true]):
+                if chance <= IMPOSSIBLE:
+                    continue
+                stop = end(tag, m)
+                if stop:
+                    book(sampled, (stop, m), p * chance)
+                else:
+                    carried.append((p * chance, alive & (not leaked), r * np.sqrt(chance)))
+                if stop or leaked:
+                    book(linear, ("failed_leaked" if leaked else stop, m), w * chance)
+        probs, live, rows = map(np.concatenate, zip(*carried))
         if not probs.size:
             break
-    return cells
+    return sampled, linear

@@ -12,7 +12,7 @@ from entconv.optics import CNOT
 from entconv.qstate import apply_rows, collapse, ket
 
 from conftest import edge_draws, expected_vector, uniform_vector
-from oracle import IDEAL_BOUNCE, readout_branches, replay_cnot
+from oracle import IDEAL_BOUNCE, dense_cnot, readout_branches, replay_cnot
 
 TERMS = ("RR", "RL", "LR", "LL")
 RESONANT = CavityParams(g=1.0, kappa=1.0, gamma=1.0)
@@ -22,16 +22,6 @@ STRONG = CavityParams(g=5.0, kappa=1.0, gamma=1.0)  # g^2 = 25 kappa gamma
 def random_two_photon(rng):
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     return c / np.linalg.norm(c)
-
-
-def flip_target_matrix(n, control, target):
-    """Independent 2^n oracle: permutation matrix flipping target iff control is L."""
-    dim = 1 << n
-    m = np.zeros((dim, dim))
-    for i in range(dim):
-        j = i ^ (1 << (n - target)) if (i >> (n - control)) & 1 else i
-        m[j, i] = 1.0
-    return m
 
 
 def cnot_ideal(state, control, target):
@@ -56,7 +46,7 @@ def test_first_stage_on_three_photon_input():
     want = expected_vector(3, {"RLL": 1 / math.sqrt(2), "LRL": 1 / math.sqrt(2)})
     np.testing.assert_allclose(out, want, atol=1e-12)
     # independent route: full permutation-matrix product
-    np.testing.assert_allclose(out, flip_target_matrix(3, 2, 3) @ state, atol=1e-12)
+    np.testing.assert_allclose(out, dense_cnot(3, 2, 3) @ state, atol=1e-12)
 
 
 def test_matrix_oracle_on_random_states(rng):
@@ -64,7 +54,7 @@ def test_matrix_oracle_on_random_states(rng):
         c = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = c / np.linalg.norm(c)
         out = cnot_ideal(state, control=3, target=1)
-        np.testing.assert_allclose(out, flip_target_matrix(3, 3, 1) @ state, atol=1e-12)
+        np.testing.assert_allclose(out, dense_cnot(3, 3, 1) @ state, atol=1e-12)
 
 
 def test_involution(rng):

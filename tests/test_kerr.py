@@ -11,7 +11,7 @@ from entconv.protocols import ProtocolSpec, _receiver
 from entconv.qstate import ket
 
 from conftest import LAST_BRANCH, Uniforms, basis_index, tag_split, uniform_vector
-from oracle import classify
+from oracle import classify, l_count
 
 ALPHA_REF = math.sqrt(1.3e4)
 THETA_REF = 0.1
@@ -165,7 +165,7 @@ def test_gaussian_mode_collapses_to_true_branch(rng):
 
 def _rows_with_tag_gaps(gen, n, count, kept_tag=None):
     """Random normalized rows, each with a random subset of its tags (never ``kept_tag``) emptied."""
-    tag_of = np.array([bin(i).count("1") for i in range(1 << n)])
+    tag_of = l_count(n)
     keep = gen.random((count, n + 1)) < 0.6
     keep[np.arange(count), gen.integers(0, n + 1, count) if kept_tag is None else kept_tag] = True
     rows = gen.normal(size=(count, 1 << n)) + 1j * gen.normal(size=(count, 1 << n))
@@ -180,7 +180,7 @@ def _fixed_receiver(n, theta, alpha):
 
 def _popcount_mask(row, k):
     """The basis states of a row with k L photons."""
-    return np.array([bin(i).count("1") == k for i in range(len(row))])
+    return l_count(len(row).bit_length() - 1) == k
 
 
 def _popcount_weight(row, k):

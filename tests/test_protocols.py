@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -37,7 +38,7 @@ from entconv.qstate import ket
 from entconv.stream import Stream
 
 from conftest import LAST_BRANCH, Uniforms, class_frequency, edge_draws, expected_vector, tag_split, uniform_vector
-from oracle import IDEAL_BOUNCE, branch_table, realistic_table
+from oracle import DECLARED, IDEAL_BOUNCE, history_tables
 
 # hand-expanded pre-tag term lists for the three circuits
 PRE_TAG_TERMS = {
@@ -351,12 +352,49 @@ def test_ideal_gate_table_is_a_distribution(n, readout, probe):
 @pytest.mark.parametrize("readout", ["ideal", "gaussian"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ideal_gate_table_matches_branch_enumeration(n, readout, probe, rounds):
-    # every cell, in order, against one amplitude row per history of true and classified tags
+    # every cell, in order, against one amplitude row per history of true and
+    # classified tags; ideal gates lose nothing, so both readings agree
     spec = ProtocolSpec(n_photons=n, max_iterations=rounds, homodyne_mode=readout, **probe)
-    cells, want = _ideal_gate_table(spec), branch_table(spec)
-    assert list(cells) == list(want)
-    for cell, p in want.items():
-        assert abs(cells[cell] - p) <= 1e-12, cell
+    cells = _ideal_gate_table(spec)
+    for want in history_tables(spec):
+        assert list(cells) == list(want)
+        for cell, p in want.items():
+            assert abs(cells[cell] - p) <= 1e-12, cell
+
+
+@pytest.mark.parametrize("readout", ["ideal", "gaussian"])
+@pytest.mark.parametrize("n,rounds", [(3, 4), (4, 1), (5, 2)])
+def test_history_tables_reach_the_ideal_gate_table_at_strong_coupling(n, rounds, readout):
+    # g >> kappa, gamma: the realistic gate is the ideal one, so both readings
+    # of the realistic spec are the ideal-gate table, lost and leaked near 0
+    spec = ProtocolSpec(n, max_iterations=rounds, homodyne_mode=readout)
+    strong = replace(spec, gate_mode="realistic", params=CavityParams(g=1e6, kappa=1e-3, gamma=1e-3))
+    want = _ideal_gate_table(spec)
+    for cells in history_tables(strong):
+        for cell in set(cells) | set(want):
+            assert abs(cells.get(cell, 0.0) - want.get(cell, 0.0)) <= 1e-12, cell
+
+
+def _realistic_spec(n, rounds, readout, gamma):
+    return ProtocolSpec(n, max_iterations=rounds, gate_mode="realistic", homodyne_mode=readout,
+                        params=CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=gamma))
+
+
+_realistic_tables = functools.cache(history_tables)   # the G-test and the linear pins share specs
+
+
+@pytest.mark.parametrize("n,rounds,gamma,readout,want", [
+    (3, 4, BENCHMARK_GAMMA_ZPL, "ideal", {"W": 0.8698, "lost": 0.1264, "failed_leaked": 0.0019}),
+    (3, 4, BENCHMARK_GAMMA_TOTAL, "ideal", {"W": 0.3612, "lost": 0.5200, "failed_leaked": 0.1188}),
+    (4, 1, BENCHMARK_GAMMA_TOTAL, "ideal", {"W": 0.1576, "lost": 0.7529, "failed_leaked": 0.0895}),
+    (5, 2, BENCHMARK_GAMMA_ZPL, "ideal", {"W": 0.2749, "Dicke": 0.4416, "lost": 0.2753, "failed_leaked": 0.0062}),
+    (5, 2, BENCHMARK_GAMMA_TOTAL, "gaussian", {"W": 0.1079, "Dicke": 0.0338, "lost": 0.8583, "failed_leaked": 0.0}),
+])
+def test_linear_reading_pins(n, rounds, gamma, readout, want):
+    # the lossy instrument's class totals over all rounds, to 4 digits
+    cells = _realistic_tables(_realistic_spec(n, rounds, readout, gamma))[1]
+    for cls, p in want.items():
+        assert round(sum(v for (c, _), v in cells.items() if c == cls), 4) == p, cls
 
 
 @pytest.mark.parametrize("gamma", [BENCHMARK_GAMMA_ZPL, BENCHMARK_GAMMA_TOTAL])
@@ -365,17 +403,19 @@ def test_ideal_gate_table_matches_branch_enumeration(n, readout, probe, rounds):
 def test_realistic_sampler_matches_the_history_enumeration(n, rounds, readout, gamma):
     # G-test of a seeded realistic ensemble against the exact table of every
     # readout history, with cells expecting fewer than 5 trials pooled; each
-    # case is tested at 1e-3
-    spec = ProtocolSpec(n, max_iterations=rounds, gate_mode="realistic", homodyne_mode=readout,
-                        params=CavityParams(g=BENCHMARK_G, kappa=BENCHMARK_KAPPA, gamma=gamma))
-    cells = realistic_table(spec)
-    assert min(cells.values()) >= 0.0
-    assert abs(sum(cells.values()) - 1.0) <= 1e-12
+    # case is tested at 1e-3; the linear reading's declared, lost, leaked and
+    # failed cells share out the input's whole weight too
+    spec = _realistic_spec(n, rounds, readout, gamma)
+    cells, linear = _realistic_tables(spec)
+    for table in (cells, linear):
+        assert min(table.values()) >= 0.0
+        assert abs(sum(table.values()) - 1.0) <= 1e-12
     trials = 20000
     counts = monte_carlo(spec, trials, Stream(11))
-    assert set(counts) <= {cell for cell, p in cells.items() if p > 0}
-    expected = trials * np.array(list(cells.values()))
-    observed = np.array([counts.get(cell, 0) for cell in cells])
+    possible = [cell for cell, p in cells.items() if p > 0]   # a cell of chance 0 is no degree of freedom
+    assert set(counts) <= set(possible)
+    expected = trials * np.array([cells[cell] for cell in possible])
+    observed = np.array([counts.get(cell, 0) for cell in possible])
     few = expected < 5
     if few.any():
         expected = np.append(expected[~few], expected[few].sum())
@@ -607,7 +647,7 @@ def test_monte_carlo_gaussian_mode_runs():
 
 
 # the outcome classes each photon number can declare in any round; failed_max_iter books the last round only
-_DECLARED = {3: {"W"}, 5: {"W", "Dicke"}}
+_DECLARED = {n: set(classes.values()) for n, classes in DECLARED.items()}
 
 
 @pytest.mark.parametrize("trials", [1, _MC_CHUNK, _MC_CHUNK + 1])
